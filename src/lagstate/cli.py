@@ -6,8 +6,8 @@ product vector, and the quadrature residuals.  ``verify`` re-derives the
 cross-identities (distance vs entropy, the binomial sum identity, quadrature
 vs closed form).  ``state`` and ``gram`` dump a single state or Gram matrix.
 
-Exit status: 0 on success, 1 when a residual or check exceeds its tolerance,
-2 for invalid usage.
+Exit status: 0 on success, 1 when a residual or check exceeds its tolerance
+or a numerical check fails (reported as ``error:``), 2 for invalid usage.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 from typing import Any
 
 import numpy as np
@@ -41,7 +41,6 @@ class RunConfig:
     submanifold: str = "antidiagonal"
     fmt: str = "csv"
     out: str | None = None
-    seed: int = 0
     tol_entropy: float | None = None
     tol_gram: float | None = None
     tol_identity: float = 1e-9
@@ -66,6 +65,10 @@ class RunConfig:
             raise ValueError(f"empty k range {self.k_min}..{self.k_max}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        for name in ("tol_entropy", "tol_gram", "tol_identity"):
+            tol = getattr(self, name)
+            if tol is not None and not 0.0 <= tol < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
     @property
     def entropy_tolerance(self) -> float:
@@ -105,7 +108,8 @@ def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
         model = torus.TorusModel(k, config.mu)
         return states.antidiagonal_state(
             model, theta_tol=config.theta_tol, m_x=config.quad_angular,
-            n_y_start=config.quad_radial or 16)
+            n_y_start=(torus.Y_NODES_START if config.quad_radial is None
+                       else config.quad_radial))
     model = sphere.SphereModel(k)
     if config.submanifold == "circle":
         return states.circle_state_quadrature(model, angular=config.quad_angular)
@@ -131,26 +135,24 @@ def run(config: RunConfig) -> list[ReportRow]:
         t0 = time.perf_counter()
         state = _build_state(config, k)
         gram_res = _row_gram_residual(config, k, state)
-        v = state.normalized()
-        d = v.shape[0]
-        nu = entanglement.entropy(v)
-        _, distance = entanglement.closest_separable(v)
+        report = entanglement.analyze(state.normalized())
         if config.submanifold == "circle":
             target = states.circle_entropy_closed_form(k)
         else:
-            target = math.log(d)
-        elapsed_ms = 0.0 if config.reproducible else (time.perf_counter() - t0) * 1e3
+            target = report.max_entropy
         rows.append(ReportRow(
             k=k,
-            d_k=d,
-            entropy=nu,
-            ln_d_k=math.log(d),
-            entropy_residual=abs(nu - target),
-            separable_distance=distance,
-            corollary_rhs=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
+            d_k=report.d,
+            entropy=report.entropy,
+            ln_d_k=report.max_entropy,
+            entropy_residual=abs(report.entropy - target),
+            separable_distance=report.separable_distance,
+            corollary_rhs=report.corollary_distance,
             gram_residual=gram_res,
             raw_norm=state.raw_norm,
-            wall_time_ms=elapsed_ms,
+            # Read last, so the time covers the SVD behind separable_distance.
+            wall_time_ms=(0.0 if config.reproducible
+                          else (time.perf_counter() - t0) * 1e3),
         ))
     return rows
 
@@ -201,12 +203,13 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
     for k in range(config.k_min, config.k_max + 1):
         state = _build_state(config, k)
         v = state.normalized()
-        if entanglement.is_maximally_entangled(v):
-            lhs, rhs = entanglement.corollary_distance_identity(v)
+        report = entanglement.analyze(v)
+        if report.is_maximally_entangled():
+            gap = abs(report.separable_distance - report.corollary_distance)
             checks.append(IdentityCheck(
                 name="distance_vs_entropy", k=k,
-                passed=abs(lhs - rhs) <= config.tol_identity,
-                detail=f"|D - sqrt(1-e^-nu)| = {abs(lhs - rhs):.3e}"))
+                passed=gap <= config.tol_identity,
+                detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
         checks.append(_binomial_square_sum_check(k))
         if config.model == "sphere" and config.submanifold == "circle":
             closed = states.circle_state_closed_form(k)
@@ -225,13 +228,8 @@ def _fmt_float(x: float) -> str:
 def render_csv(rows: list[ReportRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join([
-            str(row.k), str(row.d_k), _fmt_float(row.entropy),
-            _fmt_float(row.ln_d_k), _fmt_float(row.entropy_residual),
-            _fmt_float(row.separable_distance), _fmt_float(row.corollary_rhs),
-            _fmt_float(row.gram_residual), _fmt_float(row.raw_norm),
-            _fmt_float(row.wall_time_ms),
-        ]))
+        k, d_k, *floats = astuple(row)
+        lines.append(",".join([str(k), str(d_k)] + [_fmt_float(x) for x in floats]))
     return "\n".join(lines) + "\n"
 
 
@@ -241,13 +239,8 @@ def parse_csv(text: str) -> list[ReportRow]:
         raise ValueError("unexpected CSV header")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(ReportRow(
-            k=int(parts[0]), d_k=int(parts[1]), entropy=float(parts[2]),
-            ln_d_k=float(parts[3]), entropy_residual=float(parts[4]),
-            separable_distance=float(parts[5]), corollary_rhs=float(parts[6]),
-            gram_residual=float(parts[7]), raw_norm=float(parts[8]),
-            wall_time_ms=float(parts[9])))
+        k, d_k, *floats = line.split(",")
+        rows.append(ReportRow(int(k), int(d_k), *map(float, floats)))
     return rows
 
 
@@ -280,7 +273,7 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
         "max_entropy": report.max_entropy,
         "separable_distance": report.separable_distance,
         "corollary_distance": report.corollary_distance,
-        "maximally_entangled": bool(entanglement.is_maximally_entangled(v)),
+        "maximally_entangled": report.is_maximally_entangled(),
         "schmidt_spectrum": [float(x) for x in report.schmidt_spectrum],
         "provenance": state.provenance,
         "coeffs_real": v.real.tolist(),
@@ -330,7 +323,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default="csv")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol-entropy", type=float, default=None)
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
@@ -342,11 +334,16 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--reproducible", action="store_true")
 
 
-def _config_from_args(args: argparse.Namespace, k_min: int, k_max: int) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.command in ("state", "gram"):
+        k_min = k_max = args.k
+    else:
+        k_min = args.k_min if args.k_min is not None else DEFAULT_K_MIN[args.model]
+        k_max = args.k_max if args.k_max is not None else max(k_min, 10)
     return RunConfig(
         model=args.model, k_min=k_min, k_max=k_max, mu=args.mu,
         submanifold=args.submanifold, fmt=args.fmt, out=args.out,
-        seed=args.seed, tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
+        tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
         tol_identity=args.tol_identity, quad_angular=args.quad_angular,
         quad_radial=args.quad_radial, theta_tol=args.theta_tol,
         reproducible=args.reproducible)
@@ -380,18 +377,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _range_from_args(args: argparse.Namespace) -> tuple[int, int]:
-    k_min = args.k_min if args.k_min is not None else DEFAULT_K_MIN[args.model]
-    k_max = args.k_max if args.k_max is not None else max(k_min, 10)
-    return k_min, k_max
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        config = _config_from_args(args)
         if args.command == "report":
-            k_min, k_max = _range_from_args(args)
-            config = _config_from_args(args, k_min, k_max)
             rows = run(config)
             text = render_csv(rows) if config.fmt == "csv" else render_json(rows)
             _emit(text, config.out)
@@ -401,8 +391,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if breaches else 0
 
         if args.command == "verify":
-            k_min, k_max = _range_from_args(args)
-            config = _config_from_args(args, k_min, k_max)
             checks = verify_identities(config)
             lines = []
             for check in checks:
@@ -412,7 +400,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all(check.passed for check in checks) else 1
 
         if args.command == "state":
-            config = _config_from_args(args, args.k, args.k)
             payload = _state_payload(config, args.k)
             coeffs = payload.pop("_coeffs")
             if config.fmt == "json":
@@ -427,7 +414,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "gram":
-            config = _config_from_args(args, args.k, args.k)
             payload = _gram_payload(config, args.k)
             gram = payload.pop("_gram")
             if config.fmt == "json":
@@ -435,11 +421,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _emit("\n".join(_complex_table(gram)) + "\n", config.out)
             return 0
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # A ValueError is bad input; a RuntimeError is a failed numerical check.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
     raise AssertionError("unreachable command")
-
-
-if __name__ == "__main__":
-    sys.exit(main())

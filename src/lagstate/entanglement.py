@@ -11,11 +11,12 @@ top Schmidt term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, frobenius_distance, hermitian_eigen, svd
+from .linalg import as_complex_matrix, hermitian_eigen, svd
 
 NORM_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-15
@@ -31,18 +32,6 @@ class SchmidtDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         return (self.basis_left * self.alphas) @ self.basis_right.T
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Summary of the entanglement measures of one normalized state."""
-
-    d: int
-    entropy: float
-    max_entropy: float
-    separable_distance: float
-    corollary_distance: float
-    schmidt_spectrum: np.ndarray
 
 
 def _state_matrix(coeffs: np.ndarray, *, require_normalized: bool) -> np.ndarray:
@@ -79,11 +68,68 @@ def partial_trace_2(coeffs: np.ndarray) -> np.ndarray:
     return c @ c.conj().T
 
 
+def _spectrum(c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Eigenvalues of c c^* clamped to [0, 1], and their entropy."""
+    lam = np.clip(hermitian_eigen(c @ c.conj().T)[0].real, 0.0, 1.0)
+    return lam, math.fsum(-x * math.log(x) for x in lam if x > EIGENVALUE_FLOOR)
+
+
+def _tail_norm(alphas: np.ndarray) -> float:
+    return math.sqrt(math.fsum(float(a) ** 2 for a in alphas[1:]))
+
+
+@dataclass(frozen=True)
+class EntanglementReport:
+    """Entanglement measures of one normalized state with coefficients c;
+    the SVD behind the separable distance runs on first access only."""
+
+    coeffs: np.ndarray = field(repr=False)
+    d: int
+    entropy: float
+    max_entropy: float
+    corollary_distance: float
+    schmidt_spectrum: np.ndarray
+
+    @cached_property
+    def separable_distance(self) -> float:
+        return _tail_norm(svd(self.coeffs).singular_values)
+
+    def is_maximally_entangled(self, tol: float = 1e-9) -> bool:
+        """Whether the Schmidt spectrum is flat, i.e. the entropy attains ln d.
+
+        Two equivalent checks are run: the entropy is within ``tol`` of
+        ln d, and every eigenvalue is within sqrt(2 tol / d) of 1/d (the
+        second-order expansion of the entropy around the flat spectrum).  A
+        disagreement between them indicates a borderline state and raises.
+        """
+        by_entropy = abs(self.entropy - self.max_entropy) <= tol
+        by_spectrum = bool(np.max(np.abs(self.schmidt_spectrum - 1.0 / self.d))
+                           <= math.sqrt(2.0 * tol / self.d))
+        if by_entropy != by_spectrum:
+            raise ValueError(
+                "maximal-entanglement checks disagree: "
+                f"entropy check {by_entropy}, spectrum check {by_spectrum}")
+        return by_entropy
+
+
+def analyze(coeffs: np.ndarray) -> EntanglementReport:
+    """Entanglement summary of a normalized state, factorized once: one
+    eigensolve of c c^*, plus one SVD of c if the distance is read."""
+    c = _state_matrix(coeffs, require_normalized=True)
+    lam, nu = _spectrum(c)
+    return EntanglementReport(
+        coeffs=c,
+        d=c.shape[0],
+        entropy=nu,
+        max_entropy=math.log(c.shape[0]),
+        corollary_distance=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
+        schmidt_spectrum=lam,
+    )
+
+
 def schmidt_spectrum(coeffs: np.ndarray) -> np.ndarray:
     """Eigenvalues of the reduced density matrix, descending, clamped to [0, 1]."""
-    rho = partial_trace_2(coeffs)
-    lam, _ = hermitian_eigen(rho)
-    return np.clip(lam.real, 0.0, 1.0)
+    return _spectrum(_state_matrix(coeffs, require_normalized=False))[0]
 
 
 def entropy(coeffs: np.ndarray, *, require_normalized: bool = True) -> float:
@@ -92,10 +138,7 @@ def entropy(coeffs: np.ndarray, *, require_normalized: bool = True) -> float:
     Eigenvalues of the reduced density below 1e-15 are treated as exact
     zeros (0 ln 0 = 0).  The sum is accumulated with compensated summation.
     """
-    c = _state_matrix(coeffs, require_normalized=require_normalized)
-    lam = schmidt_spectrum(c)
-    terms = [-x * math.log(x) for x in lam if x > EIGENVALUE_FLOOR]
-    return math.fsum(terms)
+    return _spectrum(_state_matrix(coeffs, require_normalized=require_normalized))[1]
 
 
 def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -106,28 +149,12 @@ def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
     """
     dec = schmidt(coeffs)
     u_s = dec.alphas[0] * np.outer(dec.basis_left[:, 0], dec.basis_right[:, 0])
-    distance = math.sqrt(math.fsum(float(a) ** 2 for a in dec.alphas[1:]))
-    return u_s, distance
+    return u_s, _tail_norm(dec.alphas)
 
 
 def is_maximally_entangled(coeffs: np.ndarray, *, tol: float = 1e-9) -> bool:
-    """Whether the Schmidt spectrum is flat, i.e. the entropy attains ln d.
-
-    Two equivalent checks are run: the entropy is within ``tol`` of ln d,
-    and every eigenvalue is within sqrt(2 tol / d) of 1/d (the second-order
-    expansion of the entropy around the flat spectrum).  A disagreement
-    between them indicates a borderline state and raises.
-    """
-    c = _state_matrix(coeffs, require_normalized=True)
-    d = c.shape[0]
-    by_entropy = abs(entropy(c) - math.log(d)) <= tol
-    lam = schmidt_spectrum(c)
-    by_spectrum = bool(np.max(np.abs(lam - 1.0 / d)) <= math.sqrt(2.0 * tol / d))
-    if by_entropy != by_spectrum:
-        raise ValueError(
-            "maximal-entanglement checks disagree: "
-            f"entropy check {by_entropy}, spectrum check {by_spectrum}")
-    return by_entropy
+    """See :meth:`EntanglementReport.is_maximally_entangled`."""
+    return analyze(coeffs).is_maximally_entangled(tol)
 
 
 def corollary_distance_identity(coeffs: np.ndarray, *, tol: float = 1e-9) -> tuple[float, float]:
@@ -137,30 +164,12 @@ def corollary_distance_identity(coeffs: np.ndarray, *, tol: float = 1e-9) -> tup
     entangled states the two agree.  Raises for states that are not
     maximally entangled within ``tol``.
     """
-    c = _state_matrix(coeffs, require_normalized=True)
-    nu = entropy(c)
-    d = c.shape[0]
-    if abs(nu - math.log(d)) > tol:
+    report = analyze(coeffs)
+    if abs(report.entropy - report.max_entropy) > tol:
         raise ValueError(
-            f"state is not maximally entangled: entropy {nu:.12g} vs ln d "
-            f"= {math.log(d):.12g}")
-    _, distance = closest_separable(c)
-    return distance, math.sqrt(max(0.0, 1.0 - math.exp(-nu)))
-
-
-def analyze(coeffs: np.ndarray) -> EntanglementReport:
-    """Full entanglement summary of a normalized state."""
-    c = _state_matrix(coeffs, require_normalized=True)
-    nu = entropy(c)
-    _, distance = closest_separable(c)
-    return EntanglementReport(
-        d=c.shape[0],
-        entropy=nu,
-        max_entropy=math.log(c.shape[0]),
-        separable_distance=distance,
-        corollary_distance=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
-        schmidt_spectrum=schmidt_spectrum(c),
-    )
+            f"state is not maximally entangled: entropy {report.entropy:.12g} "
+            f"vs ln d = {report.max_entropy:.12g}")
+    return report.separable_distance, report.corollary_distance
 
 
 def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,

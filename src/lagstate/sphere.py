@@ -72,9 +72,10 @@ class SphereQuadrature:
         return z, w
 
 
-def sphere_quadrature(k: int, *, radial: int | None = None,
-                      angular: int | None = None) -> SphereQuadrature:
-    """Quadrature sized so every degree-k Gram integrand is integrated exactly.
+def exact_node_counts(k: int, radial: int | None = None,
+                      angular: int | None = None) -> tuple[int, int]:
+    """Radial and angular node counts that integrate degree-k integrands
+    exactly, each defaulting to its minimum.
 
     Minimum node counts: ceil((k+2)/2) radial (Gauss-Legendre exactness
     through degree k) and 2k+2 angular (no aliasing among frequencies up
@@ -92,6 +93,14 @@ def sphere_quadrature(k: int, *, radial: int | None = None,
         raise ValueError(
             f"{angular} angular nodes alias frequencies up to {k}; "
             f"need at least {min_angular}")
+    return radial, angular
+
+
+def sphere_quadrature(k: int, *, radial: int | None = None,
+                      angular: int | None = None) -> SphereQuadrature:
+    """Quadrature sized so every degree-k Gram integrand is integrated
+    exactly; see :func:`exact_node_counts` for the node counts."""
+    radial, angular = exact_node_counts(k, radial, angular)
     x, w = np.polynomial.legendre.leggauss(radial)
     return SphereQuadrature(
         t_nodes=(x + 1.0) / 2.0,
@@ -178,15 +187,8 @@ def _radial_gram(k: int, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndar
 
 
 def _gram(model: SphereModel, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndarray:
-    if quad.angular_count < 2 * model.k + 2:
-        raise ValueError(
-            f"angular count {quad.angular_count} is below the exactness "
-            f"threshold {2 * model.k + 2} for k = {model.k}")
-    if quad.radial_count < (model.k + 3) // 2:
-        raise ValueError(
-            f"radial count {quad.radial_count} is below the exactness "
-            f"threshold {(model.k + 3) // 2} for k = {model.k}")
     k = model.k
+    exact_node_counts(k, quad.radial_count, quad.angular_count)
     radial = _radial_gram(k, quad, log_amp)
     deltas = np.arange(-k, k + 1)
     ang = phase_average(quad.angular_count, deltas)

@@ -18,8 +18,9 @@ from typing import Any
 import numpy as np
 
 from .linalg import max_abs
-from .sphere import (SphereModel, SphereQuadrature, log_binomial, phase_average,
-                     sphere_quadrature, gram_matrix, weighted_basis_values)
+from .sphere import (SphereModel, SphereQuadrature, exact_node_counts,
+                     log_binomial, phase_average, sphere_quadrature,
+                     gram_matrix, weighted_basis_values)
 from . import torus as torus_mod
 from .torus import TorusModel
 
@@ -149,7 +150,7 @@ def antidiagonal_state(model: SphereModel | TorusModel,
                        theta_tol: float = torus_mod.THETA_TOL,
                        m_x: int | None = None,
                        y_tol: float = torus_mod.GRAM_Y_TOL,
-                       n_y_start: int = 16) -> LagrangianState:
+                       n_y_start: int = torus_mod.Y_NODES_START) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
     fiber pairing.  Its coefficient matrix equals the basis Gram matrix
     (conjugated), hence the identity up to quadrature defect, and the
@@ -172,12 +173,7 @@ def circle_state_quadrature(model: SphereModel,
     diagonal with entries pi 2^(1-k) (k+1)! / (j! (k-j)!) up to roundoff.
     """
     k = model.k
-    min_angular = 2 * k + 2
-    angular = min_angular if angular is None else angular
-    if angular < min_angular:
-        raise ValueError(
-            f"{angular} angular nodes alias frequencies up to {k}; "
-            f"need at least {min_angular}")
+    _, angular = exact_node_counts(k, angular=angular)
     half_log = 0.5 * model.log_amplitudes()
     mag = np.exp(half_log - 0.5 * k * math.log(2.0))
     deltas = np.arange(-k, k + 1)

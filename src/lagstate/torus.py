@@ -27,6 +27,7 @@ from .linalg import max_abs
 THETA_TOL = 1e-12
 GRAM_Y_TOL = 1e-10
 MAX_TERMS = 64
+Y_NODES_START = 16
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,9 @@ class TorusModel:
     def reduced_q(self, j: int) -> float:
         if not 1 <= j <= self.k:
             raise ValueError(f"theta index {j} out of range 1..{self.k}")
-        q = (self.mu + j) / self.k
+        # fmod is exact and keeps q mod 1, but stops a large mu from
+        # swamping j / k in the division.
+        q = (math.fmod(self.mu, self.k) + j) / self.k
         return q - round(q)
 
 
@@ -141,7 +144,8 @@ class TorusGramResult:
 
 def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
                     m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
-                    n_y_start: int = 16, n_y_max: int = 2048) -> TorusGramResult:
+                    n_y_start: int = Y_NODES_START,
+                    n_y_max: int = 2048) -> TorusGramResult:
     """Gram matrix of the theta basis by trapezoid (x) Gauss-Legendre (y).
 
     The x-rule with M_x >= 2k(2 n_max + 1) nodes is exact for every Fourier
@@ -149,6 +153,9 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
     vanish to roundoff plus tail.  The y-rule is refined by doubling until
     the Gram changes by less than y_tol.
     """
+    if not 1 <= n_y_start <= n_y_max:
+        raise ValueError(
+            f"starting y-node count {n_y_start} is outside 1..{n_y_max}")
     k = model.k
     trunc = theta_truncation(model, theta_tol, y_max=1.0)
     m_min = 2 * k * (2 * trunc.n_max + 1)
@@ -210,7 +217,7 @@ class TorusBasis:
 
 def orthonormal_basis(model: TorusModel, *, theta_tol: float = THETA_TOL,
                       m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
-                      n_y_start: int = 16) -> TorusBasis:
+                      n_y_start: int = Y_NODES_START) -> TorusBasis:
     """Normalize the theta basis by its quadrature norms.
 
     The closed-form squared norm is 1/sqrt(2k) for every j; the quadrature

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+from lagstate import entanglement
 from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
                           render_json, run, tolerance_breaches,
                           verify_identities)
@@ -156,6 +160,94 @@ def test_main_usage_errors(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "k >= 3" in captured.err
+
+
+@pytest.mark.parametrize("flag", [
+    "--tol-entropy=nan", "--tol-gram=nan", "--tol-gram=inf",
+    "--tol-identity=-1e-9", "--tol-entropy=-inf",
+])
+def test_main_rejects_bad_tolerances(capsys, flag):
+    code = main(["report", "--k-min", "1", "--k-max", "2", flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "finite and non-negative" in captured.err
+    assert captured.out == ""
+
+
+def test_main_rejects_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--k-min", "1", "--k-max", "2", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_y", ["0", "4096"])
+def test_main_torus_quad_radial_out_of_range(capsys, n_y):
+    code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
+                 "--quad-radial", n_y])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "y-node" in captured.err
+
+
+def test_main_numerical_failure_is_an_error_line(capsys):
+    # Starting at the largest y-rule leaves no finer level to compare with,
+    # so the refinement cannot converge.
+    code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
+                 "--quad-radial", "2048"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: torus Gram did not stabilize")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_main_torus_large_mu(capsys):
+    code = main(["report", "--model", "torus", "--mu", "1e17", "--k-min", "3",
+                 "--k-max", "5"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    rows = parse_csv(captured.out)
+    assert [row.k for row in rows] == [3, 4, 5]
+    for row in rows:
+        assert abs(row.entropy - math.log(row.k)) <= 1e-6
+
+
+@pytest.mark.parametrize("argv,rows,eigh,svd", [
+    (["report", "--k-min", "1", "--k-max", "4"], 4, 1, 1),
+    (["verify", "--k-min", "1", "--k-max", "4"], 4, 1, 1),
+    (["verify", "--submanifold", "circle", "--k-min", "2", "--k-max", "5"],
+     4, 1, 0),
+    (["state", "--k", "4", "--format", "json"], 1, 1, 1),
+])
+def test_one_factorization_per_state(monkeypatch, capsys, argv, rows, eigh, svd):
+    calls = {"eigh": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(entanglement, "hermitian_eigen",
+                        counted("eigh", entanglement.hermitian_eigen))
+    monkeypatch.setattr(entanglement, "svd", counted("svd", entanglement.svd))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"eigh": eigh * rows, "svd": svd * rows}
+
+
+def test_python_m_lagstate():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lagstate", "report",
+         "--k-min", "1", "--k-max", "2", "--reproducible"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == CSV_HEADER
 
 
 def test_main_verify(capsys):

@@ -100,6 +100,11 @@ def test_quadrature_minimum_counts():
         sphere_quadrature(5, angular=11)
 
 
+def test_gram_rejects_rule_for_smaller_k():
+    with pytest.raises(ValueError, match="exact"):
+        gram_matrix(SphereModel(5), sphere_quadrature(3))
+
+
 def test_quadrature_volume_is_one():
     for k in (1, 6, 25):
         quad = sphere_quadrature(k)
