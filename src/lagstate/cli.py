@@ -103,13 +103,17 @@ class IdentityCheck:
     detail: str
 
 
+def _torus_resolution(config: RunConfig) -> dict[str, Any]:
+    """Torus resolution keywords, shared by every command that builds a basis."""
+    return {"theta_tol": config.theta_tol, "m_x": config.quad_angular,
+            "n_y_start": (torus.Y_NODES_START if config.quad_radial is None
+                          else config.quad_radial)}
+
+
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
     if config.model == "torus":
-        model = torus.TorusModel(k, config.mu)
-        return states.antidiagonal_state(
-            model, theta_tol=config.theta_tol, m_x=config.quad_angular,
-            n_y_start=(torus.Y_NODES_START if config.quad_radial is None
-                       else config.quad_radial))
+        return states.antidiagonal_state(torus.TorusModel(k, config.mu),
+                                         **_torus_resolution(config))
     model = sphere.SphereModel(k)
     if config.submanifold == "circle":
         return states.circle_state_quadrature(model, angular=config.quad_angular)
@@ -194,8 +198,8 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
 
     (a) On maximally entangled rows, the separable distance must equal
         sqrt(1 - e^-entropy).
-    (b) The binomial identity behind the circle state norm, exact in
-        integers for k <= 30 and in log space beyond.
+    (b) On the sphere, the binomial identity behind the circle state norm,
+        exact in integers for k <= 30 and in log space beyond.
     (c) On the sphere circle, the quadrature state must match the closed
         form entrywise.
     """
@@ -210,7 +214,8 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
                 name="distance_vs_entropy", k=k,
                 passed=gap <= config.tol_identity,
                 detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
-        checks.append(_binomial_square_sum_check(k))
+        if config.model == "sphere":
+            checks.append(_binomial_square_sum_check(k))
         if config.model == "sphere" and config.submanifold == "circle":
             closed = states.circle_state_closed_form(k)
             defect = float(np.max(np.abs(v - closed)))
@@ -284,9 +289,8 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
 
 def _gram_payload(config: RunConfig, k: int) -> dict[str, Any]:
     if config.model == "torus":
-        basis = torus.orthonormal_basis(
-            torus.TorusModel(k, config.mu), theta_tol=config.theta_tol,
-            m_x=config.quad_angular)
+        basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu),
+                                        **_torus_resolution(config))
         gram = basis.raw_gram
         residual = basis.gram_residual()
     else:
@@ -327,7 +331,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
     parser.add_argument("--quad-angular", type=int, default=None,
-                        help="sphere angular nodes / torus x nodes")
+                        help="sphere angular nodes / torus x-node count, "
+                             "checked against the aliasing threshold only")
     parser.add_argument("--quad-radial", type=int, default=None,
                         help="sphere radial nodes / torus starting y nodes")
     parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL)

@@ -100,13 +100,14 @@ class EntanglementReport:
         Two equivalent checks are run: the entropy is within ``tol`` of
         ln d, and every eigenvalue is within sqrt(2 tol / d) of 1/d (the
         second-order expansion of the entropy around the flat spectrum).  A
-        disagreement between them indicates a borderline state and raises.
+        disagreement between them indicates a borderline state and raises
+        RuntimeError: it is a numerical outcome, not a usage error.
         """
         by_entropy = abs(self.entropy - self.max_entropy) <= tol
         by_spectrum = bool(np.max(np.abs(self.schmidt_spectrum - 1.0 / self.d))
                            <= math.sqrt(2.0 * tol / self.d))
         if by_entropy != by_spectrum:
-            raise ValueError(
+            raise RuntimeError(
                 "maximal-entanglement checks disagree: "
                 f"entropy check {by_entropy}, spectrum check {by_spectrum}")
         return by_entropy

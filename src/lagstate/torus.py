@@ -6,9 +6,9 @@ The Hilbert space for level k >= 3 is spanned by the k theta series
 
 j = 1..k, which are holomorphic and quasi-periodic for the lattice Z + iZ.
 The inner product integrates f conj(g) exp(-2 pi k y^2) over the fundamental
-square [0,1] x [0,1].  The theta basis is orthogonal with squared norm
-1/sqrt(2k) (the n-sum unfolds the y-integral to a full Gaussian on the line),
-independent of j and mu.
+square [0,1] x [0,1].  The x-integral is applied analytically; it makes the
+theta basis orthogonal, and the squared norm 1/sqrt(2k) (the n-sum unfolds
+the y-integral to a Gaussian on the line) is independent of j and mu.
 
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
@@ -146,12 +146,12 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
                     m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
                     n_y_start: int = Y_NODES_START,
                     n_y_max: int = 2048) -> TorusGramResult:
-    """Gram matrix of the theta basis by trapezoid (x) Gauss-Legendre (y).
+    """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
 
-    The x-rule with M_x >= 2k(2 n_max + 1) nodes is exact for every Fourier
-    frequency present in the truncated products, so off-diagonal entries
-    vanish to roundoff plus tail.  The y-rule is refined by doubling until
-    the Gram changes by less than y_tol.
+    An x-rule with m_x >= 2k(2 n_max + 1) nodes is the Kronecker delta on all
+    frequencies of the truncated products: off-diagonal entries are exact
+    zeros, and m_x is checked against that threshold only.  The diagonal
+    y-rule is doubled until it changes by less than y_tol.
     """
     if not 1 <= n_y_start <= n_y_max:
         raise ValueError(
@@ -164,17 +164,16 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
         raise ValueError(
             f"{m_x} x-nodes alias truncated theta products at level {k}; "
             f"need at least {m_min}")
-    xs = np.arange(m_x) / m_x
+    shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
+              + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
     prev = None
     n_y = n_y_start
     while n_y <= n_y_max:
         nodes, weights = np.polynomial.legendre.leggauss(n_y)
         ys = (nodes + 1.0) / 2.0
-        wy = weights / 2.0
-        zs = (xs[None, :] + 1j * ys[:, None]).ravel()
-        w = (np.repeat(wy * gaussian_weight(k, ys), m_x)) / m_x
-        theta = _theta_columns(model, zs, trunc)
-        gram = theta.T @ (w[:, None] * theta.conj())
+        # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
+        terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
+        gram = np.diag(terms.sum(axis=1) @ (weights / 2.0)).astype(complex)
         if prev is not None and max_abs(gram - prev) < y_tol:
             return TorusGramResult(gram=gram, truncation=trunc, m_x=m_x, n_y=n_y)
         prev = gram

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to check:
 exact rational Beta integrals for the sphere monomial norms, a direct theta
 summation for truncation certificates, exact integer binomials for the
-circle state, and a dense Gauss-Legendre rule for the torus norm.
+circle state, a dense Gauss-Legendre rule for the torus norm, and the full
+2-D product rule for the torus Gram matrix.
 """
 
 from __future__ import annotations
@@ -83,3 +84,25 @@ def torus_norm_reference(k: int, q: float, n_quad: int = 400,
     for n in range(-n_range, n_range + 1):
         total += float(np.sum(w * np.exp(-2.0 * math.pi * k * (n + q + y) ** 2)))
     return total
+
+
+def torus_gram_reference(k: int, mu: float, n_y: int, m_x: int,
+                         n_range: int = 8) -> np.ndarray:
+    """Raw theta Gram by the full m_x-point trapezoid (x) times n_y-point
+    Gauss-Legendre (y) product rule on [0,1]^2, weight exp(-2 pi k y^2).
+
+    Each theta series is summed directly over |n| <= n_range with the
+    unreduced characteristic q = (mu + j)/k, so neither the x-sum nor the
+    orthogonality of the basis is assumed.
+    """
+    t, w = np.polynomial.legendre.leggauss(n_y)
+    y = (t + 1.0) / 2.0
+    z = np.arange(m_x)[None, :] / m_x + 1j * y[:, None]
+    theta = np.zeros((k, n_y, m_x), dtype=complex)
+    for j in range(1, k + 1):
+        q = (mu + j) / k
+        for n in range(-n_range, n_range + 1):
+            theta[j - 1] += np.exp(-math.pi * k * (n + q) ** 2
+                                   + 2j * math.pi * (n + q) * k * z)
+    weight = (w / 2.0) * np.exp(-2.0 * math.pi * k * y ** 2) / m_x
+    return np.einsum("jyx,lyx,y->jl", theta, theta.conj(), weight)

@@ -204,6 +204,25 @@ def test_main_numerical_failure_is_an_error_line(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n_y, code, message", [
+    ("4096", 2, "y-node"), ("2048", 1, "torus Gram did not stabilize")])
+def test_main_gram_torus_reads_quad_radial(capsys, n_y, code, message):
+    assert main(["gram", "--model", "torus", "--k", "3",
+                 "--quad-radial", n_y]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_main_verify_torus_skips_binomial(capsys):
+    code = main(["verify", "--model", "torus", "--k-min", "3", "--k-max", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 2
+    assert all(line.startswith("PASS distance_vs_entropy") for line in lines)
+
+
 def test_main_torus_large_mu(capsys):
     code = main(["report", "--model", "torus", "--mu", "1e17", "--k-min", "3",
                  "--k-max", "5"])

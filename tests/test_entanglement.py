@@ -175,6 +175,17 @@ def test_is_maximally_entangled():
     assert not is_maximally_entangled(circle)
 
 
+def test_maximal_entanglement_disagreement_is_numerical():
+    # d = 4, spectrum 1/4 +- eps with sqrt(2 tol)/d < eps < sqrt(2 tol/d):
+    # the spectrum check passes, the entropy check (ln d - nu ~ 8 eps^2)
+    # fails.
+    tol, d = 1e-9, 4
+    eps = math.sqrt(math.sqrt(2.0 * tol) / d * math.sqrt(2.0 * tol / d))
+    c = np.diag(np.sqrt([0.25 + eps, 0.25 + eps, 0.25 - eps, 0.25 - eps]))
+    with pytest.raises(RuntimeError, match="checks disagree"):
+        analyze(c).is_maximally_entangled(tol)
+
+
 def test_corollary_distance_identity():
     lhs, rhs = corollary_distance_identity(np.eye(2, dtype=complex) / math.sqrt(2.0))
     assert abs(lhs - math.sqrt(0.5)) <= 1e-12

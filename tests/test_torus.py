@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import theta_reference, torus_norm_reference
+from conftest import (theta_reference, torus_gram_reference,
+                      torus_norm_reference)
 from lagstate.linalg import max_abs
 from lagstate.torus import (TorusModel, closed_form_norm, gaussian_weight,
                             gram_quadrature, orthonormal_basis,
@@ -105,6 +106,31 @@ def test_gram_diag_is_mu_independent():
     d0 = np.diag(torus_gram(TorusModel(5, mu=0.0))).real
     d1 = np.diag(torus_gram(TorusModel(5, mu=0.37))).real
     assert max_abs(np.sort(d0) - np.sort(d1)) <= 1e-9
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37, -1.2])
+@pytest.mark.parametrize("k", range(3, 9))
+def test_gram_matches_product_rule_oracle(k, mu):
+    # The x-rule is applied in closed form; the full 2-D product rule at the
+    # same resolution must agree, and off-diagonal entries are exact zeros.
+    res = gram_quadrature(TorusModel(k, mu=mu))
+    want = torus_gram_reference(k, mu, res.n_y, res.m_x)
+    assert max_abs(res.gram - want) <= 1e-13 * max_abs(want)
+    assert not (res.gram - np.diag(np.diag(res.gram))).any()
+
+
+def test_gram_y_levels():
+    for k in range(3, 13):
+        res = gram_quadrature(TorusModel(k, mu=0.37))
+        assert res.n_y == (32 if k <= 5 else 64), k
+
+
+def test_gram_large_k_is_finite():
+    k = 200
+    diag = np.diag(gram_quadrature(TorusModel(k, mu=0.37)).gram).real
+    want = 1.0 / math.sqrt(2.0 * k)
+    assert np.isfinite(diag).all()
+    assert max_abs(diag - want) <= 1e-8 * want
 
 
 def test_gram_rejects_aliasing_x_rule():
