@@ -13,6 +13,7 @@ or a numerical check fails (reported as ``error:``), 2 for invalid usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -354,7 +355,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         reproducible=args.reproducible)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: parse_args returns
+    a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="lagstate",
         description="Entanglement sweeps for states built from Lagrangian "

@@ -1,11 +1,10 @@
 """Schmidt analysis of bipartite vectors with equal factor dimensions.
 
 A vector v = sum_{j,l} c_{jl} e_j (x) e_l in H (x) H is represented by its
-coefficient matrix c (rows index the first factor).  All quantities below are
-derived from c: the Schmidt decomposition is the SVD of c, the reduced
-density of the first factor is c c^*, the entropy is the Shannon entropy of
-its eigenvalues (natural log), and the nearest vector of product form is the
-top Schmidt term.
+coefficient matrix c (rows index the first factor).  The Schmidt
+decomposition is the SVD of c, the reduced density of the first factor is
+c c^*, the entropy is the Shannon entropy (natural log) of its eigenvalues,
+and the nearest product vector is the top Schmidt term.
 """
 
 from __future__ import annotations
@@ -53,13 +52,8 @@ def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
     c = U S V^* the right basis holds the conjugated columns of V, so that
     ``reconstruct`` resumes c without further conjugation.
     """
-    c = _state_matrix(coeffs, require_normalized=False)
-    res = svd(c)
-    return SchmidtDecomposition(
-        alphas=res.singular_values,
-        basis_left=res.left,
-        basis_right=res.right.conj(),
-    )
+    res = svd(_state_matrix(coeffs, require_normalized=False))
+    return SchmidtDecomposition(res.singular_values, res.left, res.right.conj())
 
 
 def partial_trace_2(coeffs: np.ndarray) -> np.ndarray:
@@ -119,13 +113,9 @@ def analyze(coeffs: np.ndarray) -> EntanglementReport:
     c = _state_matrix(coeffs, require_normalized=True)
     lam, nu = _spectrum(c)
     return EntanglementReport(
-        coeffs=c,
-        d=c.shape[0],
-        entropy=nu,
-        max_entropy=math.log(c.shape[0]),
+        coeffs=c, d=len(c), entropy=nu, max_entropy=math.log(len(c)),
         corollary_distance=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
-        schmidt_spectrum=lam,
-    )
+        schmidt_spectrum=lam)
 
 
 def schmidt_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -134,11 +124,8 @@ def schmidt_spectrum(coeffs: np.ndarray) -> np.ndarray:
 
 
 def entropy(coeffs: np.ndarray, *, require_normalized: bool = True) -> float:
-    """Entanglement entropy -sum lam ln lam in nats.
-
-    Eigenvalues of the reduced density below 1e-15 are treated as exact
-    zeros (0 ln 0 = 0).  The sum is accumulated with compensated summation.
-    """
+    """Entanglement entropy -sum lam ln lam in nats, by compensated
+    summation; eigenvalues below 1e-15 count as exact zeros (0 ln 0 = 0)."""
     return _spectrum(_state_matrix(coeffs, require_normalized=require_normalized))[1]
 
 
@@ -184,12 +171,11 @@ def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
     :func:`closest_separable`.
     """
     c = _state_matrix(coeffs, require_normalized=False)
-    d = c.shape[0]
     rng = np.random.default_rng(seed)
     total = float(np.linalg.norm(c.ravel()))
     best = 0.0
     for _ in range(starts):
-        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        b = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
         b /= np.linalg.norm(b)
         value = 0.0
         for _ in range(iters):
@@ -203,9 +189,8 @@ def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
             if nb == 0.0:
                 break
             b = h / nb
-            if abs(nb - value) <= tol * max(1.0, nb):
-                value = float(nb)
+            done, value = abs(nb - value) <= tol * max(1.0, nb), float(nb)
+            if done:
                 break
-            value = float(nb)
         best = max(best, value)
     return math.sqrt(max(0.0, total * total - best * best))

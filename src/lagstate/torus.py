@@ -17,6 +17,7 @@ reindexes the sum without changing its value, so |q| <= 1/2 may be assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +143,16 @@ class TorusGramResult:
     n_y: int
 
 
+@functools.cache
+def _y_rule(n_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], built once per node count
+    and shared read-only by every level and row."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_y)
+    ys, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    ys.flags.writeable = weights.flags.writeable = False
+    return ys, weights
+
+
 def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
                     m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
                     n_y_start: int = Y_NODES_START,
@@ -169,11 +180,10 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
     prev = None
     n_y = n_y_start
     while n_y <= n_y_max:
-        nodes, weights = np.polynomial.legendre.leggauss(n_y)
-        ys = (nodes + 1.0) / 2.0
+        ys, weights = _y_rule(n_y)
         # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
         terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
-        gram = np.diag(terms.sum(axis=1) @ (weights / 2.0)).astype(complex)
+        gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
         if prev is not None and max_abs(gram - prev) < y_tol:
             return TorusGramResult(gram=gram, truncation=trunc, m_x=m_x, n_y=n_y)
         prev = gram

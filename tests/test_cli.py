@@ -332,3 +332,23 @@ def test_main_gram_csv(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines()[0] == "j,l,re,im"
+
+
+def test_main_calls_share_parser_not_state(capsys):
+    from lagstate.cli import _parser
+    assert _parser() is _parser()
+    assert main(["report", "--model", "torus", "--mu", "0.37", "--k-min", "3",
+                 "--k-max", "4", "--reproducible"]) == 0
+    torus_out = capsys.readouterr().out
+    # A default sphere run right after: no torus flag carries over.
+    assert main(["report", "--reproducible"]) == 0
+    sphere_out = capsys.readouterr().out
+    assert torus_out == render_csv(run(RunConfig(
+        model="torus", mu=0.37, k_min=3, k_max=4, reproducible=True)))
+    assert sphere_out == render_csv(run(RunConfig(k_min=1, k_max=10,
+                                                  reproducible=True)))
+    # A usage error after successful calls still exits 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--model", "plane"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

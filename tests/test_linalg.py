@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lagstate.linalg import (SvdResult, frobenius_distance, hermitian_eigen,
-                             max_abs, svd)
+from lagstate.linalg import (JACOBI_TOL, SvdResult, frobenius_distance,
+                             hermitian_eigen, max_abs, round_robin, svd)
+from lagstate.sphere import SphereModel
+from lagstate.states import antidiagonal_state, circle_state_quadrature
 
 
 def test_svd_identity_input():
@@ -150,3 +152,74 @@ def test_svd_result_reconstruct_is_pure():
     first = res.reconstruct()
     second = res.reconstruct()
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_round_robin_covers_each_pair_once(n):
+    rounds = round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    seen = []
+    for p, q in rounds:
+        assert np.all(p < q)
+        # Pairs of one round are disjoint, so they rotate independently.
+        assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+        seen.extend(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("d", [31, 32, 33, 64])
+def test_svd_matches_lapack_singular_values(d):
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    res = svd(c)
+    lapack = np.linalg.svd(c, compute_uv=False)
+    assert max_abs(res.singular_values - lapack) <= 1e-12 * lapack[0]
+    assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * np.linalg.norm(c.ravel())
+    assert max_abs(res.left.conj().T @ res.left - np.eye(d)) <= 1e-12
+    assert max_abs(res.right.conj().T @ res.right - np.eye(d)) <= 1e-12
+    assert res.sweeps >= 1
+    assert res.worst_ratio <= JACOBI_TOL
+
+
+def test_svd_circle_states_relative_accuracy():
+    # One-sided Jacobi keeps high relative accuracy on the graded circle
+    # spectrum (Demmel-Veselic): even the tiniest Schmidt values, down to
+    # about 1e-35 at k = 120, match the exact sqrt(C(k,j)^2 / C(2k,k)).
+    from conftest import circle_spectrum_exact
+    worst = 0.0
+    for k in range(1, 121):
+        res = svd(circle_state_quadrature(SphereModel(k)).normalized())
+        exact = np.sort([math.sqrt(p) for p in circle_spectrum_exact(k)])[::-1]
+        worst = max(worst, float(np.max(np.abs(res.singular_values - exact) / exact)))
+        assert res.worst_ratio <= JACOBI_TOL
+    assert worst <= 1e-12
+
+
+def test_svd_reports_sweeps_and_worst_ratio():
+    for k in range(1, 41):
+        # Near-identity sphere states pass the first Gram test: no rotation.
+        res = svd(antidiagonal_state(SphereModel(k)).normalized())
+        assert res.sweeps == 0
+        assert res.worst_ratio <= JACOBI_TOL
+    res = svd(circle_state_quadrature(SphereModel(80)).normalized())
+    assert res.sweeps >= 1
+    assert res.worst_ratio <= JACOBI_TOL
+    res = svd(np.zeros((3, 3)))
+    assert (res.sweeps, res.worst_ratio) == (0, 0.0)
+
+
+def test_svd_calls_no_lapack(monkeypatch):
+    # The Jacobi route must stay independent of the LAPACK eigensolver that
+    # it is cross-checked against.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK routine called from svd")
+    for name in ("svd", "eig", "eigh", "eigvals", "eigvalsh", "qr", "solve",
+                 "lstsq", "inv", "cholesky", "det"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    for c in (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)),
+              a @ a.T, np.zeros((3, 3))):
+        res = svd(c)
+        assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * max(
+            1.0, float(np.linalg.norm(c.ravel())))

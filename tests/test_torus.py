@@ -170,3 +170,15 @@ def test_theta_conjugation_symmetry():
             lhs = theta_eval(model, j, (-z.conjugate()))
             rhs = theta_eval(model, j, z)
             assert abs(lhs.conjugate() - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_y_rule_is_cached_read_only_gauss_legendre():
+    from lagstate.torus import _y_rule
+    ys, weights = _y_rule(32)
+    assert _y_rule(32)[0] is ys
+    nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(ys, (nodes + 1.0) / 2.0)
+    assert np.array_equal(weights, gl_weights / 2.0)
+    assert not ys.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ys[0] = 0.0
