@@ -332,8 +332,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
     parser.add_argument("--quad-angular", type=int, default=None,
-                        help="sphere angular nodes / torus x-node count, "
-                             "checked against the aliasing threshold only")
+                        help="sphere angular / torus x-node count; that "
+                             "rule is applied in closed form, so the count "
+                             "is checked against its aliasing threshold only")
     parser.add_argument("--quad-radial", type=int, default=None,
                         help="sphere radial nodes / torus starting y nodes")
     parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL)

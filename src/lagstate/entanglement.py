@@ -109,8 +109,9 @@ class EntanglementReport:
 
 def analyze(coeffs: np.ndarray) -> EntanglementReport:
     """Entanglement summary of a normalized state, factorized once: one
-    eigensolve of c c^*, plus one SVD of c if the distance is read."""
-    c = _state_matrix(coeffs, require_normalized=True)
+    eigensolve of c c^*, plus one SVD of c if the distance is read.  The
+    report keeps its own copy of c, the only copy along this path."""
+    c = _state_matrix(coeffs, require_normalized=True).copy()
     lam, nu = _spectrum(c)
     return EntanglementReport(
         coeffs=c, d=len(c), entropy=nu, max_entropy=math.log(len(c)),

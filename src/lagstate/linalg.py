@@ -33,13 +33,14 @@ class SvdResult:
 
 
 def as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate and copy input into a finite complex 2-D array."""
+    """Validate input as a finite complex 2-D array; no copy is made when
+    it already is one, so callers that keep or modify it copy it themselves."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError(f"{name} contains non-finite entries")
-    return a.copy()
+    return a
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -155,7 +156,10 @@ def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
             _rotate_round(w, p, q, tol)
         sweeps += 1
     w = np.ascontiguousarray(w.T)  # U above V, both in column layout again
-    sigma = np.linalg.norm(w[:n], axis=0)
+    # Each column is scaled by a power of two near its largest modulus: exact,
+    # so squares of moduli below 1e-154 cannot underflow to a zero norm.
+    e = np.maximum(np.frexp(np.abs(w[:n]).max(axis=0, initial=0.0))[1], -1021)
+    sigma = np.ldexp(np.linalg.norm(w[:n] * np.ldexp(1.0, -e), axis=0), e)
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
     u, v = w[:n, order], w[n:, order]

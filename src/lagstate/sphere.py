@@ -9,8 +9,11 @@ over the affine chart.  The orthonormal basis is
 phi_j = sqrt((k+1) C(k,j)) z^j; all amplitudes are assembled in log space so
 large k stays finite.  Quadrature uses the substitution t = r^2 / (1 + r^2),
 which turns every radial integrand appearing here into a polynomial of
-degree <= k in t, so Gauss-Legendre is exact; the angular average is an
-M-point trapezoid rule, exact through trigonometric degree M - 1.
+degree <= k in t, so Gauss-Legendre is exact.  The angular average is an
+M-point trapezoid rule; with M >= 2k + 2 it is the Kronecker delta on every
+frequency |j - l| <= k, so it is applied in closed form: the Gram matrix is
+diagonal (off-diagonal entries are exact zeros) and only its radial
+integrals are computed.
 """
 
 from __future__ import annotations
@@ -53,7 +56,12 @@ class SphereModel:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Product rule: Gauss-Legendre in t = r^2/(1+r^2) times angular trapezoid."""
+    """Product rule: Gauss-Legendre in t = r^2/(1+r^2) times angular trapezoid.
+
+    The Gram matrix applies the angular rule in closed form, so
+    ``angular_count`` is checked against its aliasing threshold but does not
+    change the result; ``nodes_2d`` gives the explicit product nodes.
+    """
 
     t_nodes: np.ndarray
     t_weights: np.ndarray
@@ -160,47 +168,30 @@ def pairing_matrix(model: SphereModel, z: complex) -> np.ndarray:
 
 
 def phase_average(angular_count: int, deltas: np.ndarray) -> np.ndarray:
-    """Trapezoid average (1/M) sum_m exp(2 pi i delta m / M) per delta.
-
-    Evaluated through a root-of-unity table with index reduction mod M, so
-    the summands are exact unit roots and cancellation does not amplify
-    phase roundoff.
-    """
-    m = angular_count
-    roots = np.exp(2j * np.pi * np.arange(m) / m)
-    steps = np.arange(m)
-    out = np.empty(len(deltas), dtype=complex)
-    for i, delta in enumerate(deltas):
-        out[i] = roots[(int(delta) * steps) % m].sum() / m
-    return out
-
-
-def _radial_gram(k: int, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndarray:
-    """Radial factor integral_0^1 f_j f_l dt of the weighted basis products."""
-    j = np.arange(k + 1)
-    log_t = np.log(quad.t_nodes)[:, None]
-    log_1mt = np.log1p(-quad.t_nodes)[:, None]
-    log_f = 0.5 * (log_amp[None, :] + j[None, :] * log_t
-                   + (k - j)[None, :] * log_1mt)
-    f = np.exp(log_f)
-    return f.T @ (quad.t_weights[:, None] * f)
+    """Trapezoid average (1/M) sum_m exp(2 pi i delta m / M) per delta, in
+    closed form: 1.0 where M divides delta, 0.0 otherwise."""
+    return (np.asarray(deltas) % angular_count == 0).astype(float)
 
 
 def _gram(model: SphereModel, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndarray:
+    """diag(sum_t w_t f_j(t)^2) with f_j(t)^2 = e^log_amp_j t^j (1-t)^(k-j).
+
+    The angular average of exp(i (j - l) angle) is the Kronecker delta for
+    |j - l| <= k under the exact rule, so only the diagonal is integrated.
+    """
     k = model.k
     exact_node_counts(k, quad.radial_count, quad.angular_count)
-    radial = _radial_gram(k, quad, log_amp)
-    deltas = np.arange(-k, k + 1)
-    ang = phase_average(quad.angular_count, deltas)
-    jj, ll = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-    return radial * ang[jj - ll + k]
+    j = np.arange(k + 1)
+    t = quad.t_nodes[:, None]
+    f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))
+    return np.diag((quad.t_weights @ f2).astype(complex))
 
 
 def gram_matrix(model: SphereModel,
                 quad: SphereQuadrature | None = None) -> np.ndarray:
-    """Gram matrix of the orthonormal basis under the quadrature; equals the
-    identity up to roundoff because the rule is exact for these integrands.
-    Defaults to the minimal exact rule."""
+    """Gram matrix of the orthonormal basis under the quadrature: diagonal,
+    and the identity up to roundoff because the rule is exact for these
+    integrands.  Defaults to the minimal exact rule."""
     if quad is None:
         quad = sphere_quadrature(model.k)
     return _gram(model, quad, model.log_amplitudes())

@@ -23,6 +23,19 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def column_graded_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
+    """B diag(C(k, j) / C(k, k//2)) with B = U + I/2, U a random unitary.
+
+    B is normal with eigenvalues of modulus in [1/2, 3/2], so cond(B) <= 3;
+    the column scales span the binomial range of the circle spectrum.  This
+    is the column-scaled class on which one-sided Jacobi keeps relative
+    accuracy (Demmel and Veselic 1992), and its columns are far from
+    orthogonal, so the SVD has to rotate.
+    """
+    col = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
+    return (random_unitary(rng, k + 1) + 0.5 * np.eye(k + 1)) * (col / col.max())
+
+
 def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
     """Normalized random coefficient matrix."""
     c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -321,3 +321,15 @@ def test_c8_decomposition_and_serialization(tmp_path):
     _finish("C8 decomposition + serialization",
             f"reconstruct {worst_rec:.3e}, spectrum sum {worst_sum:.3e}, "
             f"unitary {worst_uni:.3e}", failures)
+
+
+def test_c9_circle_report_at_large_k(capsys):
+    # The graded circle spectrum spans about 1e95 at k = 320; the report
+    # must still exit 0 (its SVD used to stop after 30 sweeps without
+    # converging).
+    code = main(["report", "--submanifold", "circle", "--k-min", "320",
+                 "--k-max", "320", "--reproducible"])
+    out, err = capsys.readouterr()
+    failures = [] if code == 0 else [f"exit {code}: {err.strip()}"]
+    _finish("C9 circle report k=320", out.splitlines()[-1] if out else err,
+            failures)

@@ -211,3 +211,13 @@ def test_analyze_report_consistency():
     assert abs(report.corollary_distance
                - math.sqrt(1.0 - math.exp(-report.entropy))) <= 1e-15
     assert abs(math.fsum(report.schmidt_spectrum) - 1.0) <= 1e-12
+
+
+def test_analyze_keeps_its_own_copy():
+    # The distance is computed lazily, so it must not see later edits of
+    # the caller's array; svd itself no longer copies its input.
+    c = np.eye(4, dtype=complex) / 2.0
+    report = analyze(c)
+    c[:] = 0.0
+    c[0, 0] = 1.0
+    assert abs(report.separable_distance - math.sqrt(3.0) / 2.0) <= 1e-15

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import column_graded_matrix
 from lagstate.linalg import (JACOBI_TOL, SvdResult, frobenius_distance,
                              hermitian_eigen, max_abs, round_robin, svd)
 from lagstate.sphere import SphereModel
-from lagstate.states import antidiagonal_state, circle_state_quadrature
+from lagstate.states import (antidiagonal_state, circle_state_closed_form,
+                             circle_state_quadrature)
 
 
 def test_svd_identity_input():
@@ -201,11 +203,48 @@ def test_svd_reports_sweeps_and_worst_ratio():
         res = svd(antidiagonal_state(SphereModel(k)).normalized())
         assert res.sweeps == 0
         assert res.worst_ratio <= JACOBI_TOL
-    res = svd(circle_state_quadrature(SphereModel(80)).normalized())
+    res = svd(column_graded_matrix(np.random.default_rng(80), 80))
     assert res.sweeps >= 1
     assert res.worst_ratio <= JACOBI_TOL
     res = svd(np.zeros((3, 3)))
     assert (res.sweeps, res.worst_ratio) == (0, 0.0)
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_svd_column_graded_relative_accuracy(k):
+    # Demmel-Veselic: on B D with D diagonal, one-sided Jacobi gets every
+    # singular value to relative error O(sweeps * d * eps * cond(B)), about
+    # 2e-13 here with cond(B) <= 3, down to sigma ~ 1e-11 at k = 40.  LAPACK's
+    # bidiagonal SVD misses the smallest ones by about 6e-8 at k = 40.
+    mpmath = pytest.importorskip("mpmath")
+    a = column_graded_matrix(np.random.default_rng(k), k)
+    res = svd(a)
+    assert res.sweeps >= 1
+    with mpmath.workdps(40):
+        oracle = mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)
+        exact = np.sort([float(s) for s in oracle])[::-1]
+    assert np.max(np.abs(res.singular_values - exact) / exact) <= 1e-12
+
+
+def test_svd_tiny_singular_values_do_not_underflow():
+    # Squares of moduli below about 1e-154 underflow; the column norms must
+    # not, or those columns come out as zero singular values.
+    values = np.logspace(0, -300, 61)
+    phases = np.exp(1j * np.arange(61))
+    res = svd(np.diag(values * phases)[::-1])
+    assert res.sweeps == 0
+    assert np.max(np.abs(res.singular_values - values) / values) <= 1e-15
+    assert max_abs(res.left.conj().T @ res.left - np.eye(61)) <= 1e-15
+
+
+def test_svd_large_circle_state_is_full_rank():
+    # Circle Schmidt values at k = 600 reach 1e-180; each one must stay
+    # within 1e-12 relative of the closed form instead of underflowing to 0.
+    k = 600
+    res = svd(circle_state_quadrature(SphereModel(k)).normalized())
+    exact = np.sort(np.diag(circle_state_closed_form(k)).real)[::-1]
+    assert res.sweeps == 0
+    assert np.max(np.abs(res.singular_values - exact) / exact) <= 1e-12
 
 
 def test_svd_calls_no_lapack(monkeypatch):

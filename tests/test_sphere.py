@@ -8,8 +8,8 @@ from conftest import beta_monomial_norm
 from lagstate.linalg import max_abs
 from lagstate.sphere import (SphereModel, basis_eval, basis_values,
                              gram_matrix, gram_residual, log_binomial,
-                             monomial_gram, pairing_matrix, sphere_quadrature,
-                             weighted_basis_values)
+                             monomial_gram, pairing_matrix, phase_average,
+                             sphere_quadrature, weighted_basis_values)
 
 
 def test_log_binomial_matches_exact():
@@ -152,3 +152,25 @@ def test_dimension_growth():
     ratios = [SphereModel(k).dim / k for k in (10, 100, 1000)]
     assert ratios == sorted(ratios, reverse=True)
     assert abs(ratios[-1] - 1.0) <= 1e-3
+
+
+def test_phase_average_is_the_root_of_unity_comb():
+    # Aliased frequencies (M divides delta, delta != 0) average to 1 too.
+    for m in (1, 4, 7, 12):
+        deltas = np.arange(-3 * m, 3 * m + 1)
+        got = phase_average(m, deltas)
+        steps = np.arange(m)
+        want = np.array([np.exp(2j * np.pi * d * steps / m).sum() / m
+                         for d in deltas])
+        assert max_abs(got - want) <= 1e-14
+        assert set(got.tolist()) <= {0.0, 1.0}
+        assert np.array_equal(got == 1.0, deltas % m == 0)
+
+
+def test_angular_count_is_threshold_only():
+    # Above the aliasing threshold the angular rule is applied in closed
+    # form, so the node count cannot change the Gram matrix.
+    model = SphereModel(5)
+    for angular in (12, 13, 40):
+        quad = sphere_quadrature(5, angular=angular)
+        assert np.array_equal(gram_matrix(model, quad), gram_matrix(model))

@@ -6,7 +6,7 @@ import pytest
 from conftest import (circle_diag_coefficient, circle_entropy_reference,
                       circle_raw_norm, random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
-from lagstate.linalg import max_abs
+from lagstate.linalg import max_abs, svd
 from lagstate.sphere import SphereModel, sphere_quadrature
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
                              circle_state_closed_form,
@@ -128,6 +128,17 @@ def test_circle_state_k2_values():
     want = np.diag([1.5 * math.pi, 3.0 * math.pi, 1.5 * math.pi])
     assert max_abs(state.coeffs - want) <= 1e-12
     assert abs(state.raw_norm - math.pi * math.sqrt(13.5)) <= 1e-12
+
+
+def test_sphere_and_circle_states_are_exactly_diagonal():
+    # The angular rule is applied in closed form, so no roundoff is left off
+    # the diagonal and the Jacobi SVD stops at its first Gram test.
+    for k in range(1, 121):
+        model = SphereModel(k)
+        for state in (antidiagonal_state(model), circle_state_quadrature(model)):
+            c = state.normalized()
+            assert np.count_nonzero(c - np.diag(np.diag(c))) == 0
+            assert svd(c).sweeps == 0
 
 
 def test_circle_state_rejects_aliasing_rule():
