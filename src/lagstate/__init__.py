@@ -19,7 +19,6 @@ from .entanglement import (
     partial_trace_2,
     schmidt,
     schmidt_spectrum,
-    separable_distance_minimized,
 )
 from .sphere import (
     SphereModel,
@@ -42,7 +41,6 @@ from .torus import (
     quasi_periodicity_factor,
     theta_eval,
     theta_truncation,
-    torus_gram,
 )
 from .states import (
     CoherentVector,
@@ -55,7 +53,6 @@ from .states import (
     pair_coherent,
     section_frame_value,
 )
-from .cli import ReportRow, RunConfig, run, verify_identities
 
 __version__ = "0.1.0"
 
@@ -64,16 +61,14 @@ __all__ = [
     "SchmidtDecomposition", "EntanglementReport", "schmidt",
     "partial_trace_2", "schmidt_spectrum", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
-    "separable_distance_minimized",
     "SphereModel", "SphereQuadrature", "sphere_quadrature", "basis_eval",
     "basis_values", "weighted_basis_values", "pairing_matrix", "gram_matrix",
     "monomial_gram",
     "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
-    "theta_eval", "torus_gram", "gram_quadrature", "orthonormal_basis",
+    "theta_eval", "gram_quadrature", "orthonormal_basis",
     "quasi_periodicity_factor", "closed_form_norm",
     "CoherentVector", "LagrangianState", "coherent_vector",
     "section_frame_value", "pair_coherent", "antidiagonal_state",
     "circle_state_quadrature", "circle_state_closed_form",
     "circle_entropy_closed_form",
-    "RunConfig", "ReportRow", "run", "verify_identities",
 ]

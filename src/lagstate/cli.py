@@ -72,12 +72,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be finite and non-negative, got {tol}")
 
     @property
-    def entropy_tolerance(self) -> float:
+    def max_entropy_residual(self) -> float:
         return (DEFAULT_TOL_ENTROPY[self.model] if self.tol_entropy is None
                 else self.tol_entropy)
 
     @property
-    def gram_tolerance(self) -> float:
+    def max_gram_residual(self) -> float:
         return (DEFAULT_TOL_GRAM[self.model] if self.tol_gram is None
                 else self.tol_gram)
 
@@ -107,8 +107,7 @@ class IdentityCheck:
 def _torus_resolution(config: RunConfig) -> dict[str, Any]:
     """Torus resolution keywords, shared by every command that builds a basis."""
     return {"theta_tol": config.theta_tol, "m_x": config.quad_angular,
-            "n_y_start": (torus.Y_NODES_START if config.quad_radial is None
-                          else config.quad_radial)}
+            "n_y": config.quad_radial}
 
 
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
@@ -166,14 +165,14 @@ def tolerance_breaches(config: RunConfig, rows: list[ReportRow]) -> list[str]:
     """Residuals exceeding the configured tolerances, one message per breach."""
     messages = []
     for row in rows:
-        if row.entropy_residual > config.entropy_tolerance:
+        if row.entropy_residual > config.max_entropy_residual:
             messages.append(
                 f"k={row.k}: entropy_residual {row.entropy_residual:.3e} "
-                f"exceeds {config.entropy_tolerance:g}")
-        if row.gram_residual > config.gram_tolerance:
+                f"exceeds {config.max_entropy_residual:g}")
+        if row.gram_residual > config.max_gram_residual:
             messages.append(
                 f"k={row.k}: gram_residual {row.gram_residual:.3e} "
-                f"exceeds {config.gram_tolerance:g}")
+                f"exceeds {config.max_gram_residual:g}")
     return messages
 
 
@@ -336,8 +335,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "rule is applied in closed form, so the count "
                              "is checked against its aliasing threshold only")
     parser.add_argument("--quad-radial", type=int, default=None,
-                        help="sphere radial nodes / torus starting y nodes")
-    parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL)
+                        help="sphere radial / torus y Gauss-Legendre node "
+                             "count; the default is certified, and a count "
+                             "below the certified minimum or above "
+                             "max(2048, minimum) is rejected")
+    parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL,
+                        help="torus theta series tail and y-rule tolerance")
     parser.add_argument("--reproducible", action="store_true")
 
 

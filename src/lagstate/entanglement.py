@@ -160,38 +160,3 @@ def corollary_distance_identity(coeffs: np.ndarray, *, tol: float = 1e-9) -> tup
             f"vs ln d = {report.max_entropy:.12g}")
     return report.separable_distance, report.corollary_distance
 
-
-def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
-                                 starts: int = 16, iters: int = 500,
-                                 tol: float = 1e-12) -> float:
-    """Distance to the separable set by direct numerical minimization.
-
-    Alternating maximization of the overlap |<u1 (x) u2, v>| over unit
-    vectors u1, u2 from several seeded random starts.  Intentionally avoids
-    the SVD so it can serve as an independent check on
-    :func:`closest_separable`.
-    """
-    c = _state_matrix(coeffs, require_normalized=False)
-    rng = np.random.default_rng(seed)
-    total = float(np.linalg.norm(c.ravel()))
-    best = 0.0
-    for _ in range(starts):
-        b = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
-        b /= np.linalg.norm(b)
-        value = 0.0
-        for _ in range(iters):
-            m = c @ b.conj()
-            na = np.linalg.norm(m)
-            if na == 0.0:
-                break
-            a = m / na
-            h = c.T @ a.conj()
-            nb = np.linalg.norm(h)
-            if nb == 0.0:
-                break
-            b = h / nb
-            done, value = abs(nb - value) <= tol * max(1.0, nb), float(nb)
-            if done:
-                break
-        best = max(best, value)
-    return math.sqrt(max(0.0, total * total - best * best))

@@ -5,10 +5,13 @@ Gram-matrix convergence test per sweep, and rotations in round-robin
 parallel order.  It calls no LAPACK routine, so the Schmidt route through
 ``svd`` stays independent of the spectral route through ``hermitian_eigen``
 (which wraps LAPACK); the two are cross-checked against each other.
+The Gauss-Legendre rule on [0, 1] that both models integrate with lives
+here too, with the cap on its node count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,9 @@ import numpy as np
 # Off-diagonal Gram ratio below which a column pair counts as orthogonal.
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
+# Largest explicit Gauss-Legendre node count accepted above a rule's minimum:
+# leggauss(n) solves an n x n companion eigenproblem.
+MAX_RULE_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,24 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm((a - b).ravel()))
+
+
+def check_rule_size(count: int, minimum: int, what: str) -> None:
+    """Reject a node count above max(MAX_RULE_NODES, minimum) before its
+    rule is built."""
+    limit = max(MAX_RULE_NODES, minimum)
+    if count > limit:
+        raise ValueError(f"{count} {what} exceed the limit of {limit}")
+
+
+@functools.lru_cache(maxsize=16)
+def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1], built once per
+    node count and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _complete_orthonormal(u: np.ndarray, rank: int) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import check_rule_size, gauss_legendre_01, max_abs
 
 
 def log_binomial(n: int, j: int) -> float:
@@ -87,7 +87,8 @@ def exact_node_counts(k: int, radial: int | None = None,
 
     Minimum node counts: ceil((k+2)/2) radial (Gauss-Legendre exactness
     through degree k) and 2k+2 angular (no aliasing among frequencies up
-    to k).  Larger counts are accepted; smaller ones are rejected.
+    to k).  Smaller counts are rejected, and so are radial counts above
+    max(MAX_RULE_NODES, minimum).
     """
     min_radial = (k + 3) // 2
     min_angular = 2 * k + 2
@@ -97,6 +98,7 @@ def exact_node_counts(k: int, radial: int | None = None,
         raise ValueError(
             f"{radial} radial nodes cannot integrate degree-{k} integrands "
             f"exactly; need at least {min_radial}")
+    check_rule_size(radial, min_radial, "radial nodes")
     if angular < min_angular:
         raise ValueError(
             f"{angular} angular nodes alias frequencies up to {k}; "
@@ -109,12 +111,9 @@ def sphere_quadrature(k: int, *, radial: int | None = None,
     """Quadrature sized so every degree-k Gram integrand is integrated
     exactly; see :func:`exact_node_counts` for the node counts."""
     radial, angular = exact_node_counts(k, radial, angular)
-    x, w = np.polynomial.legendre.leggauss(radial)
-    return SphereQuadrature(
-        t_nodes=(x + 1.0) / 2.0,
-        t_weights=w / 2.0,
-        angular_count=angular,
-    )
+    t_nodes, t_weights = gauss_legendre_01(radial)
+    return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights,
+                            angular_count=angular)
 
 
 def basis_values(model: SphereModel, z: complex) -> np.ndarray:

@@ -118,10 +118,9 @@ def _sphere_antidiagonal(model: SphereModel,
 
 
 def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
-                        m_x: int | None, y_tol: float,
-                        n_y_start: int) -> LagrangianState:
+                        m_x: int | None, n_y: int | None) -> LagrangianState:
     basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol, m_x=m_x,
-                                        y_tol=y_tol, n_y_start=n_y_start)
+                                        n_y=n_y)
     coeffs = basis.normalized_gram.conj()
     defect = max_abs(coeffs - np.eye(model.dim))
     if defect > ANTIDIAGONAL_TOL_TORUS:
@@ -150,8 +149,7 @@ def antidiagonal_state(model: SphereModel | TorusModel,
                        quadrature: SphereQuadrature | None = None, *,
                        theta_tol: float = torus_mod.THETA_TOL,
                        m_x: int | None = None,
-                       y_tol: float = torus_mod.GRAM_Y_TOL,
-                       n_y_start: int = torus_mod.Y_NODES_START) -> LagrangianState:
+                       n_y: int | None = None) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
     fiber pairing.  Its coefficient matrix equals the basis Gram matrix
     (conjugated), hence the identity up to quadrature defect, and the
@@ -161,8 +159,7 @@ def antidiagonal_state(model: SphereModel | TorusModel,
     if isinstance(model, TorusModel):
         if quadrature is not None:
             raise ValueError("torus antidiagonal state takes no sphere quadrature")
-        return _torus_antidiagonal(model, theta_tol=theta_tol, m_x=m_x,
-                                   y_tol=y_tol, n_y_start=n_y_start)
+        return _torus_antidiagonal(model, theta_tol=theta_tol, m_x=m_x, n_y=n_y)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

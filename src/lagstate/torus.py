@@ -13,22 +13,31 @@ the y-integral to a Gaussian on the line) is independent of j and mu.
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
 reindexes the sum without changing its value, so |q| <= 1/2 may be assumed.
+The y-integral of the Gram diagonal is certified the same way: its
+Gauss-Legendre node count is fixed in advance from a Bernstein-ellipse error
+bound, and one rule of that size is evaluated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import check_rule_size, gauss_legendre_01, max_abs
 
 THETA_TOL = 1e-12
-GRAM_Y_TOL = 1e-10
 MAX_TERMS = 64
-Y_NODES_START = 16
+# Smallest default y-rule.  Building a 64-node rule costs more than the rest
+# of a torus row at small k, so every level up to k = 74 shares this one and
+# a sweep over them builds a single rule.
+Y_RULE_FLOOR = 64
+# log rho over which the y-rule error bound is minimized.  Every rho gives a
+# valid bound, so the grid sets only its tightness; it brackets the optimum
+# asinh(4n / (pi k)) / 2 (ignoring the 1/(rho^2 - 1) factor) for every
+# k < 10^7 at the default tolerance.
+_LOG_RHO = np.geomspace(1e-3, 8.0, 256)
 
 
 @dataclass(frozen=True)
@@ -135,38 +144,57 @@ def gaussian_weight(k: int, y: np.ndarray | float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class TorusGramResult:
-    """Converged Gram matrix of the raw theta basis plus the resolution used."""
+    """Raw theta-basis Gram matrix, its resolution and its y-rule error bound."""
 
     gram: np.ndarray
     truncation: ThetaTruncation
     m_x: int
     n_y: int
+    y_bound: float
 
 
-@functools.cache
-def _y_rule(n_y: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], built once per node count
-    and shared read-only by every level and row."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_y)
-    ys, weights = (nodes + 1.0) / 2.0, weights / 2.0
-    ys.flags.writeable = weights.flags.writeable = False
-    return ys, weights
+def _y_nodes(k: int, trunc: ThetaTruncation,
+             n_y: int | None) -> tuple[int, float]:
+    """Certified y-node count and its error bound.
+
+    The diagonal integrand f(y) = sum_{|n| <= N} exp(-2 pi k (y + n + q)^2)
+    is entire.  On the Bernstein ellipse E_rho of [0, 1],
+    |Im y| <= b = (rho - 1/rho)/4, so |f| <= (2N + 1) exp(2 pi k b^2), and
+    the n-point Gauss-Legendre error is below
+    (32/15) (2N + 1) exp(2 pi k b^2) rho^(-2n) / (rho^2 - 1)
+    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over a fixed
+    grid of log rho.  The minimum count is the smallest n whose bound is
+    below tol (2k)^(-1/2), i.e. tol relative to the closed-form squared
+    norm; the default rounds it up to a power of two no smaller than
+    Y_RULE_FLOOR, so that rows share their cached rules.
+    """
+    s = _LOG_RHO
+    log_m = (math.log(32.0 / 15.0 * (2 * trunc.n_max + 1))
+             + 0.5 * math.pi * k * np.sinh(s) ** 2 - np.log(np.expm1(2.0 * s)))
+    log_target = math.log(trunc.tol) - 0.5 * math.log(2.0 * k)
+    n_min = max(1, int(np.ceil((log_m - log_target) / (2.0 * s)).min()))
+    if n_y is None:
+        n_y = max(Y_RULE_FLOOR, 1 << (n_min - 1).bit_length())
+    elif n_y < n_min:
+        raise ValueError(
+            f"{n_y} y-nodes cannot certify the level-{k} Gram to "
+            f"{trunc.tol:g}; need at least {n_min}")
+    else:
+        check_rule_size(n_y, n_min, "y-nodes")
+    return n_y, float(np.exp((log_m - 2.0 * n_y * s).min()))
 
 
 def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                    m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
-                    n_y_start: int = Y_NODES_START,
-                    n_y_max: int = 2048) -> TorusGramResult:
+                    m_x: int | None = None,
+                    n_y: int | None = None) -> TorusGramResult:
     """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
 
     An x-rule with m_x >= 2k(2 n_max + 1) nodes is the Kronecker delta on all
     frequencies of the truncated products: off-diagonal entries are exact
-    zeros, and m_x is checked against that threshold only.  The diagonal
-    y-rule is doubled until it changes by less than y_tol.
+    zeros, and m_x is checked against that threshold only.  The diagonal is
+    integrated once, with the y-node count certified in advance by
+    :func:`_y_nodes`; an explicit n_y is checked against that minimum.
     """
-    if not 1 <= n_y_start <= n_y_max:
-        raise ValueError(
-            f"starting y-node count {n_y_start} is outside 1..{n_y_max}")
     k = model.k
     trunc = theta_truncation(model, theta_tol, y_max=1.0)
     m_min = 2 * k * (2 * trunc.n_max + 1)
@@ -175,28 +203,15 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
         raise ValueError(
             f"{m_x} x-nodes alias truncated theta products at level {k}; "
             f"need at least {m_min}")
+    n_y, y_bound = _y_nodes(k, trunc, n_y)
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
-    prev = None
-    n_y = n_y_start
-    while n_y <= n_y_max:
-        ys, weights = _y_rule(n_y)
-        # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
-        terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
-        gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
-        if prev is not None and max_abs(gram - prev) < y_tol:
-            return TorusGramResult(gram=gram, truncation=trunc, m_x=m_x, n_y=n_y)
-        prev = gram
-        n_y *= 2
-    raise RuntimeError(
-        f"torus Gram did not stabilize below {y_tol:g} with up to "
-        f"{n_y_max} y-nodes")
-
-
-def torus_gram(model: TorusModel, *, theta_tol: float = THETA_TOL,
-               m_x: int | None = None, y_tol: float = GRAM_Y_TOL) -> np.ndarray:
-    """Converged Gram matrix of the raw theta basis."""
-    return gram_quadrature(model, theta_tol=theta_tol, m_x=m_x, y_tol=y_tol).gram
+    ys, weights = gauss_legendre_01(n_y)
+    # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
+    terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
+    gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
+    return TorusGramResult(gram=gram, truncation=trunc, m_x=m_x, n_y=n_y,
+                           y_bound=y_bound)
 
 
 @dataclass(frozen=True)
@@ -225,16 +240,15 @@ class TorusBasis:
 
 
 def orthonormal_basis(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                      m_x: int | None = None, y_tol: float = GRAM_Y_TOL,
-                      n_y_start: int = Y_NODES_START) -> TorusBasis:
+                      m_x: int | None = None,
+                      n_y: int | None = None) -> TorusBasis:
     """Normalize the theta basis by its quadrature norms.
 
     The closed-form squared norm is 1/sqrt(2k) for every j; the quadrature
     norms are used so that downstream states stay exactly consistent with
     the integration rule that builds them.
     """
-    res = gram_quadrature(model, theta_tol=theta_tol, m_x=m_x, y_tol=y_tol,
-                          n_y_start=n_y_start)
+    res = gram_quadrature(model, theta_tol=theta_tol, m_x=m_x, n_y=n_y)
     norms = np.sqrt(np.diag(res.gram).real)
     return TorusBasis(model=model, norms=norms, raw_gram=res.gram,
                       truncation=res.truncation, m_x=res.m_x, n_y=res.n_y)

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they are used to check:
 exact rational Beta integrals for the sphere monomial norms, a direct theta
 summation for truncation certificates, exact integer binomials for the
-circle state, a dense Gauss-Legendre rule for the torus norm, and the full
-2-D product rule for the torus Gram matrix.
+circle state, a dense Gauss-Legendre rule for the torus norm, the erf closed
+form of the truncated torus Gram diagonal, the full 2-D product rule for the
+torus Gram matrix, and alternating maximization (no SVD) for the distance
+to the separable set.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def torus_norm_reference(k: int, q: float, n_quad: int = 400,
     return total
 
 
+def torus_gram_diag_reference(k: int, q: float, n_max: int) -> float:
+    """Exact sum_{|n| <= n_max} int_0^1 exp(-2 pi k (y + n + q)^2) dy: the
+    n-sum unfolds to one Gaussian integral over [q - n_max, q + n_max + 1]."""
+    r = math.sqrt(2.0 * math.pi * k)
+    return ((math.erf(r * (q + n_max + 1)) - math.erf(r * (q - n_max)))
+            / (2.0 * math.sqrt(2.0 * k)))
+
+
 def torus_gram_reference(k: int, mu: float, n_y: int, m_x: int,
                          n_range: int = 8) -> np.ndarray:
     """Raw theta Gram by the full m_x-point trapezoid (x) times n_y-point
@@ -119,3 +129,39 @@ def torus_gram_reference(k: int, mu: float, n_y: int, m_x: int,
                                    + 2j * math.pi * (n + q) * k * z)
     weight = (w / 2.0) * np.exp(-2.0 * math.pi * k * y ** 2) / m_x
     return np.einsum("jyx,lyx,y->jl", theta, theta.conj(), weight)
+
+
+def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
+                                 starts: int = 16, iters: int = 500,
+                                 tol: float = 1e-12) -> float:
+    """Distance to the separable set by direct numerical minimization.
+
+    Alternating maximization of the overlap |<u1 (x) u2, v>| over unit
+    vectors u1, u2 from several seeded random starts.  Intentionally avoids
+    the SVD so it can serve as an independent check on
+    ``closest_separable``.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    rng = np.random.default_rng(seed)
+    total = float(np.linalg.norm(c.ravel()))
+    best = 0.0
+    for _ in range(starts):
+        b = rng.standard_normal(len(c)) + 1j * rng.standard_normal(len(c))
+        b /= np.linalg.norm(b)
+        value = 0.0
+        for _ in range(iters):
+            m = c @ b.conj()
+            na = np.linalg.norm(m)
+            if na == 0.0:
+                break
+            a = m / na
+            h = c.T @ a.conj()
+            nb = np.linalg.norm(h)
+            if nb == 0.0:
+                break
+            b = h / nb
+            done, value = abs(nb - value) <= tol * max(1.0, nb), float(nb)
+            if done:
+                break
+        best = max(best, value)
+    return math.sqrt(max(0.0, total * total - best * best))

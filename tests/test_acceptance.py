@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from conftest import (beta_monomial_norm, circle_diag_coefficient,
-                      random_state, random_unitary, random_unit_vector)
+                      random_state, random_unitary, random_unit_vector,
+                      separable_distance_minimized)
 from lagstate.cli import RunConfig, main, parse_csv, render_csv, run
 from lagstate.entanglement import (closest_separable, entropy, schmidt,
-                                   schmidt_spectrum,
-                                   separable_distance_minimized)
+                                   schmidt_spectrum)
 from lagstate.linalg import frobenius_distance, max_abs
 from lagstate.sphere import (SphereModel, gram_residual, monomial_gram,
                              sphere_quadrature)

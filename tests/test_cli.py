@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lagstate import entanglement
+from lagstate import entanglement, states
 from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
                           render_json, run, tolerance_breaches,
                           verify_identities)
@@ -16,13 +16,13 @@ CIRCLE_K2_ENTROPY = 0.8675632284814612
 
 def test_config_defaults_and_overrides():
     sphere_cfg = RunConfig(model="sphere", k_min=1, k_max=2)
-    assert sphere_cfg.entropy_tolerance == 1e-9
-    assert sphere_cfg.gram_tolerance == 1e-12
+    assert sphere_cfg.max_entropy_residual == 1e-9
+    assert sphere_cfg.max_gram_residual == 1e-12
     torus_cfg = RunConfig(model="torus", k_min=3, k_max=4)
-    assert torus_cfg.entropy_tolerance == 1e-6
-    assert torus_cfg.gram_tolerance == 1e-7
+    assert torus_cfg.max_entropy_residual == 1e-6
+    assert torus_cfg.max_gram_residual == 1e-7
     custom = RunConfig(model="sphere", k_min=1, k_max=2, tol_entropy=1e-3)
-    assert custom.entropy_tolerance == 1e-3
+    assert custom.max_entropy_residual == 1e-3
 
 
 def test_config_validation():
@@ -182,8 +182,9 @@ def test_main_rejects_seed_flag(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_y", ["0", "4096"])
+@pytest.mark.parametrize("n_y", ["0", "8", "4096"])
 def test_main_torus_quad_radial_out_of_range(capsys, n_y):
+    # 8 is below the certified count 17 at k = 3; 4096 is above the cap.
     code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
                  "--quad-radial", n_y])
     captured = capsys.readouterr()
@@ -192,20 +193,32 @@ def test_main_torus_quad_radial_out_of_range(capsys, n_y):
     assert "y-node" in captured.err
 
 
-def test_main_numerical_failure_is_an_error_line(capsys):
-    # Starting at the largest y-rule leaves no finer level to compare with,
-    # so the refinement cannot converge.
-    code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
-                 "--quad-radial", "2048"])
+def test_main_sphere_quad_radial_above_cap(capsys):
+    # The radial rule is refused before it is built.
+    code = main(["report", "--k-min", "3", "--k-max", "3",
+                 "--quad-radial", "2049"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: 2049 radial nodes exceed the limit "
+                            "of 2048\n")
+    assert captured.out == ""
+
+
+def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("torus antidiagonal coefficients deviate")
+
+    monkeypatch.setattr(states, "antidiagonal_state", fail)
+    code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: torus Gram did not stabilize")
+    assert captured.err == "error: torus antidiagonal coefficients deviate\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("n_y, code, message", [
-    ("4096", 2, "y-node"), ("2048", 1, "torus Gram did not stabilize")])
+    ("4096", 2, "y-node"), ("8", 2, "y-nodes cannot certify")])
 def test_main_gram_torus_reads_quad_radial(capsys, n_y, code, message):
     assert main(["gram", "--model", "torus", "--k", "3",
                  "--quad-radial", n_y]) == code
@@ -352,3 +365,15 @@ def test_main_calls_share_parser_not_state(capsys):
         main(["report", "--model", "plane"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_package_import_leaves_cli_unloaded():
+    # The package re-exports the library API only, so running the CLI module
+    # as a script does not find it imported already.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys, lagstate; assert 'lagstate.cli' not in sys.modules"],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import column_graded_matrix
-from lagstate.linalg import (JACOBI_TOL, SvdResult, frobenius_distance,
+from lagstate.linalg import (JACOBI_TOL, MAX_RULE_NODES, SvdResult,
+                             check_rule_size, frobenius_distance,
                              hermitian_eigen, max_abs, round_robin, svd)
 from lagstate.sphere import SphereModel
 from lagstate.states import (antidiagonal_state, circle_state_closed_form,
@@ -262,3 +263,13 @@ def test_svd_calls_no_lapack(monkeypatch):
         res = svd(c)
         assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * max(
             1.0, float(np.linalg.norm(c.ravel())))
+
+
+def test_rule_size_cap():
+    # The cap is max(MAX_RULE_NODES, minimum); no rule is built here.
+    check_rule_size(MAX_RULE_NODES, 3, "radial nodes")
+    check_rule_size(MAX_RULE_NODES + 1000, MAX_RULE_NODES + 1000, "y-nodes")
+    with pytest.raises(ValueError, match="2049 radial nodes exceed the limit of 2048"):
+        check_rule_size(MAX_RULE_NODES + 1, 3, "radial nodes")
+    with pytest.raises(ValueError, match="limit of 3048"):
+        check_rule_size(MAX_RULE_NODES + 1001, MAX_RULE_NODES + 1000, "y-nodes")

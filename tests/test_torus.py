@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (theta_reference, torus_gram_reference,
-                      torus_norm_reference)
-from lagstate.linalg import max_abs
-from lagstate.torus import (TorusModel, closed_form_norm, gaussian_weight,
+from conftest import (theta_reference, torus_gram_diag_reference,
+                      torus_gram_reference, torus_norm_reference)
+from lagstate.linalg import gauss_legendre_01, max_abs
+from lagstate.sphere import sphere_quadrature
+from lagstate.torus import (THETA_TOL, Y_RULE_FLOOR, TorusModel,
+                            closed_form_norm, gaussian_weight,
                             gram_quadrature, orthonormal_basis,
                             quasi_periodicity_factor, theta_eval,
-                            theta_truncation, torus_gram)
+                            theta_truncation)
 
 SAMPLE_POINTS = [0.13 + 0.07j, 0.41 + 0.33j, 0.77 + 0.52j, 0.25 + 0.90j]
 
@@ -103,8 +105,8 @@ def test_gram_structure():
 
 
 def test_gram_diag_is_mu_independent():
-    d0 = np.diag(torus_gram(TorusModel(5, mu=0.0))).real
-    d1 = np.diag(torus_gram(TorusModel(5, mu=0.37))).real
+    d0 = np.diag(gram_quadrature(TorusModel(5, mu=0.0)).gram).real
+    d1 = np.diag(gram_quadrature(TorusModel(5, mu=0.37)).gram).real
     assert max_abs(np.sort(d0) - np.sort(d1)) <= 1e-9
 
 
@@ -120,9 +122,48 @@ def test_gram_matches_product_rule_oracle(k, mu):
 
 
 def test_gram_y_levels():
-    for k in range(3, 13):
+    # One y-level per Gram, sized in advance by the Bernstein-ellipse bound.
+    for k, n_y in ((3, 64), (12, 64), (24, 64), (60, 64), (74, 64), (75, 128),
+                   (200, 128), (1000, 256)):
         res = gram_quadrature(TorusModel(k, mu=0.37))
-        assert res.n_y == (32 if k <= 5 else 64), k
+        assert res.n_y == n_y, k
+        assert res.y_bound <= THETA_TOL / math.sqrt(2.0 * k)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37, -1.2])
+def test_gram_diag_matches_erf_closed_form(mu):
+    # The certified y-rule reaches the exact integral of the truncated
+    # n-sum, and above the floor its node count is the smallest power of two
+    # the bound certifies: half of it is rejected as below the minimum.
+    for k in range(3, 201):
+        model = TorusModel(k, mu=mu)
+        res = gram_quadrature(model)
+        target = THETA_TOL / math.sqrt(2.0 * k)
+        assert res.y_bound <= target
+        diag = np.diag(res.gram).real
+        for j in range(1, k + 1):
+            want = torus_gram_diag_reference(k, model.reduced_q(j),
+                                             res.truncation.n_max)
+            assert abs(diag[j - 1] - want) <= target, (k, j)
+        assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= Y_RULE_FLOOR
+        if res.n_y > Y_RULE_FLOOR:
+            with pytest.raises(ValueError, match="need at least"):
+                gram_quadrature(model, n_y=res.n_y // 2)
+
+
+def test_gram_y_node_override():
+    # An explicit count is used as given once the bound certifies it.
+    model = TorusModel(12, mu=0.37)
+    target = THETA_TOL / math.sqrt(24.0)
+    default = gram_quadrature(model)
+    assert gram_quadrature(model, n_y=28).y_bound <= target
+    res = gram_quadrature(model, n_y=40)
+    assert res.n_y == 40 and res.y_bound > default.y_bound
+    assert max_abs(res.gram - default.gram) <= 2.0 * target
+    with pytest.raises(ValueError, match="need at least 28"):
+        gram_quadrature(model, n_y=27)
+    with pytest.raises(ValueError, match="y-nodes exceed the limit of 2048"):
+        gram_quadrature(model, n_y=2049)
 
 
 def test_gram_large_k_is_finite():
@@ -173,10 +214,13 @@ def test_theta_conjugation_symmetry():
 
 
 def test_y_rule_is_cached_read_only_gauss_legendre():
-    from lagstate.torus import _y_rule
-    ys, weights = _y_rule(32)
-    assert _y_rule(32)[0] is ys
-    nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    ys, weights = gauss_legendre_01(64)
+    assert gauss_legendre_01(64)[0] is ys
+    # The sphere radial rule at k = 125 reads the same cached arrays, and
+    # the torus default at k = 3 uses this size.
+    assert sphere_quadrature(125).t_nodes is ys
+    assert gram_quadrature(TorusModel(3)).n_y == 64
+    nodes, gl_weights = np.polynomial.legendre.leggauss(64)
     assert np.array_equal(ys, (nodes + 1.0) / 2.0)
     assert np.array_equal(weights, gl_weights / 2.0)
     assert not ys.flags.writeable and not weights.flags.writeable
