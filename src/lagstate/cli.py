@@ -45,7 +45,6 @@ class RunConfig:
     tol_entropy: float | None = None
     tol_gram: float | None = None
     tol_identity: float = 1e-9
-    quad_angular: int | None = None
     quad_radial: int | None = None
     theta_tol: float = torus.THETA_TOL
     reproducible: bool = False
@@ -106,8 +105,7 @@ class IdentityCheck:
 
 def _torus_resolution(config: RunConfig) -> dict[str, Any]:
     """Torus resolution keywords, shared by every command that builds a basis."""
-    return {"theta_tol": config.theta_tol, "m_x": config.quad_angular,
-            "n_y": config.quad_radial}
+    return {"theta_tol": config.theta_tol, "n_y": config.quad_radial}
 
 
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
@@ -116,9 +114,8 @@ def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
                                          **_torus_resolution(config))
     model = sphere.SphereModel(k)
     if config.submanifold == "circle":
-        return states.circle_state_quadrature(model, angular=config.quad_angular)
-    quad = sphere.sphere_quadrature(k, radial=config.quad_radial,
-                                    angular=config.quad_angular)
+        return states.circle_state_quadrature(model)
+    quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
     return states.antidiagonal_state(model, quad)
 
 
@@ -126,8 +123,7 @@ def _row_gram_residual(config: RunConfig, k: int,
                        state: states.LagrangianState) -> float:
     if "basis_gram_residual" in state.provenance:
         return float(state.provenance["basis_gram_residual"])
-    quad = sphere.sphere_quadrature(k, radial=config.quad_radial,
-                                    angular=config.quad_angular)
+    quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
     return sphere.gram_residual(sphere.SphereModel(k), quad)
 
 
@@ -291,11 +287,10 @@ def _gram_payload(config: RunConfig, k: int) -> dict[str, Any]:
     if config.model == "torus":
         basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu),
                                         **_torus_resolution(config))
-        gram = basis.raw_gram
+        gram = basis.quadrature.gram
         residual = basis.gram_residual()
     else:
-        quad = sphere.sphere_quadrature(k, radial=config.quad_radial,
-                                        angular=config.quad_angular)
+        quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
         gram = sphere.gram_matrix(sphere.SphereModel(k), quad)
         residual = sphere.gram_residual(sphere.SphereModel(k), quad)
     return {
@@ -313,8 +308,12 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # An unwritable path is a bad flag value, so it exits 2.
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -330,10 +329,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-entropy", type=float, default=None)
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
-    parser.add_argument("--quad-angular", type=int, default=None,
-                        help="sphere angular / torus x-node count; that "
-                             "rule is applied in closed form, so the count "
-                             "is checked against its aliasing threshold only")
     parser.add_argument("--quad-radial", type=int, default=None,
                         help="sphere radial / torus y Gauss-Legendre node "
                              "count; the default is certified, and a count "
@@ -354,9 +349,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         model=args.model, k_min=k_min, k_max=k_max, mu=args.mu,
         submanifold=args.submanifold, fmt=args.fmt, out=args.out,
         tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
-        tol_identity=args.tol_identity, quad_angular=args.quad_angular,
-        quad_radial=args.quad_radial, theta_tol=args.theta_tol,
-        reproducible=args.reproducible)
+        tol_identity=args.tol_identity, quad_radial=args.quad_radial,
+        theta_tol=args.theta_tol, reproducible=args.reproducible)
 
 
 @functools.cache

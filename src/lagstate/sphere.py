@@ -9,11 +9,12 @@ over the affine chart.  The orthonormal basis is
 phi_j = sqrt((k+1) C(k,j)) z^j; all amplitudes are assembled in log space so
 large k stays finite.  Quadrature uses the substitution t = r^2 / (1 + r^2),
 which turns every radial integrand appearing here into a polynomial of
-degree <= k in t, so Gauss-Legendre is exact.  The angular average is an
-M-point trapezoid rule; with M >= 2k + 2 it is the Kronecker delta on every
-frequency |j - l| <= k, so it is applied in closed form: the Gram matrix is
-diagonal (off-diagonal entries are exact zeros) and only its radial
-integrals are computed.
+degree <= k in t, so Gauss-Legendre is exact; its node count is the one
+resolution knob.  The angular average is the M-point trapezoid rule at its
+aliasing-free size M = 2k + 2 (``SphereModel.angular_nodes``), which is the
+Kronecker delta on every frequency |j - l| <= k, so it is applied in closed
+form: the Gram matrix is diagonal (off-diagonal entries are exact zeros)
+and only its radial integrals are computed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class SphereModel:
     def dim(self) -> int:
         return self.k + 1
 
+    @property
+    def angular_nodes(self) -> int:
+        """Trapezoid size 2k + 2 that aliases no frequency up to k; the
+        angular rule is applied in closed form at this size."""
+        return 2 * self.k + 2
+
     def log_amplitudes(self) -> np.ndarray:
         """log of the squared basis amplitudes (k+1) C(k, j)."""
         k = self.k
@@ -56,64 +63,38 @@ class SphereModel:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Product rule: Gauss-Legendre in t = r^2/(1+r^2) times angular trapezoid.
-
-    The Gram matrix applies the angular rule in closed form, so
-    ``angular_count`` is checked against its aliasing threshold but does not
-    change the result; ``nodes_2d`` gives the explicit product nodes.
-    """
+    """Gauss-Legendre rule in t = r^2/(1+r^2); the angular trapezoid that
+    completes the product rule is applied in closed form."""
 
     t_nodes: np.ndarray
     t_weights: np.ndarray
-    angular_count: int
 
     @property
     def radial_count(self) -> int:
         return len(self.t_nodes)
 
-    def nodes_2d(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened chart nodes z and weights for the unit-volume measure."""
-        theta = 2.0 * np.pi * np.arange(self.angular_count) / self.angular_count
-        r = np.sqrt(self.t_nodes / (1.0 - self.t_nodes))
-        z = np.outer(r, np.exp(1j * theta)).ravel()
-        w = np.repeat(self.t_weights / self.angular_count, self.angular_count)
-        return z, w
 
-
-def exact_node_counts(k: int, radial: int | None = None,
-                      angular: int | None = None) -> tuple[int, int]:
-    """Radial and angular node counts that integrate degree-k integrands
-    exactly, each defaulting to its minimum.
-
-    Minimum node counts: ceil((k+2)/2) radial (Gauss-Legendre exactness
-    through degree k) and 2k+2 angular (no aliasing among frequencies up
-    to k).  Smaller counts are rejected, and so are radial counts above
+def exact_radial_count(k: int, radial: int | None = None) -> int:
+    """Radial node count that integrates degree-k integrands exactly,
+    defaulting to its minimum ceil((k+2)/2) (Gauss-Legendre exactness
+    through degree k).  Smaller counts are rejected, and so are counts above
     max(MAX_RULE_NODES, minimum).
     """
     min_radial = (k + 3) // 2
-    min_angular = 2 * k + 2
     radial = min_radial if radial is None else radial
-    angular = min_angular if angular is None else angular
     if radial < min_radial:
         raise ValueError(
             f"{radial} radial nodes cannot integrate degree-{k} integrands "
             f"exactly; need at least {min_radial}")
     check_rule_size(radial, min_radial, "radial nodes")
-    if angular < min_angular:
-        raise ValueError(
-            f"{angular} angular nodes alias frequencies up to {k}; "
-            f"need at least {min_angular}")
-    return radial, angular
+    return radial
 
 
-def sphere_quadrature(k: int, *, radial: int | None = None,
-                      angular: int | None = None) -> SphereQuadrature:
+def sphere_quadrature(k: int, *, radial: int | None = None) -> SphereQuadrature:
     """Quadrature sized so every degree-k Gram integrand is integrated
-    exactly; see :func:`exact_node_counts` for the node counts."""
-    radial, angular = exact_node_counts(k, radial, angular)
-    t_nodes, t_weights = gauss_legendre_01(radial)
-    return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights,
-                            angular_count=angular)
+    exactly; see :func:`exact_radial_count` for the node count."""
+    t_nodes, t_weights = gauss_legendre_01(exact_radial_count(k, radial))
+    return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights)
 
 
 def basis_values(model: SphereModel, z: complex) -> np.ndarray:
@@ -166,20 +147,22 @@ def pairing_matrix(model: SphereModel, z: complex) -> np.ndarray:
     return np.outer(w, w.conj())
 
 
-def phase_average(angular_count: int, deltas: np.ndarray) -> np.ndarray:
-    """Trapezoid average (1/M) sum_m exp(2 pi i delta m / M) per delta, in
-    closed form: 1.0 where M divides delta, 0.0 otherwise."""
-    return (np.asarray(deltas) % angular_count == 0).astype(float)
+def phase_average(m: int, deltas: np.ndarray) -> np.ndarray:
+    """M-point trapezoid average (1/M) sum_n exp(2 pi i delta n / M) per
+    delta, with M = m, in closed form: 1.0 where M divides delta, 0.0
+    otherwise."""
+    return (np.asarray(deltas) % m == 0).astype(float)
 
 
 def _gram(model: SphereModel, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndarray:
     """diag(sum_t w_t f_j(t)^2) with f_j(t)^2 = e^log_amp_j t^j (1-t)^(k-j).
 
     The angular average of exp(i (j - l) angle) is the Kronecker delta for
-    |j - l| <= k under the exact rule, so only the diagonal is integrated.
+    |j - l| <= k under the aliasing-free rule, so only the diagonal is
+    integrated.
     """
     k = model.k
-    exact_node_counts(k, quad.radial_count, quad.angular_count)
+    exact_radial_count(k, quad.radial_count)
     j = np.arange(k + 1)
     t = quad.t_nodes[:, None]
     f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))

@@ -18,9 +18,8 @@ from typing import Any
 import numpy as np
 
 from .linalg import max_abs
-from .sphere import (SphereModel, SphereQuadrature, exact_node_counts,
-                     log_binomial, sphere_quadrature, gram_matrix,
-                     weighted_basis_values)
+from .sphere import (SphereModel, SphereQuadrature, log_binomial,
+                     sphere_quadrature, gram_matrix, weighted_basis_values)
 from .sphere import phase_average  # noqa: F401  (perfbench traces this name)
 from . import torus as torus_mod
 from .torus import TorusModel
@@ -111,16 +110,16 @@ def _sphere_antidiagonal(model: SphereModel,
             "k": model.k,
             "submanifold": "antidiagonal",
             "radial_nodes": quad.radial_count,
-            "angular_nodes": quad.angular_count,
+            "angular_nodes": model.angular_nodes,
             "basis_gram_residual": defect,
         },
     )
 
 
 def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
-                        m_x: int | None, n_y: int | None) -> LagrangianState:
-    basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol, m_x=m_x,
-                                        n_y=n_y)
+                        n_y: int | None) -> LagrangianState:
+    basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol, n_y=n_y)
+    quad = basis.quadrature
     coeffs = basis.normalized_gram.conj()
     defect = max_abs(coeffs - np.eye(model.dim))
     if defect > ANTIDIAGONAL_TOL_TORUS:
@@ -137,9 +136,9 @@ def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
             "mu": model.mu,
             "submanifold": "antidiagonal",
             "theta_tol": theta_tol,
-            "n_max": basis.truncation.n_max,
-            "m_x": basis.m_x,
-            "n_y": basis.n_y,
+            "n_max": quad.truncation.n_max,
+            "m_x": quad.m_x,
+            "n_y": quad.n_y,
             "basis_gram_residual": defect,
         },
     )
@@ -148,7 +147,6 @@ def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
 def antidiagonal_state(model: SphereModel | TorusModel,
                        quadrature: SphereQuadrature | None = None, *,
                        theta_tol: float = torus_mod.THETA_TOL,
-                       m_x: int | None = None,
                        n_y: int | None = None) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
     fiber pairing.  Its coefficient matrix equals the basis Gram matrix
@@ -159,20 +157,19 @@ def antidiagonal_state(model: SphereModel | TorusModel,
     if isinstance(model, TorusModel):
         if quadrature is not None:
             raise ValueError("torus antidiagonal state takes no sphere quadrature")
-        return _torus_antidiagonal(model, theta_tol=theta_tol, m_x=m_x, n_y=n_y)
+        return _torus_antidiagonal(model, theta_tol=theta_tol, n_y=n_y)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def circle_state_quadrature(model: SphereModel,
-                            angular: int | None = None) -> LagrangianState:
+def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     """State from the unit circle |z| = 1 with the angle measure.
 
-    The angle trapezoid rule is the Kronecker delta on every frequency here,
-    so it is applied in closed form: the coefficients are exactly diagonal,
-    with entries pi 2^(1-k) (k+1)! / (j! (k-j)!) up to roundoff.
+    The aliasing-free angle trapezoid rule is the Kronecker delta on every
+    frequency here, so it is applied in closed form: the coefficients are
+    exactly diagonal, with entries pi 2^(1-k) (k+1)! / (j! (k-j)!) up to
+    roundoff.
     """
     k = model.k
-    _, angular = exact_node_counts(k, angular=angular)
     half_log = 0.5 * model.log_amplitudes()
     mag = np.exp(half_log - 0.5 * k * math.log(2.0))
     coeffs = np.diag((2.0 * math.pi * np.square(mag)).astype(complex))
@@ -183,7 +180,7 @@ def circle_state_quadrature(model: SphereModel,
             "model": "sphere",
             "k": k,
             "submanifold": "circle",
-            "angular_nodes": angular,
+            "angular_nodes": model.angular_nodes,
         },
     )
 

@@ -6,9 +6,11 @@ The Hilbert space for level k >= 3 is spanned by the k theta series
 
 j = 1..k, which are holomorphic and quasi-periodic for the lattice Z + iZ.
 The inner product integrates f conj(g) exp(-2 pi k y^2) over the fundamental
-square [0,1] x [0,1].  The x-integral is applied analytically; it makes the
-theta basis orthogonal, and the squared norm 1/sqrt(2k) (the n-sum unfolds
-the y-integral to a Gaussian on the line) is independent of j and mu.
+square [0,1] x [0,1].  The x-integral is the trapezoid rule at its
+aliasing-free size 2k(2 n_max + 1) (``TorusGramResult.m_x``), applied in
+closed form; it makes the theta basis orthogonal, and the squared norm
+1/sqrt(2k) (the n-sum unfolds the y-integral to a Gaussian on the line) is
+independent of j and mu.
 
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
@@ -148,9 +150,14 @@ class TorusGramResult:
 
     gram: np.ndarray
     truncation: ThetaTruncation
-    m_x: int
     n_y: int
     y_bound: float
+
+    @property
+    def m_x(self) -> int:
+        """Size of the x-trapezoid that aliases no frequency of the truncated
+        theta products; the x-rule is applied in closed form at this size."""
+        return 2 * len(self.gram) * (2 * self.truncation.n_max + 1)
 
 
 def _y_nodes(k: int, trunc: ThetaTruncation,
@@ -185,24 +192,17 @@ def _y_nodes(k: int, trunc: ThetaTruncation,
 
 
 def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                    m_x: int | None = None,
                     n_y: int | None = None) -> TorusGramResult:
     """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
 
-    An x-rule with m_x >= 2k(2 n_max + 1) nodes is the Kronecker delta on all
-    frequencies of the truncated products: off-diagonal entries are exact
-    zeros, and m_x is checked against that threshold only.  The diagonal is
-    integrated once, with the y-node count certified in advance by
-    :func:`_y_nodes`; an explicit n_y is checked against that minimum.
+    The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
+    is the Kronecker delta on all frequencies of the truncated products, so
+    off-diagonal entries are exact zeros.  The diagonal is integrated once,
+    with the y-node count certified in advance by :func:`_y_nodes`; an
+    explicit n_y is checked against that minimum.
     """
     k = model.k
     trunc = theta_truncation(model, theta_tol, y_max=1.0)
-    m_min = 2 * k * (2 * trunc.n_max + 1)
-    m_x = m_min if m_x is None else m_x
-    if m_x < m_min:
-        raise ValueError(
-            f"{m_x} x-nodes alias truncated theta products at level {k}; "
-            f"need at least {m_min}")
     n_y, y_bound = _y_nodes(k, trunc, n_y)
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
@@ -210,24 +210,22 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
-    return TorusGramResult(gram=gram, truncation=trunc, m_x=m_x, n_y=n_y,
+    return TorusGramResult(gram=gram, truncation=trunc, n_y=n_y,
                            y_bound=y_bound)
 
 
 @dataclass(frozen=True)
 class TorusBasis:
-    """Orthonormalized theta basis phi_j = theta_j / |theta_j|."""
+    """Orthonormalized theta basis phi_j = theta_j / |theta_j|, with the
+    Gram quadrature whose diagonal gives the norms."""
 
     model: TorusModel
     norms: np.ndarray
-    raw_gram: np.ndarray
-    truncation: ThetaTruncation
-    m_x: int
-    n_y: int
+    quadrature: TorusGramResult
 
     @property
     def normalized_gram(self) -> np.ndarray:
-        return self.raw_gram / np.outer(self.norms, self.norms)
+        return self.quadrature.gram / np.outer(self.norms, self.norms)
 
     def gram_residual(self) -> float:
         return max_abs(self.normalized_gram - np.eye(self.model.k))
@@ -240,7 +238,6 @@ class TorusBasis:
 
 
 def orthonormal_basis(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                      m_x: int | None = None,
                       n_y: int | None = None) -> TorusBasis:
     """Normalize the theta basis by its quadrature norms.
 
@@ -248,10 +245,9 @@ def orthonormal_basis(model: TorusModel, *, theta_tol: float = THETA_TOL,
     norms are used so that downstream states stay exactly consistent with
     the integration rule that builds them.
     """
-    res = gram_quadrature(model, theta_tol=theta_tol, m_x=m_x, n_y=n_y)
-    norms = np.sqrt(np.diag(res.gram).real)
-    return TorusBasis(model=model, norms=norms, raw_gram=res.gram,
-                      truncation=res.truncation, m_x=res.m_x, n_y=res.n_y)
+    res = gram_quadrature(model, theta_tol=theta_tol, n_y=n_y)
+    return TorusBasis(model=model, norms=np.sqrt(np.diag(res.gram).real),
+                      quadrature=res)
 
 
 def closed_form_norm(model: TorusModel) -> float:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from lagstate import entanglement, states
+from lagstate.torus import TorusModel, theta_truncation
 from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
                           render_json, run, tolerance_breaches,
                           verify_identities)
@@ -182,6 +183,30 @@ def test_main_rejects_seed_flag(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "gram"])
+def test_main_rejects_quad_angular_flag(capsys, command):
+    # The periodic rules have one aliasing-free size, so they take no count.
+    k_flags = ["--k-min", "1"] if command == "report" else ["--k", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *k_flags, "--quad-angular", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-angular 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report", "--k-max", "2"],
+                                  ["state", "--k", "3"]])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target,
+                                               reason):
+    out = str(tmp_path / target)
+    code = main(argv + ["--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cannot write --out {out}: {reason}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("n_y", ["0", "8", "4096"])
 def test_main_torus_quad_radial_out_of_range(capsys, n_y):
     # 8 is below the certified count 17 at k = 3; 4096 is above the cap.
@@ -311,6 +336,26 @@ def test_main_state_json(capsys):
     assert len(payload["schmidt_spectrum"]) == 4
     assert abs(math.fsum(payload["schmidt_spectrum"]) - 1.0) <= 1e-12
     assert len(payload["coeffs_real"]) == 4
+
+
+@pytest.mark.parametrize("argv, k", [
+    (["--k", "1"], 1), (["--k", "7"], 7),
+    (["--k", "4", "--submanifold", "circle"], 4),
+    (["--k", "3", "--model", "torus", "--mu", "0.37"], 3),
+    (["--k", "6", "--model", "torus", "--mu", "0.37"], 6)])
+def test_main_state_provenance_node_counts(capsys, argv, k):
+    # perfbench derives its node counters from these provenance keys.
+    assert main(["state", "--format", "json", "--reproducible"] + argv) == 0
+    prov = json.loads(capsys.readouterr().out)["provenance"]
+    if prov["model"] == "torus":
+        n_max = theta_truncation(TorusModel(k, mu=0.37)).n_max
+        assert prov["n_max"] == n_max
+        assert prov["m_x"] == 2 * k * (2 * n_max + 1)
+        assert prov["n_y"] == 64
+        return
+    assert prov["angular_nodes"] == 2 * k + 2
+    if prov["submanifold"] == "antidiagonal":
+        assert prov["radial_nodes"] == (k + 3) // 2
 
 
 def test_main_state_csv(capsys):

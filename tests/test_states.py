@@ -83,7 +83,7 @@ def test_sphere_antidiagonal_state():
 
 def test_sphere_antidiagonal_accepts_custom_quadrature():
     model = SphereModel(5)
-    quad = sphere_quadrature(5, radial=10, angular=24)
+    quad = sphere_quadrature(5, radial=10)
     state = antidiagonal_state(model, quad)
     assert abs(entropy(state.normalized()) - math.log(6.0)) <= 1e-12
     assert state.provenance["radial_nodes"] == 10
@@ -139,11 +139,6 @@ def test_sphere_and_circle_states_are_exactly_diagonal():
             c = state.normalized()
             assert np.count_nonzero(c - np.diag(np.diag(c))) == 0
             assert svd(c).sweeps == 0
-
-
-def test_circle_state_rejects_aliasing_rule():
-    with pytest.raises(ValueError, match="alias"):
-        circle_state_quadrature(SphereModel(4), angular=9)
 
 
 def test_circle_closed_form_matches_quadrature():

@@ -116,7 +116,8 @@ def test_gram_matches_product_rule_oracle(k, mu):
     # The x-rule is applied in closed form; the full 2-D product rule at the
     # same resolution must agree, and off-diagonal entries are exact zeros.
     res = gram_quadrature(TorusModel(k, mu=mu))
-    want = torus_gram_reference(k, mu, res.n_y, res.m_x)
+    m_x = 2 * k * (2 * res.truncation.n_max + 1)
+    want = torus_gram_reference(k, mu, res.n_y, m_x)
     assert max_abs(res.gram - want) <= 1e-13 * max_abs(want)
     assert not (res.gram - np.diag(np.diag(res.gram))).any()
 
@@ -174,11 +175,6 @@ def test_gram_large_k_is_finite():
     assert max_abs(diag - want) <= 1e-8 * want
 
 
-def test_gram_rejects_aliasing_x_rule():
-    with pytest.raises(ValueError, match="alias"):
-        gram_quadrature(TorusModel(4), m_x=7)
-
-
 def test_norm_oracle_matches_closed_form():
     # Dense independent quadrature of the unfolded Gaussian integral.
     for k in (3, 6):
@@ -193,6 +189,10 @@ def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
     basis = orthonormal_basis(model)
     assert basis.gram_residual() <= 1e-7
+    # The basis keeps the quadrature behind its norms, y-rule bound included.
+    assert basis.quadrature.y_bound <= THETA_TOL / math.sqrt(10.0)
+    assert np.array_equal(basis.norms,
+                          np.sqrt(np.diag(basis.quadrature.gram).real))
     want = closed_form_norm(model)
     assert max_abs(basis.norms - want) <= 1e-8 * want
     # Normalized values stay consistent with the raw series.
