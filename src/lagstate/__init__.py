@@ -23,7 +23,6 @@ from .entanglement import (
 from .sphere import (
     SphereModel,
     SphereQuadrature,
-    basis_eval,
     basis_values,
     gram_matrix,
     monomial_gram,
@@ -61,9 +60,8 @@ __all__ = [
     "SchmidtDecomposition", "EntanglementReport", "schmidt",
     "partial_trace_2", "schmidt_spectrum", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
-    "SphereModel", "SphereQuadrature", "sphere_quadrature", "basis_eval",
-    "basis_values", "weighted_basis_values", "pairing_matrix", "gram_matrix",
-    "monomial_gram",
+    "SphereModel", "SphereQuadrature", "sphere_quadrature", "basis_values",
+    "weighted_basis_values", "pairing_matrix", "gram_matrix", "monomial_gram",
     "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
     "theta_eval", "gram_quadrature", "orthonormal_basis",
     "quasi_periodicity_factor", "closed_form_norm",

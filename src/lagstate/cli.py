@@ -24,6 +24,7 @@ from typing import Any
 import numpy as np
 
 from . import entanglement, sphere, states, torus
+from .linalg import max_abs
 
 CSV_HEADER = ("k,d_k,entropy,ln_d_k,entropy_residual,separable_distance,"
               "corollary_rhs,gram_residual,raw_norm,wall_time_ms")
@@ -45,7 +46,6 @@ class RunConfig:
     tol_entropy: float | None = None
     tol_gram: float | None = None
     tol_identity: float = 1e-9
-    quad_radial: int | None = None
     theta_tol: float = torus.THETA_TOL
     reproducible: bool = False
 
@@ -103,28 +103,20 @@ class IdentityCheck:
     detail: str
 
 
-def _torus_resolution(config: RunConfig) -> dict[str, Any]:
-    """Torus resolution keywords, shared by every command that builds a basis."""
-    return {"theta_tol": config.theta_tol, "n_y": config.quad_radial}
-
-
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
     if config.model == "torus":
         return states.antidiagonal_state(torus.TorusModel(k, config.mu),
-                                         **_torus_resolution(config))
+                                         theta_tol=config.theta_tol)
     model = sphere.SphereModel(k)
     if config.submanifold == "circle":
         return states.circle_state_quadrature(model)
-    quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
-    return states.antidiagonal_state(model, quad)
+    return states.antidiagonal_state(model)
 
 
-def _row_gram_residual(config: RunConfig, k: int,
-                       state: states.LagrangianState) -> float:
+def _row_gram_residual(k: int, state: states.LagrangianState) -> float:
     if "basis_gram_residual" in state.provenance:
         return float(state.provenance["basis_gram_residual"])
-    quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
-    return sphere.gram_residual(sphere.SphereModel(k), quad)
+    return sphere.gram_residual(sphere.SphereModel(k))
 
 
 def run(config: RunConfig) -> list[ReportRow]:
@@ -134,7 +126,7 @@ def run(config: RunConfig) -> list[ReportRow]:
     for k in range(config.k_min, config.k_max + 1):
         t0 = time.perf_counter()
         state = _build_state(config, k)
-        gram_res = _row_gram_residual(config, k, state)
+        gram_res = _row_gram_residual(k, state)
         report = entanglement.analyze(state.normalized())
         if config.submanifold == "circle":
             target = states.circle_entropy_closed_form(k)
@@ -286,13 +278,12 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
 def _gram_payload(config: RunConfig, k: int) -> dict[str, Any]:
     if config.model == "torus":
         basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu),
-                                        **_torus_resolution(config))
+                                        theta_tol=config.theta_tol)
         gram = basis.quadrature.gram
         residual = basis.gram_residual()
     else:
-        quad = sphere.sphere_quadrature(k, radial=config.quad_radial)
-        gram = sphere.gram_matrix(sphere.SphereModel(k), quad)
-        residual = sphere.gram_residual(sphere.SphereModel(k), quad)
+        gram = sphere.gram_matrix(sphere.SphereModel(k))
+        residual = max_abs(gram - np.eye(len(gram)))
     return {
         "model": config.model,
         "k": k,
@@ -329,11 +320,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-entropy", type=float, default=None)
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
-    parser.add_argument("--quad-radial", type=int, default=None,
-                        help="sphere radial / torus y Gauss-Legendre node "
-                             "count; the default is certified, and a count "
-                             "below the certified minimum or above "
-                             "max(2048, minimum) is rejected")
     parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL,
                         help="torus theta series tail and y-rule tolerance")
     parser.add_argument("--reproducible", action="store_true")
@@ -349,8 +335,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         model=args.model, k_min=k_min, k_max=k_max, mu=args.mu,
         submanifold=args.submanifold, fmt=args.fmt, out=args.out,
         tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
-        tol_identity=args.tol_identity, quad_radial=args.quad_radial,
-        theta_tol=args.theta_tol, reproducible=args.reproducible)
+        tol_identity=args.tol_identity, theta_tol=args.theta_tol,
+        reproducible=args.reproducible)
 
 
 @functools.cache

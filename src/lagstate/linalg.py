@@ -6,7 +6,7 @@ parallel order.  It calls no LAPACK routine, so the Schmidt route through
 ``svd`` stays independent of the spectral route through ``hermitian_eigen``
 (which wraps LAPACK); the two are cross-checked against each other.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
-here too, with the cap on its node count.
+here too.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import numpy as np
 # Off-diagonal Gram ratio below which a column pair counts as orthogonal.
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
-# Largest explicit Gauss-Legendre node count accepted above a rule's minimum:
-# leggauss(n) solves an n x n companion eigenproblem.
-MAX_RULE_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -61,14 +58,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm((a - b).ravel()))
-
-
-def check_rule_size(count: int, minimum: int, what: str) -> None:
-    """Reject a node count above max(MAX_RULE_NODES, minimum) before its
-    rule is built."""
-    limit = max(MAX_RULE_NODES, minimum)
-    if count > limit:
-        raise ValueError(f"{count} {what} exceed the limit of {limit}")
 
 
 @functools.lru_cache(maxsize=16)

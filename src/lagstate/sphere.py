@@ -9,12 +9,12 @@ over the affine chart.  The orthonormal basis is
 phi_j = sqrt((k+1) C(k,j)) z^j; all amplitudes are assembled in log space so
 large k stays finite.  Quadrature uses the substitution t = r^2 / (1 + r^2),
 which turns every radial integrand appearing here into a polynomial of
-degree <= k in t, so Gauss-Legendre is exact; its node count is the one
-resolution knob.  The angular average is the M-point trapezoid rule at its
-aliasing-free size M = 2k + 2 (``SphereModel.angular_nodes``), which is the
-Kronecker delta on every frequency |j - l| <= k, so it is applied in closed
-form: the Gram matrix is diagonal (off-diagonal entries are exact zeros)
-and only its radial integrals are computed.
+degree <= k in t, so Gauss-Legendre with ceil((k+2)/2) nodes is exact.  The
+angular average is the M-point trapezoid rule at its aliasing-free size
+M = 2k + 2 (``SphereModel.angular_nodes``), which is the Kronecker delta on
+every frequency |j - l| <= k, so it is applied in closed form: the Gram
+matrix is diagonal (off-diagonal entries are exact zeros) and only its
+radial integrals are computed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_rule_size, gauss_legendre_01, max_abs
+from .linalg import gauss_legendre_01, max_abs
 
 
 def log_binomial(n: int, j: int) -> float:
@@ -74,67 +74,49 @@ class SphereQuadrature:
         return len(self.t_nodes)
 
 
-def exact_radial_count(k: int, radial: int | None = None) -> int:
-    """Radial node count that integrates degree-k integrands exactly,
-    defaulting to its minimum ceil((k+2)/2) (Gauss-Legendre exactness
-    through degree k).  Smaller counts are rejected, and so are counts above
-    max(MAX_RULE_NODES, minimum).
-    """
-    min_radial = (k + 3) // 2
-    radial = min_radial if radial is None else radial
-    if radial < min_radial:
-        raise ValueError(
-            f"{radial} radial nodes cannot integrate degree-{k} integrands "
-            f"exactly; need at least {min_radial}")
-    check_rule_size(radial, min_radial, "radial nodes")
-    return radial
+def exact_radial_count(k: int) -> int:
+    """Radial node count ceil((k+2)/2), the fewest with which Gauss-Legendre
+    is exact through degree k, the degree of every Gram integrand."""
+    return (k + 3) // 2
 
 
-def sphere_quadrature(k: int, *, radial: int | None = None) -> SphereQuadrature:
+def sphere_quadrature(k: int) -> SphereQuadrature:
     """Quadrature sized so every degree-k Gram integrand is integrated
     exactly; see :func:`exact_radial_count` for the node count."""
-    t_nodes, t_weights = gauss_legendre_01(exact_radial_count(k, radial))
+    t_nodes, t_weights = gauss_legendre_01(exact_radial_count(k))
     return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights)
+
+
+def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
+    """phi_j(z), j = 0..k, divided by (1 + |z|^2)^(k/2) when weighted;
+    assembled in log space so large k stays finite."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("evaluation point must be finite")
+    k = model.k
+    log_mag = 0.5 * model.log_amplitudes()
+    if weighted:
+        log_mag = log_mag - 0.5 * k * math.log1p(abs(z) ** 2)
+    if z == 0:
+        out = np.zeros(k + 1, dtype=complex)
+        out[0] = math.exp(log_mag[0])
+        return out
+    j = np.arange(k + 1)
+    mag = np.exp(log_mag + j * math.log(abs(z)))
+    return mag * np.exp(1j * j * np.angle(z))
 
 
 def basis_values(model: SphereModel, z: complex) -> np.ndarray:
     """All orthonormal basis values phi_j(z), j = 0..k."""
-    k = model.k
-    j = np.arange(k + 1)
-    half_log = 0.5 * model.log_amplitudes()
-    if z == 0:
-        out = np.zeros(k + 1, dtype=complex)
-        out[0] = math.exp(half_log[0])
-        return out
-    mag = np.exp(half_log + j * math.log(abs(z)))
-    return mag * np.exp(1j * j * np.angle(z))
-
-
-def basis_eval(model: SphereModel, j: int, z: complex) -> complex:
-    """Single orthonormal basis value phi_j(z) = sqrt((k+1) C(k,j)) z^j."""
-    if not 0 <= j <= model.k:
-        raise ValueError(f"basis index {j} out of range 0..{model.k}")
-    return complex(basis_values(model, z)[j])
+    return _basis_values(model, z, weighted=False)
 
 
 def weighted_basis_values(model: SphereModel, z: complex) -> np.ndarray:
     """phi_j(z) / (1 + |z|^2)^(k/2): the fiber-metric-weighted basis values.
 
-    Bounded by sqrt(k+1) for every z, hence safe at any k; assembled from
-    t = |z|^2 / (1 + |z|^2) in log space.
+    Bounded by sqrt(k+1) for every z, hence safe at any k.
     """
-    k = model.k
-    j = np.arange(k + 1)
-    half_log = 0.5 * model.log_amplitudes()
-    a2 = abs(z) ** 2
-    log1pz = math.log1p(a2)
-    log_mag = half_log - 0.5 * k * log1pz
-    if z == 0:
-        out = np.zeros(k + 1, dtype=complex)
-        out[0] = math.exp(log_mag[0])
-        return out
-    mag = np.exp(log_mag + j * math.log(abs(z)))
-    return mag * np.exp(1j * j * np.angle(z))
+    return _basis_values(model, z, weighted=True)
 
 
 def pairing_matrix(model: SphereModel, z: complex) -> np.ndarray:
@@ -162,7 +144,11 @@ def _gram(model: SphereModel, quad: SphereQuadrature, log_amp: np.ndarray) -> np
     integrated.
     """
     k = model.k
-    exact_radial_count(k, quad.radial_count)
+    need = exact_radial_count(k)
+    if quad.radial_count < need:
+        raise ValueError(
+            f"{quad.radial_count} radial nodes cannot integrate degree-{k} "
+            f"integrands exactly; need at least {need}")
     j = np.arange(k + 1)
     t = quad.t_nodes[:, None]
     f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))

@@ -18,8 +18,8 @@ from typing import Any
 import numpy as np
 
 from .linalg import max_abs
-from .sphere import (SphereModel, SphereQuadrature, log_binomial,
-                     sphere_quadrature, gram_matrix, weighted_basis_values)
+from .sphere import (SphereModel, log_binomial, sphere_quadrature,
+                     gram_matrix, weighted_basis_values)
 from .sphere import phase_average  # noqa: F401  (perfbench traces this name)
 from . import torus as torus_mod
 from .torus import TorusModel
@@ -58,8 +58,6 @@ def coherent_vector(model: SphereModel, z: complex,
     multiplies all coefficients by conj(alpha)^k.
     """
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("base point must be finite")
     scale = np.conj(complex(frame_scale)) ** model.k
     coeffs = scale * weighted_basis_values(model, z).conj()
     return CoherentVector(coeffs=coeffs, base_point=z,
@@ -90,10 +88,8 @@ def pair_coherent(u: CoherentVector, w: CoherentVector) -> np.ndarray:
     return np.outer(u.coeffs, w.coeffs)
 
 
-def _sphere_antidiagonal(model: SphereModel,
-                         quad: SphereQuadrature | None) -> LagrangianState:
-    if quad is None:
-        quad = sphere_quadrature(model.k)
+def _sphere_antidiagonal(model: SphereModel) -> LagrangianState:
+    quad = sphere_quadrature(model.k)
     gram = gram_matrix(model, quad)
     coeffs = gram.conj()
     defect = max_abs(coeffs - np.eye(model.dim))
@@ -116,9 +112,8 @@ def _sphere_antidiagonal(model: SphereModel,
     )
 
 
-def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
-                        n_y: int | None) -> LagrangianState:
-    basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol, n_y=n_y)
+def _torus_antidiagonal(model: TorusModel, theta_tol: float) -> LagrangianState:
+    basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol)
     quad = basis.quadrature
     coeffs = basis.normalized_gram.conj()
     defect = max_abs(coeffs - np.eye(model.dim))
@@ -144,20 +139,17 @@ def _torus_antidiagonal(model: TorusModel, *, theta_tol: float,
     )
 
 
-def antidiagonal_state(model: SphereModel | TorusModel,
-                       quadrature: SphereQuadrature | None = None, *,
-                       theta_tol: float = torus_mod.THETA_TOL,
-                       n_y: int | None = None) -> LagrangianState:
+def antidiagonal_state(model: SphereModel | TorusModel, *,
+                       theta_tol: float = torus_mod.THETA_TOL) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
     fiber pairing.  Its coefficient matrix equals the basis Gram matrix
     (conjugated), hence the identity up to quadrature defect, and the
-    normalized state is maximally entangled with raw norm sqrt(d)."""
+    normalized state is maximally entangled with raw norm sqrt(d).
+    theta_tol is the torus resolution; the sphere rule is exact."""
     if isinstance(model, SphereModel):
-        return _sphere_antidiagonal(model, quadrature)
+        return _sphere_antidiagonal(model)
     if isinstance(model, TorusModel):
-        if quadrature is not None:
-            raise ValueError("torus antidiagonal state takes no sphere quadrature")
-        return _torus_antidiagonal(model, theta_tol=theta_tol, n_y=n_y)
+        return _torus_antidiagonal(model, theta_tol)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 

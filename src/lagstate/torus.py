@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_rule_size, gauss_legendre_01, max_abs
+from .linalg import gauss_legendre_01, max_abs
 
 THETA_TOL = 1e-12
 MAX_TERMS = 64
@@ -121,14 +121,19 @@ def _theta_columns(model: TorusModel, zs: np.ndarray,
     return out
 
 
-def theta_eval(model: TorusModel, j: int, z: complex,
-               tol: float = THETA_TOL) -> complex:
-    """theta_j at a single point, truncated with a certified tail below tol."""
+def _theta_values(model: TorusModel, z: complex, tol: float) -> np.ndarray:
+    """All theta_j(z), j = 1..k, truncated with a certified tail below tol."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("evaluation point must be finite")
     trunc = theta_truncation(model, tol, y_max=max(1.0, abs(z.imag)))
-    return complex(_theta_columns(model, np.array([z]), trunc)[0, j - 1])
+    return _theta_columns(model, np.array([z]), trunc)[0]
+
+
+def theta_eval(model: TorusModel, j: int, z: complex,
+               tol: float = THETA_TOL) -> complex:
+    """theta_j at a single point, truncated with a certified tail below tol."""
+    return complex(_theta_values(model, z, tol)[j - 1])
 
 
 def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> complex:
@@ -160,9 +165,21 @@ class TorusGramResult:
         return 2 * len(self.gram) * (2 * self.truncation.n_max + 1)
 
 
-def _y_nodes(k: int, trunc: ThetaTruncation,
-             n_y: int | None) -> tuple[int, float]:
-    """Certified y-node count and its error bound.
+def _y_log_majorant(k: int, trunc: ThetaTruncation) -> np.ndarray:
+    """log of (32/15) (2N + 1) exp(2 pi k b^2) / (rho^2 - 1) on the log rho
+    grid: the y-rule error bound without its rho^(-2n) factor."""
+    s = _LOG_RHO
+    return (math.log(32.0 / 15.0 * (2 * trunc.n_max + 1))
+            + 0.5 * math.pi * k * np.sinh(s) ** 2 - np.log(np.expm1(2.0 * s)))
+
+
+def _y_bound(k: int, trunc: ThetaTruncation, n: int) -> float:
+    """Error bound of the n-point Gauss-Legendre y-rule on the Gram diagonal."""
+    return float(np.exp((_y_log_majorant(k, trunc) - 2.0 * n * _LOG_RHO).min()))
+
+
+def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
+    """Certified y-node count.
 
     The diagonal integrand f(y) = sum_{|n| <= N} exp(-2 pi k (y + n + q)^2)
     is entire.  On the Bernstein ellipse E_rho of [0, 1],
@@ -170,40 +187,29 @@ def _y_nodes(k: int, trunc: ThetaTruncation,
     the n-point Gauss-Legendre error is below
     (32/15) (2N + 1) exp(2 pi k b^2) rho^(-2n) / (rho^2 - 1)
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over a fixed
-    grid of log rho.  The minimum count is the smallest n whose bound is
-    below tol (2k)^(-1/2), i.e. tol relative to the closed-form squared
-    norm; the default rounds it up to a power of two no smaller than
-    Y_RULE_FLOOR, so that rows share their cached rules.
+    grid of log rho (:func:`_y_bound`).  The minimum count is the smallest n
+    whose bound is below tol (2k)^(-1/2), i.e. tol relative to the
+    closed-form squared norm; it is rounded up to a power of two no smaller
+    than Y_RULE_FLOOR, so that rows share their cached rules.
     """
-    s = _LOG_RHO
-    log_m = (math.log(32.0 / 15.0 * (2 * trunc.n_max + 1))
-             + 0.5 * math.pi * k * np.sinh(s) ** 2 - np.log(np.expm1(2.0 * s)))
     log_target = math.log(trunc.tol) - 0.5 * math.log(2.0 * k)
-    n_min = max(1, int(np.ceil((log_m - log_target) / (2.0 * s)).min()))
-    if n_y is None:
-        n_y = max(Y_RULE_FLOOR, 1 << (n_min - 1).bit_length())
-    elif n_y < n_min:
-        raise ValueError(
-            f"{n_y} y-nodes cannot certify the level-{k} Gram to "
-            f"{trunc.tol:g}; need at least {n_min}")
-    else:
-        check_rule_size(n_y, n_min, "y-nodes")
-    return n_y, float(np.exp((log_m - 2.0 * n_y * s).min()))
+    n_min = max(1, int(np.ceil((_y_log_majorant(k, trunc) - log_target)
+                               / (2.0 * _LOG_RHO)).min()))
+    return max(Y_RULE_FLOOR, 1 << (n_min - 1).bit_length())
 
 
-def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                    n_y: int | None = None) -> TorusGramResult:
+def gram_quadrature(model: TorusModel, *,
+                    theta_tol: float = THETA_TOL) -> TorusGramResult:
     """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
 
     The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
     is the Kronecker delta on all frequencies of the truncated products, so
     off-diagonal entries are exact zeros.  The diagonal is integrated once,
-    with the y-node count certified in advance by :func:`_y_nodes`; an
-    explicit n_y is checked against that minimum.
+    with the y-node count certified in advance by :func:`_y_nodes`.
     """
     k = model.k
     trunc = theta_truncation(model, theta_tol, y_max=1.0)
-    n_y, y_bound = _y_nodes(k, trunc, n_y)
+    n_y = _y_nodes(k, trunc)
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
     ys, weights = gauss_legendre_01(n_y)
@@ -211,7 +217,7 @@ def gram_quadrature(model: TorusModel, *, theta_tol: float = THETA_TOL,
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
     return TorusGramResult(gram=gram, truncation=trunc, n_y=n_y,
-                           y_bound=y_bound)
+                           y_bound=_y_bound(k, trunc, n_y))
 
 
 @dataclass(frozen=True)
@@ -232,20 +238,18 @@ class TorusBasis:
 
     def values(self, z: complex, tol: float = THETA_TOL) -> np.ndarray:
         """All phi_j(z), j = 1..k."""
-        z = complex(z)
-        trunc = theta_truncation(self.model, tol, y_max=max(1.0, abs(z.imag)))
-        return _theta_columns(self.model, np.array([z]), trunc)[0] / self.norms
+        return _theta_values(self.model, z, tol) / self.norms
 
 
-def orthonormal_basis(model: TorusModel, *, theta_tol: float = THETA_TOL,
-                      n_y: int | None = None) -> TorusBasis:
+def orthonormal_basis(model: TorusModel, *,
+                      theta_tol: float = THETA_TOL) -> TorusBasis:
     """Normalize the theta basis by its quadrature norms.
 
     The closed-form squared norm is 1/sqrt(2k) for every j; the quadrature
     norms are used so that downstream states stay exactly consistent with
     the integration rule that builds them.
     """
-    res = gram_quadrature(model, theta_tol=theta_tol, n_y=n_y)
+    res = gram_quadrature(model, theta_tol=theta_tol)
     return TorusBasis(model=model, norms=np.sqrt(np.diag(res.gram).real),
                       quadrature=res)
 

@@ -193,6 +193,19 @@ def test_main_rejects_quad_angular_flag(capsys, command):
     assert "unrecognized arguments: --quad-angular 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "verify", "state", "gram"])
+def test_main_rejects_quad_radial_flag(capsys, command):
+    # Both Gauss-Legendre rules run at their certified size, so no command
+    # takes a node count.
+    k_flags = ["--k-max", "2"] if command in ("report", "verify") else ["--k", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *k_flags, "--quad-radial", "64"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lagstate")
+    assert "unrecognized arguments: --quad-radial 64" in err
+
+
 @pytest.mark.parametrize("argv", [["report", "--k-max", "2"],
                                   ["state", "--k", "3"]])
 @pytest.mark.parametrize("target, reason", [
@@ -207,28 +220,6 @@ def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n_y", ["0", "8", "4096"])
-def test_main_torus_quad_radial_out_of_range(capsys, n_y):
-    # 8 is below the certified count 17 at k = 3; 4096 is above the cap.
-    code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
-                 "--quad-radial", n_y])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error:")
-    assert "y-node" in captured.err
-
-
-def test_main_sphere_quad_radial_above_cap(capsys):
-    # The radial rule is refused before it is built.
-    code = main(["report", "--k-min", "3", "--k-max", "3",
-                 "--quad-radial", "2049"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == ("error: 2049 radial nodes exceed the limit "
-                            "of 2048\n")
-    assert captured.out == ""
-
-
 def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("torus antidiagonal coefficients deviate")
@@ -239,17 +230,6 @@ def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
     assert code == 1
     assert captured.err == "error: torus antidiagonal coefficients deviate\n"
     assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("n_y, code, message", [
-    ("4096", 2, "y-node"), ("8", 2, "y-nodes cannot certify")])
-def test_main_gram_torus_reads_quad_radial(capsys, n_y, code, message):
-    assert main(["gram", "--model", "torus", "--k", "3",
-                 "--quad-radial", n_y]) == code
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert message in captured.err
     assert captured.out == ""
 
 

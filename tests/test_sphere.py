@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import beta_monomial_norm
-from lagstate.linalg import max_abs
-from lagstate.sphere import (SphereModel, basis_eval, basis_values,
+from lagstate.linalg import gauss_legendre_01, max_abs
+from lagstate.sphere import (SphereModel, SphereQuadrature, basis_values,
                              gram_matrix, gram_residual, log_binomial,
                              monomial_gram, pairing_matrix, phase_average,
                              sphere_quadrature, weighted_basis_values)
@@ -40,7 +40,7 @@ def test_basis_values_examples():
     # sqrt(3 * C(2, j)) * z^j at z = 1: (sqrt(3), sqrt(6), sqrt(3)).
     assert np.allclose(vals, [math.sqrt(3.0), math.sqrt(6.0), math.sqrt(3.0)],
                        rtol=1e-14)
-    assert abs(basis_eval(model, 1, 2.0j) - math.sqrt(6.0) * 2.0j) <= 1e-14
+    assert abs(basis_values(model, 2.0j)[1] - math.sqrt(6.0) * 2.0j) <= 1e-14
 
 
 def test_basis_values_conjugation_symmetry():
@@ -51,12 +51,6 @@ def test_basis_values_conjugation_symmetry():
         z = complex(rng.normal(), rng.normal())
         assert max_abs(basis_values(model, z.conjugate())
                        - basis_values(model, z).conj()) <= 1e-10
-
-
-def test_basis_eval_index_error():
-    model = SphereModel(3)
-    with pytest.raises(ValueError, match="out of range"):
-        basis_eval(model, 4, 0.5 + 0.0j)
 
 
 def test_weighted_basis_values_bounded():
@@ -93,8 +87,6 @@ def test_pairing_matrix_examples():
 def test_quadrature_minimum_counts():
     quad = sphere_quadrature(5)
     assert quad.radial_count == 4  # ceil((5 + 2) / 2)
-    with pytest.raises(ValueError, match="exact"):
-        sphere_quadrature(5, radial=3)
 
 
 def test_gram_rejects_rule_for_smaller_k():
@@ -130,7 +122,7 @@ def test_gram_is_identity():
 def test_gram_stable_under_quadrature_doubling():
     model = SphereModel(12)
     base = gram_matrix(model)
-    quad = sphere_quadrature(12, radial=2 * ((12 + 3) // 2))
+    quad = SphereQuadrature(*gauss_legendre_01(2 * ((12 + 3) // 2)))
     refined = gram_matrix(model, quad)
     assert max_abs(base - refined) <= 1e-14
 

@@ -7,12 +7,32 @@ from conftest import (circle_diag_coefficient, circle_entropy_reference,
                       circle_raw_norm, random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
 from lagstate.linalg import max_abs, svd
-from lagstate.sphere import SphereModel, sphere_quadrature
+from lagstate.sphere import (SphereModel, basis_values,
+                             weighted_basis_values)
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
                              circle_state_closed_form,
                              circle_state_quadrature, coherent_vector,
                              pair_coherent, section_frame_value)
-from lagstate.torus import TorusModel
+from lagstate.torus import TorusModel, orthonormal_basis, theta_eval
+
+# Every point evaluator of both models, as a function of the point alone.
+POINT_EVALUATORS = {
+    "theta_eval": lambda z: theta_eval(TorusModel(3), 1, z),
+    "TorusBasis.values": lambda z: orthonormal_basis(TorusModel(3)).values(z),
+    "basis_values": lambda z: basis_values(SphereModel(3), z),
+    "weighted_basis_values": lambda z: weighted_basis_values(SphereModel(3), z),
+    "section_frame_value":
+        lambda z: section_frame_value(SphereModel(3), np.ones(4), z),
+    "coherent_vector": lambda z: coherent_vector(SphereModel(3), z),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.0, math.inf)],
+                         ids=["nan", "inf_i"])
+@pytest.mark.parametrize("evaluator", POINT_EVALUATORS)
+def test_point_evaluators_reject_non_finite_points(evaluator, z):
+    with pytest.raises(ValueError, match="evaluation point must be finite"):
+        POINT_EVALUATORS[evaluator](z)
 
 
 def test_coherent_vector_at_origin():
@@ -81,14 +101,6 @@ def test_sphere_antidiagonal_state():
     assert state.provenance["basis_gram_residual"] <= 1e-12
 
 
-def test_sphere_antidiagonal_accepts_custom_quadrature():
-    model = SphereModel(5)
-    quad = sphere_quadrature(5, radial=10)
-    state = antidiagonal_state(model, quad)
-    assert abs(entropy(state.normalized()) - math.log(6.0)) <= 1e-12
-    assert state.provenance["radial_nodes"] == 10
-
-
 def test_torus_antidiagonal_state():
     state = antidiagonal_state(TorusModel(3))
     assert abs(entropy(state.normalized()) - math.log(3.0)) <= 1e-6
@@ -103,8 +115,6 @@ def test_torus_antidiagonal_state():
 
 
 def test_antidiagonal_dispatch_errors():
-    with pytest.raises(ValueError, match="no sphere quadrature"):
-        antidiagonal_state(TorusModel(3), sphere_quadrature(3))
     with pytest.raises(TypeError, match="unsupported"):
         antidiagonal_state(object())
 

@@ -7,7 +7,7 @@ from conftest import (theta_reference, torus_gram_diag_reference,
                       torus_gram_reference, torus_norm_reference)
 from lagstate.linalg import gauss_legendre_01, max_abs
 from lagstate.sphere import sphere_quadrature
-from lagstate.torus import (THETA_TOL, Y_RULE_FLOOR, TorusModel,
+from lagstate.torus import (THETA_TOL, Y_RULE_FLOOR, TorusModel, _y_bound,
                             closed_form_norm, gaussian_weight,
                             gram_quadrature, orthonormal_basis,
                             quasi_periodicity_factor, theta_eval,
@@ -135,7 +135,7 @@ def test_gram_y_levels():
 def test_gram_diag_matches_erf_closed_form(mu):
     # The certified y-rule reaches the exact integral of the truncated
     # n-sum, and above the floor its node count is the smallest power of two
-    # the bound certifies: half of it is rejected as below the minimum.
+    # the bound certifies: at half of it the bound misses the target.
     for k in range(3, 201):
         model = TorusModel(k, mu=mu)
         res = gram_quadrature(model)
@@ -148,23 +148,21 @@ def test_gram_diag_matches_erf_closed_form(mu):
             assert abs(diag[j - 1] - want) <= target, (k, j)
         assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= Y_RULE_FLOOR
         if res.n_y > Y_RULE_FLOOR:
-            with pytest.raises(ValueError, match="need at least"):
-                gram_quadrature(model, n_y=res.n_y // 2)
+            assert _y_bound(k, res.truncation, res.n_y // 2) > target
 
 
 def test_gram_y_node_override():
-    # An explicit count is used as given once the bound certifies it.
+    # Any count the bound certifies would do: 28 y-nodes certify k = 12,
+    # mu = 0.37 and 27 do not, and a 28-node product rule agrees with the
+    # default Gram within the bound of each.
     model = TorusModel(12, mu=0.37)
     target = THETA_TOL / math.sqrt(24.0)
     default = gram_quadrature(model)
-    assert gram_quadrature(model, n_y=28).y_bound <= target
-    res = gram_quadrature(model, n_y=40)
-    assert res.n_y == 40 and res.y_bound > default.y_bound
-    assert max_abs(res.gram - default.gram) <= 2.0 * target
-    with pytest.raises(ValueError, match="need at least 28"):
-        gram_quadrature(model, n_y=27)
-    with pytest.raises(ValueError, match="y-nodes exceed the limit of 2048"):
-        gram_quadrature(model, n_y=2049)
+    trunc = default.truncation
+    assert _y_bound(12, trunc, 28) <= target < _y_bound(12, trunc, 27)
+    assert _y_bound(12, trunc, 40) > default.y_bound
+    want = torus_gram_reference(12, 0.37, 28, default.m_x)
+    assert max_abs(default.gram - want) <= 2.0 * target
 
 
 def test_gram_large_k_is_finite():
