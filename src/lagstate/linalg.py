@@ -6,7 +6,7 @@ parallel order.  It calls no LAPACK routine, so the Schmidt route through
 ``svd`` stays independent of the spectral route through ``hermitian_eigen``
 (which wraps LAPACK); the two are cross-checked against each other.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
-here too.
+here too, with the policy that sizes it (:func:`rule_size`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ import numpy as np
 # Off-diagonal Gram ratio below which a column pair counts as orthogonal.
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
+# Smallest Gauss-Legendre rule the models build.  Building a 64-node rule
+# costs more than the rest of a row at small k, so every sphere level up to
+# k = 126 and every torus level up to k = 74 shares this one, and a sweep
+# over them builds a single rule.
+RULE_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,14 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm((a - b).ravel()))
+
+
+def rule_size(n_min: int) -> int:
+    """Node count of the rule built for a certified minimum of n_min nodes:
+    the next power of two >= n_min, and at least RULE_FLOOR.  A longer rule
+    keeps the exactness or error bound that certified n_min, and rounding
+    lets rows of nearby k share one cached rule."""
+    return max(RULE_FLOOR, 1 << (n_min - 1).bit_length())
 
 
 @functools.lru_cache(maxsize=16)

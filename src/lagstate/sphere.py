@@ -9,7 +9,10 @@ over the affine chart.  The orthonormal basis is
 phi_j = sqrt((k+1) C(k,j)) z^j; all amplitudes are assembled in log space so
 large k stays finite.  Quadrature uses the substitution t = r^2 / (1 + r^2),
 which turns every radial integrand appearing here into a polynomial of
-degree <= k in t, so Gauss-Legendre with ceil((k+2)/2) nodes is exact.  The
+degree <= k in t, so Gauss-Legendre with ceil((k+2)/2) nodes is exact, and
+so is any longer rule.  That count is rounded up to the shared rule size of
+``linalg.rule_size`` (a power of two, at least 64), so that rows share one
+cached rule; state provenance reports the size used as ``radial_nodes``.  The
 angular average is the M-point trapezoid rule at its aliasing-free size
 M = 2k + 2 (``SphereModel.angular_nodes``), which is the Kronecker delta on
 every frequency |j - l| <= k, so it is applied in closed form: the Gram
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gauss_legendre_01, max_abs
+from .linalg import gauss_legendre_01, max_abs, rule_size
 
 
 def log_binomial(n: int, j: int) -> float:
@@ -81,9 +84,9 @@ def exact_radial_count(k: int) -> int:
 
 
 def sphere_quadrature(k: int) -> SphereQuadrature:
-    """Quadrature sized so every degree-k Gram integrand is integrated
-    exactly; see :func:`exact_radial_count` for the node count."""
-    t_nodes, t_weights = gauss_legendre_01(exact_radial_count(k))
+    """Quadrature that integrates every degree-k Gram integrand exactly: the
+    shared rule of ``rule_size(exact_radial_count(k))`` nodes."""
+    t_nodes, t_weights = gauss_legendre_01(rule_size(exact_radial_count(k)))
     return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights)
 
 
@@ -93,16 +96,22 @@ def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("evaluation point must be finite")
-    k = model.k
+    k, r = model.k, abs(z)
     log_mag = 0.5 * model.log_amplitudes()
-    if weighted:
-        log_mag = log_mag - 0.5 * k * math.log1p(abs(z) ** 2)
+    shift = 0  # power of r taken out of the weight
+    if weighted and r > 1.0:
+        # (1 + r^2)^(-k/2) = r^(-k) (1 + r^-2)^(-k/2): r^2 would overflow
+        # above 1.3e154, and r^(-k) cancels against r^j in one exponent.
+        log_mag = log_mag - 0.5 * k * math.log1p((1.0 / r) ** 2)
+        shift = k
+    elif weighted:
+        log_mag = log_mag - 0.5 * k * math.log1p(r * r)
     if z == 0:
         out = np.zeros(k + 1, dtype=complex)
         out[0] = math.exp(log_mag[0])
         return out
     j = np.arange(k + 1)
-    mag = np.exp(log_mag + j * math.log(abs(z)))
+    mag = np.exp(log_mag + (j - shift) * math.log(r))
     return mag * np.exp(1j * j * np.angle(z))
 
 
@@ -159,7 +168,7 @@ def gram_matrix(model: SphereModel,
                 quad: SphereQuadrature | None = None) -> np.ndarray:
     """Gram matrix of the orthonormal basis under the quadrature: diagonal,
     and the identity up to roundoff because the rule is exact for these
-    integrands.  Defaults to the minimal exact rule."""
+    integrands.  Defaults to :func:`sphere_quadrature`."""
     if quad is None:
         quad = sphere_quadrature(model.k)
     return _gram(model, quad, model.log_amplitudes())

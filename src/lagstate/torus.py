@@ -17,7 +17,8 @@ dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
 reindexes the sum without changing its value, so |q| <= 1/2 may be assumed.
 The y-integral of the Gram diagonal is certified the same way: its
 Gauss-Legendre node count is fixed in advance from a Bernstein-ellipse error
-bound, and one rule of that size is evaluated.
+bound, rounded up to the shared rule size of ``linalg.rule_size``, and one
+rule of that size is evaluated.
 """
 
 from __future__ import annotations
@@ -27,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gauss_legendre_01, max_abs
+from .linalg import gauss_legendre_01, max_abs, rule_size
 
 THETA_TOL = 1e-12
 MAX_TERMS = 64
-# Smallest default y-rule.  Building a 64-node rule costs more than the rest
-# of a torus row at small k, so every level up to k = 74 shares this one and
-# a sweep over them builds a single rule.
-Y_RULE_FLOOR = 64
 # log rho over which the y-rule error bound is minimized.  Every rho gives a
 # valid bound, so the grid sets only its tightness; it brackets the optimum
 # asinh(4n / (pi k)) / 2 (ignoring the 1/(rho^2 - 1) factor) for every
@@ -59,9 +56,12 @@ class TorusModel:
     def dim(self) -> int:
         return self.k
 
-    def reduced_q(self, j: int) -> float:
+    def _check_index(self, j: int) -> None:
         if not 1 <= j <= self.k:
             raise ValueError(f"theta index {j} out of range 1..{self.k}")
+
+    def reduced_q(self, j: int) -> float:
+        self._check_index(j)
         # fmod is exact and keeps q mod 1, but stops a large mu from
         # swamping j / k in the division.
         q = (math.fmod(self.mu, self.k) + j) / self.k
@@ -133,6 +133,7 @@ def _theta_values(model: TorusModel, z: complex, tol: float) -> np.ndarray:
 def theta_eval(model: TorusModel, j: int, z: complex,
                tol: float = THETA_TOL) -> complex:
     """theta_j at a single point, truncated with a certified tail below tol."""
+    model._check_index(j)
     return complex(_theta_values(model, z, tol)[j - 1])
 
 
@@ -179,7 +180,7 @@ def _y_bound(k: int, trunc: ThetaTruncation, n: int) -> float:
 
 
 def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
-    """Certified y-node count.
+    """Certified minimum y-node count.
 
     The diagonal integrand f(y) = sum_{|n| <= N} exp(-2 pi k (y + n + q)^2)
     is entire.  On the Bernstein ellipse E_rho of [0, 1],
@@ -189,13 +190,12 @@ def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over a fixed
     grid of log rho (:func:`_y_bound`).  The minimum count is the smallest n
     whose bound is below tol (2k)^(-1/2), i.e. tol relative to the
-    closed-form squared norm; it is rounded up to a power of two no smaller
-    than Y_RULE_FLOOR, so that rows share their cached rules.
+    closed-form squared norm.  The bound falls as n grows, so any longer
+    rule is certified too.
     """
     log_target = math.log(trunc.tol) - 0.5 * math.log(2.0 * k)
-    n_min = max(1, int(np.ceil((_y_log_majorant(k, trunc) - log_target)
-                               / (2.0 * _LOG_RHO)).min()))
-    return max(Y_RULE_FLOOR, 1 << (n_min - 1).bit_length())
+    return max(1, int(np.ceil((_y_log_majorant(k, trunc) - log_target)
+                              / (2.0 * _LOG_RHO)).min()))
 
 
 def gram_quadrature(model: TorusModel, *,
@@ -205,11 +205,12 @@ def gram_quadrature(model: TorusModel, *,
     The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
     is the Kronecker delta on all frequencies of the truncated products, so
     off-diagonal entries are exact zeros.  The diagonal is integrated once,
-    with the y-node count certified in advance by :func:`_y_nodes`.
+    with the y-node count certified in advance by :func:`_y_nodes` and
+    rounded up to the shared rule size of :func:`linalg.rule_size`.
     """
     k = model.k
     trunc = theta_truncation(model, theta_tol, y_max=1.0)
-    n_y = _y_nodes(k, trunc)
+    n_y = rule_size(_y_nodes(k, trunc))
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
     ys, weights = gauss_legendre_01(n_y)

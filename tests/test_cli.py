@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lagstate import entanglement, states
+from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, rule_size
+from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
 from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
                           render_json, run, tolerance_breaches,
@@ -331,11 +334,31 @@ def test_main_state_provenance_node_counts(capsys, argv, k):
         n_max = theta_truncation(TorusModel(k, mu=0.37)).n_max
         assert prov["n_max"] == n_max
         assert prov["m_x"] == 2 * k * (2 * n_max + 1)
-        assert prov["n_y"] == 64
+        assert prov["n_y"] == RULE_FLOOR
         return
     assert prov["angular_nodes"] == 2 * k + 2
     if prov["submanifold"] == "antidiagonal":
-        assert prov["radial_nodes"] == (k + 3) // 2
+        assert (prov["radial_nodes"] == rule_size(exact_radial_count(k))
+                == RULE_FLOOR)
+
+
+def test_sweeps_share_one_gauss_legendre_rule(monkeypatch):
+    # Every certified node count in these sweeps rounds up to the shared
+    # rule size, so a fresh process builds a single rule for all of them.
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting_leggauss(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+    gauss_legendre_01.cache_clear()
+    for config in (RunConfig(k_min=1, k_max=120),
+                   RunConfig(submanifold="circle", k_min=1, k_max=80),
+                   RunConfig(model="torus", mu=0.37, k_min=3, k_max=24)):
+        assert not tolerance_breaches(config, run(config))
+    assert built == [RULE_FLOOR]
 
 
 def test_main_state_csv(capsys):

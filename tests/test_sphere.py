@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import beta_monomial_norm
-from lagstate.linalg import gauss_legendre_01, max_abs
+from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import (SphereModel, SphereQuadrature, basis_values,
-                             gram_matrix, gram_residual, log_binomial,
-                             monomial_gram, pairing_matrix, phase_average,
-                             sphere_quadrature, weighted_basis_values)
+                             exact_radial_count, gram_matrix, gram_residual,
+                             log_binomial, monomial_gram, pairing_matrix,
+                             phase_average, sphere_quadrature,
+                             weighted_basis_values)
 
 
 def test_log_binomial_matches_exact():
@@ -64,6 +65,25 @@ def test_weighted_basis_values_bounded():
             assert np.linalg.norm(w) <= math.sqrt(k + 1) + 1e-10
 
 
+def test_weighted_basis_values_far_from_origin():
+    # |z|^2 overflows above 1.3e154, so the weight must not square |z|.
+    for k in (1, 3, 20):
+        model = SphereModel(k)
+        for z in (1e200, -1e200j, 1e300 * complex(0.6, 0.8), 1e100):
+            w = weighted_basis_values(model, z)
+            assert np.all(np.isfinite(w)), (k, z)
+            assert np.linalg.norm(w) <= math.sqrt(k + 1) * (1.0 + 1e-14)
+            # Only phi_k survives: |phi_k(z)| / (1+|z|^2)^(k/2) -> sqrt(k+1).
+            assert abs(abs(w[k]) - math.sqrt(k + 1)) <= 1e-14 * math.sqrt(k + 1)
+            assert abs(w[k] / abs(w[k]) - (z / abs(z)) ** k) <= 1e-13
+    # Where |z|^2 is finite both forms of the weight agree.
+    model = SphereModel(7)
+    for z in (0.5 - 0.9j, 1.0, 2.0 + 1.0j, -1e3j):
+        want = basis_values(model, z) / (1.0 + abs(z) ** 2) ** 3.5
+        got = weighted_basis_values(model, z)
+        assert max_abs(got - want) <= 1e-14 * max_abs(want), z
+
+
 def test_pairing_matrix_properties():
     model = SphereModel(4)
     rng = np.random.default_rng(15)
@@ -85,13 +105,24 @@ def test_pairing_matrix_examples():
 
 
 def test_quadrature_minimum_counts():
-    quad = sphere_quadrature(5)
-    assert quad.radial_count == 4  # ceil((5 + 2) / 2)
+    assert exact_radial_count(5) == 4  # ceil((5 + 2) / 2)
+    # The rule built rounds that up to the shared power-of-two size.
+    for k, n in ((1, 64), (5, 64), (126, 64), (127, 128), (254, 128),
+                 (255, 256), (1000, 512)):
+        assert sphere_quadrature(k).radial_count == n, k
+        assert rule_size(exact_radial_count(k)) == n, k
+    assert rule_size(1) == rule_size(RULE_FLOOR) == RULE_FLOOR
+    assert rule_size(RULE_FLOOR + 1) == 2 * RULE_FLOOR
 
 
 def test_gram_rejects_rule_for_smaller_k():
+    short = SphereQuadrature(*gauss_legendre_01(exact_radial_count(3)))
     with pytest.raises(ValueError, match="exact"):
-        gram_matrix(SphereModel(5), sphere_quadrature(3))
+        gram_matrix(SphereModel(5), short)
+    # The minimal exact rule is accepted and agrees with the shared one.
+    exact = SphereQuadrature(*gauss_legendre_01(exact_radial_count(5)))
+    assert max_abs(gram_matrix(SphereModel(5), exact)
+                   - gram_matrix(SphereModel(5))) <= 1e-14
 
 
 def test_quadrature_volume_is_one():
@@ -113,7 +144,9 @@ def test_monomial_gram_matches_beta_oracle():
 
 
 def test_gram_is_identity():
-    for k in list(range(1, 21)) + [40, 60]:
+    # The CLI's default sphere tolerance holds over k = 1..400 (the first
+    # breach of 1e-12 is at k = 469).
+    for k in range(1, 401):
         model = SphereModel(k)
         residual = gram_residual(model)
         assert residual <= 1e-12, f"k={k}: residual {residual}"
@@ -129,7 +162,7 @@ def test_gram_stable_under_quadrature_doubling():
 
 def test_gram_rejects_mismatched_quadrature():
     model = SphereModel(9)
-    quad = sphere_quadrature(4)
+    quad = SphereQuadrature(*gauss_legendre_01(exact_radial_count(4)))
     with pytest.raises(ValueError):
         gram_matrix(model, quad)
 

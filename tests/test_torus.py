@@ -5,9 +5,9 @@ import pytest
 
 from conftest import (theta_reference, torus_gram_diag_reference,
                       torus_gram_reference, torus_norm_reference)
-from lagstate.linalg import gauss_legendre_01, max_abs
+from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import sphere_quadrature
-from lagstate.torus import (THETA_TOL, Y_RULE_FLOOR, TorusModel, _y_bound,
+from lagstate.torus import (THETA_TOL, TorusModel, _y_bound, _y_nodes,
                             closed_form_norm, gaussian_weight,
                             gram_quadrature, orthonormal_basis,
                             quasi_periodicity_factor, theta_eval,
@@ -61,6 +61,13 @@ def test_theta_matches_direct_series():
 def test_theta_eval_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         theta_eval(TorusModel(3), 1, complex(math.nan, 0.0))
+
+
+def test_theta_eval_rejects_index_out_of_range():
+    model = TorusModel(4, mu=0.37)
+    for j in (0, -1, 5):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.4"):
+            theta_eval(model, j, 0.3 + 0.1j)
 
 
 def test_quasi_periodicity():
@@ -146,8 +153,9 @@ def test_gram_diag_matches_erf_closed_form(mu):
             want = torus_gram_diag_reference(k, model.reduced_q(j),
                                              res.truncation.n_max)
             assert abs(diag[j - 1] - want) <= target, (k, j)
-        assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= Y_RULE_FLOOR
-        if res.n_y > Y_RULE_FLOOR:
+        assert res.n_y == rule_size(_y_nodes(k, res.truncation))
+        assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= RULE_FLOOR
+        if res.n_y > RULE_FLOOR:
             assert _y_bound(k, res.truncation, res.n_y // 2) > target
 
 
