@@ -49,7 +49,6 @@ from .states import (
     circle_state_closed_form,
     circle_state_quadrature,
     coherent_vector,
-    pair_coherent,
     section_frame_value,
 )
 
@@ -66,7 +65,7 @@ __all__ = [
     "theta_eval", "gram_quadrature", "orthonormal_basis",
     "quasi_periodicity_factor", "closed_form_norm",
     "CoherentVector", "LagrangianState", "coherent_vector",
-    "section_frame_value", "pair_coherent", "antidiagonal_state",
+    "section_frame_value", "antidiagonal_state",
     "circle_state_quadrature", "circle_state_closed_form",
     "circle_entropy_closed_form",
 ]

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -46,7 +47,6 @@ class RunConfig:
     tol_entropy: float | None = None
     tol_gram: float | None = None
     tol_identity: float = 1e-9
-    theta_tol: float = torus.THETA_TOL
     reproducible: bool = False
 
     def __post_init__(self) -> None:
@@ -105,28 +105,21 @@ class IdentityCheck:
 
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
     if config.model == "torus":
-        return states.antidiagonal_state(torus.TorusModel(k, config.mu),
-                                         theta_tol=config.theta_tol)
+        return states.antidiagonal_state(torus.TorusModel(k, config.mu))
     model = sphere.SphereModel(k)
     if config.submanifold == "circle":
         return states.circle_state_quadrature(model)
     return states.antidiagonal_state(model)
 
 
-def _row_gram_residual(k: int, state: states.LagrangianState) -> float:
-    if "basis_gram_residual" in state.provenance:
-        return float(state.provenance["basis_gram_residual"])
-    return sphere.gram_residual(sphere.SphereModel(k))
-
-
 def run(config: RunConfig) -> list[ReportRow]:
-    """One ReportRow per k.  With ``reproducible`` set, timing is reported
-    as zero so repeated runs serialize identically."""
+    """One ReportRow per k.  ``gram_residual`` is the state's defect from
+    its closed form, recorded by the state builder.  With ``reproducible``
+    set, timing is reported as zero so repeated runs serialize identically."""
     rows = []
     for k in range(config.k_min, config.k_max + 1):
         t0 = time.perf_counter()
         state = _build_state(config, k)
-        gram_res = _row_gram_residual(k, state)
         report = entanglement.analyze(state.normalized())
         if config.submanifold == "circle":
             target = states.circle_entropy_closed_form(k)
@@ -140,7 +133,7 @@ def run(config: RunConfig) -> list[ReportRow]:
             entropy_residual=abs(report.entropy - target),
             separable_distance=report.separable_distance,
             corollary_rhs=report.corollary_distance,
-            gram_residual=gram_res,
+            gram_residual=state.provenance["closed_form_defect"],
             raw_norm=state.raw_norm,
             # Read last, so the time covers the SVD behind separable_distance.
             wall_time_ms=(0.0 if config.reproducible
@@ -181,6 +174,14 @@ def _binomial_square_sum_check(k: int) -> IdentityCheck:
         detail=f"log-space relative defect {rel:.3e}")
 
 
+def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck:
+    top = Fraction(math.comb(k, k // 2) ** 2, math.comb(2 * k, k))
+    gap = abs(distance - math.sqrt(float(1 - top)))
+    return IdentityCheck(
+        name="circle_distance_vs_closed_form", k=k, passed=gap <= tol,
+        detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")
+
+
 def verify_identities(config: RunConfig) -> list[IdentityCheck]:
     """Cross-identities over the configured k range.
 
@@ -189,13 +190,15 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
     (b) On the sphere, the binomial identity behind the circle state norm,
         exact in integers for k <= 30 and in log space beyond.
     (c) On the sphere circle, the quadrature state must match the closed
-        form entrywise.
+        form entrywise; the state builder records that defect.
+    (d) On the sphere circle, the separable distance must equal
+        sqrt(1 - max_j p_j), with the largest Schmidt weight
+        max_j p_j = C(k, k//2)^2 / C(2k, k) in exact rationals.
     """
     checks = []
     for k in range(config.k_min, config.k_max + 1):
         state = _build_state(config, k)
-        v = state.normalized()
-        report = entanglement.analyze(v)
+        report = entanglement.analyze(state.normalized())
         if report.is_maximally_entangled():
             gap = abs(report.separable_distance - report.corollary_distance)
             checks.append(IdentityCheck(
@@ -204,13 +207,14 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
                 detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
         if config.model == "sphere":
             checks.append(_binomial_square_sum_check(k))
-        if config.model == "sphere" and config.submanifold == "circle":
-            closed = states.circle_state_closed_form(k)
-            defect = float(np.max(np.abs(v - closed)))
+        if config.submanifold == "circle":
+            defect = state.provenance["closed_form_defect"]
             checks.append(IdentityCheck(
                 name="circle_quadrature_vs_closed_form", k=k,
                 passed=defect <= 1e-12,
                 detail=f"max entrywise defect {defect:.3e}"))
+            checks.append(_circle_distance_check(
+                k, report.separable_distance, config.tol_identity))
     return checks
 
 
@@ -277,8 +281,7 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
 
 def _gram_payload(config: RunConfig, k: int) -> dict[str, Any]:
     if config.model == "torus":
-        basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu),
-                                        theta_tol=config.theta_tol)
+        basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu))
         gram = basis.quadrature.gram
         residual = basis.gram_residual()
     else:
@@ -320,8 +323,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-entropy", type=float, default=None)
     parser.add_argument("--tol-gram", type=float, default=None)
     parser.add_argument("--tol-identity", type=float, default=1e-9)
-    parser.add_argument("--theta-tol", type=float, default=torus.THETA_TOL,
-                        help="torus theta series tail and y-rule tolerance")
     parser.add_argument("--reproducible", action="store_true")
 
 
@@ -335,8 +336,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         model=args.model, k_min=k_min, k_max=k_max, mu=args.mu,
         submanifold=args.submanifold, fmt=args.fmt, out=args.out,
         tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
-        tol_identity=args.tol_identity, theta_tol=args.theta_tol,
-        reproducible=args.reproducible)
+        tol_identity=args.tol_identity, reproducible=args.reproducible)
 
 
 @functools.cache

@@ -79,77 +79,44 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
     return complex(scale * (section * weighted_basis_values(model, z)).sum())
 
 
-def pair_coherent(u: CoherentVector, w: CoherentVector) -> np.ndarray:
-    """Separable state u (x) w as a coefficient matrix (outer product)."""
-    if u.coeffs.shape != w.coeffs.shape:
-        raise ValueError(
-            f"coherent vectors live in different spaces: "
-            f"{u.coeffs.shape} vs {w.coeffs.shape}")
-    return np.outer(u.coeffs, w.coeffs)
-
-
-def _sphere_antidiagonal(model: SphereModel) -> LagrangianState:
-    quad = sphere_quadrature(model.k)
-    gram = gram_matrix(model, quad)
-    coeffs = gram.conj()
-    defect = max_abs(coeffs - np.eye(model.dim))
-    if defect > ANTIDIAGONAL_TOL_SPHERE:
+def _antidiagonal(coeffs: np.ndarray, tol: float,
+                  **provenance: Any) -> LagrangianState:
+    """Wrap the conjugated normalized Gram as the antidiagonal state, after
+    checking it against its closed form, the identity."""
+    defect = max_abs(coeffs - np.eye(len(coeffs)))
+    if defect > tol:
         raise RuntimeError(
-            f"sphere antidiagonal coefficients deviate from the identity by "
-            f"{defect:.3e} (> {ANTIDIAGONAL_TOL_SPHERE:g}); quadrature is "
-            f"not exact")
+            f"{provenance['model']} antidiagonal coefficients deviate from "
+            f"the identity by {defect:.3e} (> {tol:g})")
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=float(np.linalg.norm(coeffs.ravel())),
-        provenance={
-            "model": "sphere",
-            "k": model.k,
-            "submanifold": "antidiagonal",
-            "radial_nodes": quad.radial_count,
-            "angular_nodes": model.angular_nodes,
-            "basis_gram_residual": defect,
-        },
+        provenance={**provenance, "submanifold": "antidiagonal",
+                    "closed_form_defect": defect},
     )
 
 
-def _torus_antidiagonal(model: TorusModel, theta_tol: float) -> LagrangianState:
-    basis = torus_mod.orthonormal_basis(model, theta_tol=theta_tol)
-    quad = basis.quadrature
-    coeffs = basis.normalized_gram.conj()
-    defect = max_abs(coeffs - np.eye(model.dim))
-    if defect > ANTIDIAGONAL_TOL_TORUS:
-        raise RuntimeError(
-            f"torus antidiagonal coefficients deviate from the identity by "
-            f"{defect:.3e} (> {ANTIDIAGONAL_TOL_TORUS:g}); resolution is "
-            f"below policy")
-    return LagrangianState(
-        coeffs=coeffs,
-        raw_norm=float(np.linalg.norm(coeffs.ravel())),
-        provenance={
-            "model": "torus",
-            "k": model.k,
-            "mu": model.mu,
-            "submanifold": "antidiagonal",
-            "theta_tol": theta_tol,
-            "n_max": quad.truncation.n_max,
-            "m_x": quad.m_x,
-            "n_y": quad.n_y,
-            "basis_gram_residual": defect,
-        },
-    )
-
-
-def antidiagonal_state(model: SphereModel | TorusModel, *,
-                       theta_tol: float = torus_mod.THETA_TOL) -> LagrangianState:
+def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
     fiber pairing.  Its coefficient matrix equals the basis Gram matrix
     (conjugated), hence the identity up to quadrature defect, and the
-    normalized state is maximally entangled with raw norm sqrt(d).
-    theta_tol is the torus resolution; the sphere rule is exact."""
+    normalized state is maximally entangled with raw norm sqrt(d).  Both
+    models integrate at a fixed, certified resolution."""
     if isinstance(model, SphereModel):
-        return _sphere_antidiagonal(model)
+        quad = sphere_quadrature(model.k)
+        return _antidiagonal(
+            gram_matrix(model, quad).conj(), ANTIDIAGONAL_TOL_SPHERE,
+            model="sphere", k=model.k, radial_nodes=quad.radial_count,
+            angular_nodes=model.angular_nodes)
     if isinstance(model, TorusModel):
-        return _torus_antidiagonal(model, theta_tol)
+        basis = torus_mod.orthonormal_basis(model)
+        quad = basis.quadrature
+        return _antidiagonal(
+            basis.normalized_gram.conj(), ANTIDIAGONAL_TOL_TORUS,
+            model="torus", k=model.k, mu=model.mu,
+            n_max=quad.truncation.n_max,
+            tail_bound=quad.truncation.tail_bound, m_x=quad.m_x,
+            n_y=quad.n_y, y_bound=quad.y_bound)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
@@ -159,20 +126,24 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     The aliasing-free angle trapezoid rule is the Kronecker delta on every
     frequency here, so it is applied in closed form: the coefficients are
     exactly diagonal, with entries pi 2^(1-k) (k+1)! / (j! (k-j)!) up to
-    roundoff.
+    roundoff.  The provenance records the largest entrywise defect of the
+    normalized state from :func:`circle_state_closed_form`.
     """
     k = model.k
     half_log = 0.5 * model.log_amplitudes()
     mag = np.exp(half_log - 0.5 * k * math.log(2.0))
     coeffs = np.diag((2.0 * math.pi * np.square(mag)).astype(complex))
+    raw_norm = float(np.linalg.norm(coeffs.ravel()))
     return LagrangianState(
         coeffs=coeffs,
-        raw_norm=float(np.linalg.norm(coeffs.ravel())),
+        raw_norm=raw_norm,
         provenance={
             "model": "sphere",
             "k": k,
             "submanifold": "circle",
             "angular_nodes": model.angular_nodes,
+            "closed_form_defect": max_abs(coeffs / raw_norm
+                                          - circle_state_closed_form(k)),
         },
     )
 

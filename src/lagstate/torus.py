@@ -10,7 +10,9 @@ square [0,1] x [0,1].  The x-integral is the trapezoid rule at its
 aliasing-free size 2k(2 n_max + 1) (``TorusGramResult.m_x``), applied in
 closed form; it makes the theta basis orthogonal, and the squared norm
 1/sqrt(2k) (the n-sum unfolds the y-integral to a Gaussian on the line) is
-independent of j and mu.
+independent of j and mu.  The orthonormal basis divides by that closed-form
+norm, so the normalized Gram's defect from the identity measures the
+quadrature against the closed form.
 
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
@@ -144,12 +146,6 @@ def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> c
                                           + m * model.mu)))
 
 
-def gaussian_weight(k: int, y: np.ndarray | float) -> np.ndarray | float:
-    """Inner-product weight exp(-2 pi k y^2), the value of
-    exp((k pi / 2)(z - conj(z))^2) on z = x + iy."""
-    return np.exp(-2.0 * math.pi * k * np.asarray(y) ** 2)
-
-
 @dataclass(frozen=True)
 class TorusGramResult:
     """Raw theta-basis Gram matrix, its resolution and its y-rule error bound."""
@@ -198,18 +194,18 @@ def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
                               / (2.0 * _LOG_RHO)).min()))
 
 
-def gram_quadrature(model: TorusModel, *,
-                    theta_tol: float = THETA_TOL) -> TorusGramResult:
+def gram_quadrature(model: TorusModel) -> TorusGramResult:
     """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
 
     The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
     is the Kronecker delta on all frequencies of the truncated products, so
     off-diagonal entries are exact zeros.  The diagonal is integrated once,
     with the y-node count certified in advance by :func:`_y_nodes` and
-    rounded up to the shared rule size of :func:`linalg.rule_size`.
+    rounded up to the shared rule size of :func:`linalg.rule_size`.  Both
+    the series tail and the y-rule are certified at ``THETA_TOL``.
     """
     k = model.k
-    trunc = theta_truncation(model, theta_tol, y_max=1.0)
+    trunc = theta_truncation(model, THETA_TOL, y_max=1.0)
     n_y = rule_size(_y_nodes(k, trunc))
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
@@ -223,36 +219,31 @@ def gram_quadrature(model: TorusModel, *,
 
 @dataclass(frozen=True)
 class TorusBasis:
-    """Orthonormalized theta basis phi_j = theta_j / |theta_j|, with the
-    Gram quadrature whose diagonal gives the norms."""
+    """Orthonormal theta basis phi_j = theta_j / |theta_j| with the closed-form
+    norm, and the Gram quadrature that checks it."""
 
     model: TorusModel
-    norms: np.ndarray
     quadrature: TorusGramResult
 
     @property
     def normalized_gram(self) -> np.ndarray:
-        return self.quadrature.gram / np.outer(self.norms, self.norms)
+        """Raw Gram divided by the closed-form squared norm 1/sqrt(2k)."""
+        return self.quadrature.gram * math.sqrt(2.0 * self.model.k)
 
     def gram_residual(self) -> float:
+        """Largest defect of the quadrature Gram from its closed form,
+        relative to the squared norm."""
         return max_abs(self.normalized_gram - np.eye(self.model.k))
 
     def values(self, z: complex, tol: float = THETA_TOL) -> np.ndarray:
         """All phi_j(z), j = 1..k."""
-        return _theta_values(self.model, z, tol) / self.norms
+        return _theta_values(self.model, z, tol) / closed_form_norm(self.model)
 
 
-def orthonormal_basis(model: TorusModel, *,
-                      theta_tol: float = THETA_TOL) -> TorusBasis:
-    """Normalize the theta basis by its quadrature norms.
-
-    The closed-form squared norm is 1/sqrt(2k) for every j; the quadrature
-    norms are used so that downstream states stay exactly consistent with
-    the integration rule that builds them.
-    """
-    res = gram_quadrature(model, theta_tol=theta_tol)
-    return TorusBasis(model=model, norms=np.sqrt(np.diag(res.gram).real),
-                      quadrature=res)
+def orthonormal_basis(model: TorusModel) -> TorusBasis:
+    """Normalize the theta basis by the closed-form norm (2k)^(-1/4),
+    keeping the Gram quadrature whose defect from it is the residual."""
+    return TorusBasis(model=model, quadrature=gram_quadrature(model))
 
 
 def closed_form_norm(model: TorusModel) -> float:

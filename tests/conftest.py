@@ -5,8 +5,11 @@ exact rational Beta integrals for the sphere monomial norms, a direct theta
 summation for truncation certificates, exact integer binomials for the
 circle state, a dense Gauss-Legendre rule for the torus norm, the erf closed
 form of the truncated torus Gram diagonal, the full 2-D product rule for the
-torus Gram matrix, and alternating maximization (no SVD) for the distance
-to the separable set.
+torus Gram matrix, Newton-polished Legendre roots in 30-digit arithmetic
+for the error of the computed Gauss-Legendre rule, and alternating
+maximization (no SVD) for the distance to the separable set.  It also holds
+the small helpers that only tests call: the torus inner-product weight and
+the separable pair of two coherent vectors.
 """
 
 from __future__ import annotations
@@ -77,6 +80,50 @@ def circle_entropy_reference(k: int) -> float:
     """Entropy from the exact spectrum, summed independently."""
     return -math.fsum(float(p) * math.log(float(p))
                       for p in circle_spectrum_exact(k) if p > 0)
+
+
+def gaussian_weight(k: int, y: np.ndarray | float) -> np.ndarray | float:
+    """Torus inner-product weight exp(-2 pi k y^2), the value of
+    exp((k pi / 2)(z - conj(z))^2) on z = x + iy."""
+    return np.exp(-2.0 * math.pi * k * np.asarray(y) ** 2)
+
+
+def pair_coherent(u, w) -> np.ndarray:
+    """Separable state u (x) w of two coherent vectors as a coefficient
+    matrix (outer product)."""
+    if u.coeffs.shape != w.coeffs.shape:
+        raise ValueError(
+            f"coherent vectors live in different spaces: "
+            f"{u.coeffs.shape} vs {w.coeffs.shape}")
+    return np.outer(u.coeffs, w.coeffs)
+
+
+def gauss_legendre_01_defects(ys: np.ndarray,
+                              ws: np.ndarray) -> tuple[float, float]:
+    """Errors of a computed Gauss-Legendre rule on [0, 1]: the largest node
+    error and the sum of absolute weight errors.
+
+    Each computed node seeds two Newton steps on P_n in 30-digit arithmetic
+    (the three-term recurrence); the exact weight is
+    1 / ((1 - x^2) P_n'(x)^2) on [0, 1].
+    """
+    import mpmath
+
+    n = len(ys)
+    node_error = weight_error = 0.0
+    with mpmath.workdps(30):
+        for y, w in zip(ys, ws):
+            x = 2 * mpmath.mpf(float(y)) - 1
+            for step in range(3):
+                p0, p1 = mpmath.mpf(1), x
+                for m in range(2, n + 1):
+                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                if step < 2:
+                    x -= p1 / dp
+            node_error = max(node_error, abs(float((x + 1) / 2 - float(y))))
+            weight_error += abs(float(1 / ((1 - x * x) * dp * dp) - float(w)))
+    return node_error, weight_error
 
 
 def theta_reference(k: int, mu: float, j: int, z: complex, n_max: int) -> complex:

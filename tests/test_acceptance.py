@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (beta_monomial_norm, circle_diag_coefficient,
-                      random_state, random_unitary, random_unit_vector,
+                      circle_spectrum_exact, random_state, random_unitary, random_unit_vector,
                       separable_distance_minimized)
 from lagstate.cli import RunConfig, main, parse_csv, render_csv, run
 from lagstate.entanglement import (closest_separable, entropy, schmidt,
@@ -122,6 +122,7 @@ def test_c4_circle_state_closed_forms():
     failures = []
     worst_coeff = 0.0
     worst_entropy = 0.0
+    worst_distance = 0.0
     for k in range(1, 31):
         state = circle_state_quadrature(SphereModel(k))
         off = state.coeffs - np.diag(np.diag(state.coeffs))
@@ -142,9 +143,16 @@ def test_c4_circle_state_closed_forms():
             failures.append(f"k=1: entropy {nu} != ln 2")
         if k >= 2 and not nu < math.log(k + 1.0):
             failures.append(f"k={k}: entropy {nu} not below ln(k+1)")
+        # The distance identity on a non-flat spectrum: D = sqrt(1 - max p_j).
+        _, dist = closest_separable(state.normalized())
+        gap = abs(dist - math.sqrt(float(1 - max(circle_spectrum_exact(k)))))
+        worst_distance = max(worst_distance, gap)
+        if gap > TOL_DISTANCE:
+            failures.append(f"k={k}: |D - sqrt(1 - max p)| = {gap:.3e}")
     _finish("C4 circle state k=1..30",
             f"worst diag rel {worst_coeff:.3e}, "
-            f"worst entropy gap {worst_entropy:.3e}", failures)
+            f"worst entropy gap {worst_entropy:.3e}, "
+            f"worst distance gap {worst_distance:.3e}", failures)
 
 
 def test_c5_separable_distance_oracle():

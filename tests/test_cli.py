@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from lagstate import entanglement, states
-from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, rule_size
+from lagstate import entanglement, sphere, states
+from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
 from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
@@ -124,8 +124,9 @@ def test_verify_identities_circle():
     config = RunConfig(model="sphere", k_min=1, k_max=7, submanifold="circle")
     checks = verify_identities(config)
     assert all(check.passed for check in checks)
-    assert any(check.name == "circle_quadrature_vs_closed_form"
-               for check in checks)
+    names = {check.name for check in checks}
+    assert {"circle_quadrature_vs_closed_form",
+            "circle_distance_vs_closed_form"} <= names
     exact = [c for c in checks if c.name == "binomial_square_sum"]
     assert all("exact integers" in c.detail for c in exact)
 
@@ -209,6 +210,47 @@ def test_main_rejects_quad_radial_flag(capsys, command):
     assert "unrecognized arguments: --quad-radial 64" in err
 
 
+def test_main_rejects_theta_tol_flag(capsys):
+    # The torus resolution is certified at THETA_TOL, so no flag sets it.
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
+              "--theta-tol", "1e-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lagstate")
+    assert "unrecognized arguments: --theta-tol 1e-3" in err
+    with pytest.raises(TypeError, match="theta_tol"):
+        RunConfig(model="torus", k_min=3, k_max=3, theta_tol=1e-3)
+
+
+def test_circle_gram_residual_is_the_verify_defect():
+    # A circle row reports its state's defect from the binomial closed form,
+    # the number behind verify's circle_quadrature_vs_closed_form check.
+    config = RunConfig(submanifold="circle", k_min=1, k_max=12)
+    rows = run(config)
+    checks = [c for c in verify_identities(config)
+              if c.name == "circle_quadrature_vs_closed_form"]
+    assert [c.k for c in checks] == [row.k for row in rows]
+    for row, check in zip(rows, checks):
+        state = states.circle_state_quadrature(sphere.SphereModel(row.k))
+        defect = max_abs(state.normalized()
+                         - states.circle_state_closed_form(row.k))
+        assert row.gram_residual == defect
+        assert check.detail == f"max entrywise defect {defect:.3e}"
+
+
+@pytest.mark.parametrize("k", [700, 1000])
+def test_main_circle_report_at_large_k(capsys, k):
+    # The row's residual is the circle state's own; the sphere Gram that
+    # breached 1e-12 here belongs to the antidiagonal state.
+    code = main(["report", "--submanifold", "circle", "--k-min", str(k),
+                 "--k-max", str(k), "--reproducible"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    (row,) = parse_csv(captured.out)
+    assert 0.0 < row.gram_residual <= 1e-12
+
+
 @pytest.mark.parametrize("argv", [["report", "--k-max", "2"],
                                   ["state", "--k", "3"]])
 @pytest.mark.parametrize("target, reason", [
@@ -259,7 +301,7 @@ def test_main_torus_large_mu(capsys):
     (["report", "--k-min", "1", "--k-max", "4"], 4, 1, 1),
     (["verify", "--k-min", "1", "--k-max", "4"], 4, 1, 1),
     (["verify", "--submanifold", "circle", "--k-min", "2", "--k-max", "5"],
-     4, 1, 0),
+     4, 1, 1),
     (["state", "--k", "4", "--format", "json"], 1, 1, 1),
 ])
 def test_one_factorization_per_state(monkeypatch, capsys, argv, rows, eigh, svd):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (circle_diag_coefficient, circle_entropy_reference,
-                      circle_raw_norm, random_unit_vector)
+                      circle_raw_norm, pair_coherent, random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
 from lagstate.linalg import max_abs, svd
 from lagstate.sphere import (SphereModel, basis_values,
@@ -12,8 +12,9 @@ from lagstate.sphere import (SphereModel, basis_values,
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
                              circle_state_closed_form,
                              circle_state_quadrature, coherent_vector,
-                             pair_coherent, section_frame_value)
-from lagstate.torus import TorusModel, orthonormal_basis, theta_eval
+                             section_frame_value)
+from lagstate.torus import (TorusModel, gram_quadrature, orthonormal_basis,
+                            theta_eval)
 
 # Every point evaluator of both models, as a function of the point alone.
 POINT_EVALUATORS = {
@@ -98,7 +99,8 @@ def test_sphere_antidiagonal_state():
     nu = entropy(state.normalized())
     assert abs(nu - math.log(4.0)) <= 1e-12
     assert state.provenance["submanifold"] == "antidiagonal"
-    assert state.provenance["basis_gram_residual"] <= 1e-12
+    assert state.provenance["closed_form_defect"] == max_abs(state.coeffs
+                                                             - np.eye(4))
 
 
 def test_torus_antidiagonal_state():
@@ -112,6 +114,22 @@ def test_torus_antidiagonal_state():
     assert abs(nu_shift - math.log(5.0)) <= 1e-6
     assert abs(nu_shift - entropy(plain.normalized())) <= 1e-6
     assert shifted.provenance["mu"] == 0.37
+    # The resolution is certified, so provenance reports its bounds, and the
+    # residual is the quadrature's defect from the closed-form norm.
+    basis = orthonormal_basis(TorusModel(5, mu=0.37))
+    prov = shifted.provenance
+    assert "theta_tol" not in prov
+    assert prov["y_bound"] == basis.quadrature.y_bound
+    assert prov["tail_bound"] == basis.quadrature.truncation.tail_bound
+    assert prov["closed_form_defect"] == basis.gram_residual()
+
+
+@pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,
+                                     gram_quadrature])
+def test_torus_builders_take_no_theta_tolerance(builder):
+    # The resolution is certified at THETA_TOL, so it is not a parameter.
+    with pytest.raises(TypeError, match="theta_tol"):
+        builder(TorusModel(3), theta_tol=1e-3)
 
 
 def test_antidiagonal_dispatch_errors():
@@ -153,9 +171,11 @@ def test_sphere_and_circle_states_are_exactly_diagonal():
 
 def test_circle_closed_form_matches_quadrature():
     for k in (1, 2, 7, 12):
-        quad_state = circle_state_quadrature(SphereModel(k)).normalized()
+        state = circle_state_quadrature(SphereModel(k))
         closed = circle_state_closed_form(k)
-        assert max_abs(quad_state - closed) <= 1e-12
+        defect = max_abs(state.normalized() - closed)
+        assert defect <= 1e-12
+        assert state.provenance["closed_form_defect"] == defect
         assert abs(np.linalg.norm(closed.ravel()) - 1.0) <= 1e-12
 
 

@@ -1,15 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (theta_reference, torus_gram_diag_reference,
+from conftest import (gauss_legendre_01_defects, gaussian_weight,
+                      theta_reference, torus_gram_diag_reference,
                       torus_gram_reference, torus_norm_reference)
+from lagstate.cli import DEFAULT_TOL_GRAM
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import sphere_quadrature
 from lagstate.torus import (THETA_TOL, TorusModel, _y_bound, _y_nodes,
-                            closed_form_norm, gaussian_weight,
-                            gram_quadrature, orthonormal_basis,
+                            closed_form_norm, gram_quadrature, orthonormal_basis,
                             quasi_periodicity_factor, theta_eval,
                             theta_truncation)
 
@@ -195,18 +197,63 @@ def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
     basis = orthonormal_basis(model)
     assert basis.gram_residual() <= 1e-7
-    # The basis keeps the quadrature behind its norms, y-rule bound included.
+    # The basis keeps the quadrature that checks its norms, y-rule bound
+    # included, and the quadrature norms agree with the closed form.
     assert basis.quadrature.y_bound <= THETA_TOL / math.sqrt(10.0)
-    assert np.array_equal(basis.norms,
-                          np.sqrt(np.diag(basis.quadrature.gram).real))
     want = closed_form_norm(model)
-    assert max_abs(basis.norms - want) <= 1e-8 * want
-    # Normalized values stay consistent with the raw series.
+    assert want == 10.0 ** -0.25
+    assert max_abs(np.sqrt(np.diag(basis.quadrature.gram).real) - want) <= 1e-8 * want
+    # Normalized values are the raw series over the closed-form norm.
     z = 0.31 + 0.24j
     vals = basis.values(z)
     for j in range(1, 6):
-        direct = theta_eval(model, j, z) / basis.norms[j - 1]
+        direct = theta_eval(model, j, z) / want
         assert abs(vals[j - 1] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def _closed_form_certificate(k, res, node_error, weight_error):
+    """Bound on max_j |G_jj sqrt(2k) - 1|, derived in CHANGES.md.
+
+    G_jj integrates F(y) = sum_{|n| <= N} g(y + n + q), g(x) =
+    exp(-2 pi k x^2), whose untruncated integral is 1/sqrt(2k).  Relative
+    to it: the y-rule error (y_bound), the dropped series terms (each below
+    the square of a theta term in the strip |Im z| <= 1, so below
+    tail_bound^2 in sum), the computed rule's weight and node errors
+    (times sup F and sup |F'|), rounding of the shifts y + n + q, and
+    rounding in the exponentials, both sums and the final scaling.
+    """
+    u = 2.0 ** -53
+    n_max, r = res.truncation.n_max, math.sqrt(2.0 * k)
+    # Besides the nearest one, the points y + n + q lie at distances of at
+    # least 1/2, 3/2, ... on each side of 0, where g and |g'| decrease.
+    far = np.arange(12) + 0.5
+    g_far = np.exp(-2.0 * math.pi * k * far ** 2)
+    sup_f = 1.0 + 2.0 * g_far.sum()
+    sup_df = (2.0 * math.sqrt(math.pi * k / math.e)
+              + 2.0 * (4.0 * math.pi * k * far * g_far).sum())
+    shift_error = node_error + (2 * n_max + 6) * u
+    roundoff = (r * (sup_f * weight_error + sup_df * shift_error)
+                + (2 * n_max + res.n_y + 6) * u)
+    return r * res.y_bound + r * res.truncation.tail_bound ** 2 + roundoff
+
+
+@functools.cache
+def _rule_defects(n):
+    return gauss_legendre_01_defects(*gauss_legendre_01(n))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37])
+def test_gram_residual_is_closed_form_defect_within_certificate(mu):
+    pytest.importorskip("mpmath")
+    for k in range(3, 201):
+        basis = orthonormal_basis(TorusModel(k, mu=mu))
+        res = basis.quadrature
+        residual = basis.gram_residual()
+        diag = np.diag(res.gram).real
+        assert residual == max_abs(diag * math.sqrt(2.0 * k) - 1.0) > 0.0
+        assert math.sqrt(2.0 * k) * res.y_bound <= THETA_TOL
+        bound = _closed_form_certificate(k, res, *_rule_defects(res.n_y))
+        assert residual <= bound < DEFAULT_TOL_GRAM["torus"], (k, residual, bound)
 
 
 def test_theta_conjugation_symmetry():
