@@ -16,7 +16,6 @@ from .entanglement import (
     corollary_distance_identity,
     entropy,
     is_maximally_entangled,
-    partial_trace_2,
     schmidt,
     schmidt_spectrum,
 )
@@ -26,7 +25,6 @@ from .sphere import (
     basis_values,
     gram_matrix,
     monomial_gram,
-    pairing_matrix,
     sphere_quadrature,
     weighted_basis_values,
 )
@@ -57,10 +55,10 @@ __version__ = "0.1.0"
 __all__ = [
     "SvdResult", "svd", "hermitian_eigen", "frobenius_distance",
     "SchmidtDecomposition", "EntanglementReport", "schmidt",
-    "partial_trace_2", "schmidt_spectrum", "entropy", "closest_separable",
+    "schmidt_spectrum", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
     "SphereModel", "SphereQuadrature", "sphere_quadrature", "basis_values",
-    "weighted_basis_values", "pairing_matrix", "gram_matrix", "monomial_gram",
+    "weighted_basis_values", "gram_matrix", "monomial_gram",
     "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
     "theta_eval", "gram_quadrature", "orthonormal_basis",
     "quasi_periodicity_factor", "closed_form_norm",

@@ -2,9 +2,11 @@
 
 ``report`` sweeps k over a model, emitting one row per k with the entropy,
 its deviation from the maximal value ln d, the distance to the nearest
-product vector, and the quadrature residuals.  ``verify`` re-derives the
-cross-identities (distance vs entropy, the binomial sum identity, quadrature
-vs closed form).  ``state`` and ``gram`` dump a single state or Gram matrix.
+product vector, and the state's closed-form residual.  ``verify`` runs a
+fixed list of cross-identity checks for each submanifold (see
+:func:`verify_identities`).  ``state`` and ``gram`` dump a single state or
+Gram matrix.  Each subcommand accepts only the flags it reads
+(``COMMAND_FLAGS``); any other flag is a usage error.
 
 Exit status: 0 on success, 1 when a residual or check exceeds its tolerance
 or a numerical check fails (reported as ``error:``), 2 for invalid usage.
@@ -57,6 +59,9 @@ class RunConfig:
         if self.submanifold == "circle" and self.model != "sphere":
             raise ValueError("the circle submanifold is only defined on the "
                              "sphere model")
+        if self.mu != 0.0 and self.model != "torus":
+            raise ValueError(f"mu is the torus character parameter; the "
+                             f"{self.model} model takes none, got mu = {self.mu}")
         if self.k_min < DEFAULT_K_MIN[self.model]:
             raise ValueError(
                 f"{self.model} model needs k >= {DEFAULT_K_MIN[self.model]}, "
@@ -158,20 +163,14 @@ def tolerance_breaches(config: RunConfig, rows: list[ReportRow]) -> list[str]:
 
 
 def _binomial_square_sum_check(k: int) -> IdentityCheck:
-    if k <= 30:
-        lhs = sum(math.comb(k, j) ** 2 for j in range(k + 1))
-        rhs = math.comb(2 * k, k)
-        return IdentityCheck(
-            name="binomial_square_sum", k=k, passed=lhs == rhs,
-            detail=f"sum C(k,j)^2 = {lhs}, C(2k,k) = {rhs} (exact integers)")
-    log_terms = np.array([2.0 * sphere.log_binomial(k, j) for j in range(k + 1)])
-    peak = log_terms.max()
-    log_lhs = peak + math.log(np.exp(log_terms - peak).sum())
-    log_rhs = sphere.log_binomial(2 * k, k)
-    rel = abs(log_lhs - log_rhs) / abs(log_rhs)
+    total = c = 1
+    for j in range(1, k + 1):
+        c = c * (k - j + 1) // j  # C(k, j), exact
+        total += c * c
+    passed = total == math.comb(2 * k, k)
     return IdentityCheck(
-        name="binomial_square_sum", k=k, passed=rel <= 1e-12,
-        detail=f"log-space relative defect {rel:.3e}")
+        name="binomial_square_sum", k=k, passed=passed,
+        detail=f"sum C(k,j)^2 {'=' if passed else '!='} C(2k,k) (exact integers)")
 
 
 def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck:
@@ -183,15 +182,15 @@ def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck
 
 
 def verify_identities(config: RunConfig) -> list[IdentityCheck]:
-    """Cross-identities over the configured k range.
+    """Cross-identities over the configured k range, a fixed list per row.
 
-    (a) On maximally entangled rows, the separable distance must equal
-        sqrt(1 - e^-entropy).
+    (a) On antidiagonal rows, the separable distance must equal
+        sqrt(1 - e^-entropy) within ``tol_identity``.
     (b) On the sphere, the binomial identity behind the circle state norm,
-        exact in integers for k <= 30 and in log space beyond.
-    (c) On the sphere circle, the quadrature state must match the closed
-        form entrywise; the state builder records that defect.
-    (d) On the sphere circle, the separable distance must equal
+        sum_j C(k,j)^2 = C(2k,k), in exact integers.
+    (c) On circle rows, the quadrature state must match the closed form
+        entrywise within the Gram tolerance; the builder records that defect.
+    (d) On circle rows, the separable distance must equal
         sqrt(1 - max_j p_j), with the largest Schmidt weight
         max_j p_j = C(k, k//2)^2 / C(2k, k) in exact rationals.
     """
@@ -199,7 +198,7 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
     for k in range(config.k_min, config.k_max + 1):
         state = _build_state(config, k)
         report = entanglement.analyze(state.normalized())
-        if report.is_maximally_entangled():
+        if config.submanifold == "antidiagonal":
             gap = abs(report.separable_distance - report.corollary_distance)
             checks.append(IdentityCheck(
                 name="distance_vs_entropy", k=k,
@@ -211,7 +210,7 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
             defect = state.provenance["closed_form_defect"]
             checks.append(IdentityCheck(
                 name="circle_quadrature_vs_closed_form", k=k,
-                passed=defect <= 1e-12,
+                passed=defect <= config.max_gram_residual,
                 detail=f"max entrywise defect {defect:.3e}"))
             checks.append(_circle_distance_check(
                 k, report.separable_distance, config.tol_identity))
@@ -262,8 +261,7 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
         "model": config.model,
         "k": k,
         "mu": config.mu,
-        "submanifold": config.submanifold if config.model == "sphere"
-        else "antidiagonal",
+        "submanifold": config.submanifold,
         "d": report.d,
         "raw_norm": state.raw_norm,
         "entropy": report.entropy,
@@ -310,33 +308,47 @@ def _emit(text: str, out: str | None) -> None:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=("sphere", "torus"),
-                        default="sphere")
-    parser.add_argument("--mu", type=float, default=0.0,
-                        help="torus character parameter")
-    parser.add_argument("--submanifold", choices=("antidiagonal", "circle"),
-                        default="antidiagonal")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--tol-entropy", type=float, default=None)
-    parser.add_argument("--tol-gram", type=float, default=None)
-    parser.add_argument("--tol-identity", type=float, default=1e-9)
-    parser.add_argument("--reproducible", action="store_true")
+# Flag -> add_argument keywords.  Each dest is a RunConfig field, except
+# --k, which sets both ends of the k range.
+FLAGS: dict[str, dict[str, Any]] = {
+    "--k": {"type": int, "required": True},
+    "--k-min": {"type": int},
+    "--k-max": {"type": int},
+    "--model": {"choices": ("sphere", "torus")},
+    "--mu": {"type": float, "help": "torus character parameter"},
+    "--submanifold": {"choices": ("antidiagonal", "circle")},
+    "--format": {"dest": "fmt", "choices": ("csv", "json")},
+    "--out": {"help": "output path (default stdout)"},
+    "--tol-entropy": {"type": float},
+    "--tol-gram": {"type": float},
+    "--tol-identity": {"type": float},
+    "--reproducible": {"action": "store_true"},
+}
+
+# Subcommand -> (help, the flags it reads).
+COMMAND_FLAGS = {
+    "report": ("entropy sweep over a k range",
+               "--k-min --k-max --model --mu --submanifold --format --out "
+               "--tol-entropy --tol-gram --reproducible"),
+    "verify": ("cross-identity checks",
+               "--k-min --k-max --model --mu --submanifold --out --tol-gram "
+               "--tol-identity"),
+    "state": ("dump one state", "--k --model --mu --submanifold --format --out"),
+    "gram": ("dump one model Gram matrix", "--k --model --mu --format --out"),
+}
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command in ("state", "gram"):
-        k_min = k_max = args.k
+    """RunConfig from the flags given; unset ones keep RunConfig's defaults,
+    except the k range, which starts at the model's smallest k."""
+    fields = vars(args).copy()
+    del fields["command"]
+    if "k" in fields:
+        fields["k_min"] = fields["k_max"] = fields.pop("k")
     else:
-        k_min = args.k_min if args.k_min is not None else DEFAULT_K_MIN[args.model]
-        k_max = args.k_max if args.k_max is not None else max(k_min, 10)
-    return RunConfig(
-        model=args.model, k_min=k_min, k_max=k_max, mu=args.mu,
-        submanifold=args.submanifold, fmt=args.fmt, out=args.out,
-        tol_entropy=args.tol_entropy, tol_gram=args.tol_gram,
-        tol_identity=args.tol_identity, reproducible=args.reproducible)
+        fields.setdefault("k_min", DEFAULT_K_MIN[fields.get("model", RunConfig.model)])
+        fields.setdefault("k_max", max(fields["k_min"], 10))
+    return RunConfig(**fields)
 
 
 @functools.cache
@@ -348,25 +360,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Entanglement sweeps for states built from Lagrangian "
                     "submanifolds of the sphere and torus models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="entropy sweep over a k range")
-    p_report.add_argument("--k-min", type=int, default=None)
-    p_report.add_argument("--k-max", type=int, default=None)
-    _add_common_flags(p_report)
-
-    p_verify = sub.add_parser("verify", help="cross-identity checks")
-    p_verify.add_argument("--k-min", type=int, default=None)
-    p_verify.add_argument("--k-max", type=int, default=None)
-    _add_common_flags(p_verify)
-
-    p_state = sub.add_parser("state", help="dump one state")
-    p_state.add_argument("--k", type=int, required=True)
-    _add_common_flags(p_state)
-
-    p_gram = sub.add_parser("gram", help="dump one model Gram matrix")
-    p_gram.add_argument("--k", type=int, required=True)
-    _add_common_flags(p_gram)
-
+    for command, (help_text, flags) in COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -393,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all(check.passed for check in checks) else 1
 
         if args.command == "state":
-            payload = _state_payload(config, args.k)
+            payload = _state_payload(config, config.k_min)
             coeffs = payload.pop("_coeffs")
             if config.fmt == "json":
                 _emit(json.dumps(payload, indent=2) + "\n", config.out)
@@ -407,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "gram":
-            payload = _gram_payload(config, args.k)
+            payload = _gram_payload(config, config.k_min)
             gram = payload.pop("_gram")
             if config.fmt == "json":
                 _emit(json.dumps(payload, indent=2) + "\n", config.out)

@@ -56,12 +56,6 @@ def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
     return SchmidtDecomposition(res.singular_values, res.left, res.right.conj())
 
 
-def partial_trace_2(coeffs: np.ndarray) -> np.ndarray:
-    """Reduced density matrix of the first factor: c c^*."""
-    c = _state_matrix(coeffs, require_normalized=False)
-    return c @ c.conj().T
-
-
 def _spectrum(c: np.ndarray) -> tuple[np.ndarray, float]:
     """Eigenvalues of c c^* clamped to [0, 1], and their entropy."""
     lam = np.clip(hermitian_eigen(c @ c.conj().T)[0].real, 0.0, 1.0)

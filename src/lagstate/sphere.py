@@ -128,16 +128,6 @@ def weighted_basis_values(model: SphereModel, z: complex) -> np.ndarray:
     return _basis_values(model, z, weighted=True)
 
 
-def pairing_matrix(model: SphereModel, z: complex) -> np.ndarray:
-    """Fiber pairing h(phi_j, phi_l)(z) = phi_j(z) conj(phi_l(z)) / (1+|z|^2)^k.
-
-    Hermitian, rank one, positive semidefinite; its trace is the constant
-    Bergman-type sum k + 1.
-    """
-    w = weighted_basis_values(model, z)
-    return np.outer(w, w.conj())
-
-
 def phase_average(m: int, deltas: np.ndarray) -> np.ndarray:
     """M-point trapezoid average (1/M) sum_n exp(2 pi i delta n / M) per
     delta, with M = m, in closed form: 1.0 where M divides delta, 0.0

@@ -79,6 +79,12 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
     return complex(scale * (section * weighted_basis_values(model, z)).sum())
 
 
+def _frobenius_norm(coeffs: np.ndarray) -> float:
+    """Frobenius norm by numpy's pairwise sum rather than a BLAS dot, whose
+    summation order, and so its last bits, follow the BLAS thread count."""
+    return math.sqrt(float(np.sum(np.square(np.abs(coeffs)))))
+
+
 def _antidiagonal(coeffs: np.ndarray, tol: float,
                   **provenance: Any) -> LagrangianState:
     """Wrap the conjugated normalized Gram as the antidiagonal state, after
@@ -90,7 +96,7 @@ def _antidiagonal(coeffs: np.ndarray, tol: float,
             f"the identity by {defect:.3e} (> {tol:g})")
     return LagrangianState(
         coeffs=coeffs,
-        raw_norm=float(np.linalg.norm(coeffs.ravel())),
+        raw_norm=_frobenius_norm(coeffs),
         provenance={**provenance, "submanifold": "antidiagonal",
                     "closed_form_defect": defect},
     )
@@ -133,7 +139,7 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     half_log = 0.5 * model.log_amplitudes()
     mag = np.exp(half_log - 0.5 * k * math.log(2.0))
     coeffs = np.diag((2.0 * math.pi * np.square(mag)).astype(complex))
-    raw_norm = float(np.linalg.norm(coeffs.ravel()))
+    raw_norm = _frobenius_norm(coeffs)
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=raw_norm,

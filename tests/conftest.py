@@ -8,8 +8,9 @@ form of the truncated torus Gram diagonal, the full 2-D product rule for the
 torus Gram matrix, Newton-polished Legendre roots in 30-digit arithmetic
 for the error of the computed Gauss-Legendre rule, and alternating
 maximization (no SVD) for the distance to the separable set.  It also holds
-the small helpers that only tests call: the torus inner-product weight and
-the separable pair of two coherent vectors.
+the small helpers that only tests call: the torus inner-product weight, the
+separable pair of two coherent vectors, the sphere fiber pairing and the
+reduced density matrix.
 """
 
 from __future__ import annotations
@@ -96,6 +97,25 @@ def pair_coherent(u, w) -> np.ndarray:
             f"coherent vectors live in different spaces: "
             f"{u.coeffs.shape} vs {w.coeffs.shape}")
     return np.outer(u.coeffs, w.coeffs)
+
+
+def pairing_matrix(model, z: complex) -> np.ndarray:
+    """Fiber pairing h(phi_j, phi_l)(z) = phi_j(z) conj(phi_l(z)) / (1+|z|^2)^k
+    of the sphere model.
+
+    Hermitian, rank one, positive semidefinite; its trace is the constant
+    Bergman-type sum k + 1.
+    """
+    from lagstate.sphere import weighted_basis_values
+
+    w = weighted_basis_values(model, z)
+    return np.outer(w, w.conj())
+
+
+def partial_trace_2(coeffs: np.ndarray) -> np.ndarray:
+    """Reduced density matrix of the first factor: c c^*."""
+    c = np.asarray(coeffs, dtype=complex)
+    return c @ c.conj().T
 
 
 def gauss_legendre_01_defects(ys: np.ndarray,

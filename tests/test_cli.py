@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,8 +12,8 @@ from lagstate import entanglement, sphere, states
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
-from lagstate.cli import (CSV_HEADER, RunConfig, main, parse_csv, render_csv,
-                          render_json, run, tolerance_breaches,
+from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, parse_csv,
+                          render_csv, render_json, run, tolerance_breaches,
                           verify_identities)
 
 CIRCLE_K2_ENTROPY = 0.8675632284814612
@@ -38,6 +39,8 @@ def test_config_validation():
         RunConfig(model="torus", k_min=2, k_max=4)
     with pytest.raises(ValueError, match="empty k range"):
         RunConfig(model="sphere", k_min=5, k_max=4)
+    with pytest.raises(ValueError, match="mu is the torus character"):
+        RunConfig(model="sphere", k_min=1, k_max=2, mu=0.37)
 
 
 def test_run_sphere_antidiagonal():
@@ -131,11 +134,13 @@ def test_verify_identities_circle():
     assert all("exact integers" in c.detail for c in exact)
 
 
-def test_verify_identities_binomial_log_space():
+def test_verify_identities_binomial_exact():
+    # Exact integers at every k, and the detail line does not print them.
     from lagstate.cli import _binomial_square_sum_check
-    check = _binomial_square_sum_check(45)
-    assert check.passed
-    assert "log-space" in check.detail
+    for k in (45, 1000):
+        check = _binomial_square_sum_check(k)
+        assert check.passed
+        assert check.detail == "sum C(k,j)^2 = C(2k,k) (exact integers)"
 
 
 def test_main_report_ok(capsys):
@@ -172,7 +177,8 @@ def test_main_usage_errors(capsys):
     "--tol-identity=-1e-9", "--tol-entropy=-inf",
 ])
 def test_main_rejects_bad_tolerances(capsys, flag):
-    code = main(["report", "--k-min", "1", "--k-max", "2", flag])
+    command = "verify" if flag.startswith("--tol-identity") else "report"
+    code = main([command, "--k-min", "1", "--k-max", "2", flag])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
@@ -221,6 +227,99 @@ def test_main_rejects_theta_tol_flag(capsys):
     assert "unrecognized arguments: --theta-tol 1e-3" in err
     with pytest.raises(TypeError, match="theta_tol"):
         RunConfig(model="torus", k_min=3, k_max=3, theta_tol=1e-3)
+
+
+# Each subcommand's flags, the ones it reads and no other.
+COMMAND_FLAGS = {
+    "report": {"--k-min", "--k-max", "--model", "--mu", "--submanifold",
+               "--format", "--out", "--tol-entropy", "--tol-gram",
+               "--reproducible"},
+    "verify": {"--k-min", "--k-max", "--model", "--mu", "--submanifold",
+               "--out", "--tol-gram", "--tol-identity"},
+    "state": {"--k", "--model", "--mu", "--submanifold", "--format", "--out"},
+    "gram": {"--k", "--model", "--mu", "--format", "--out"},
+}
+ALL_FLAGS = set().union(*COMMAND_FLAGS.values())
+
+
+def test_subcommand_flag_sets():
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        options = {opt for action in parser._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert options == COMMAND_FLAGS[command], command
+    assert set(sub.choices) == set(COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (command, flag) for command, flags in COMMAND_FLAGS.items()
+    for flag in ALL_FLAGS - flags))
+def test_main_rejects_flags_the_command_does_not_read(capsys, command, flag):
+    k_flags = ["--k-max", "2"] if command in ("report", "verify") else ["--k", "2"]
+    value = [] if flag == "--reproducible" else ["0"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *k_flags, flag, *value])
+    assert exc.value.code == 2
+    # --k is a prefix of the --k-min and --k-max that report and verify read.
+    message = ("ambiguous option: --k could match --k-min, --k-max"
+               if flag == "--k" else
+               f"unrecognized arguments: {' '.join([flag, *value])}")
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["report", "--k-max", "2"],
+                                  ["state", "--k", "2"], ["gram", "--k", "2"]])
+def test_main_rejects_mu_on_the_sphere(capsys, argv):
+    code = main(argv + ["--mu", "0.37"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: mu is the torus character parameter")
+    assert captured.out == ""
+
+
+def test_main_verify_circle_defect_uses_tol_gram(capsys):
+    code = main(["verify", "--submanifold", "circle", "--k-min", "2",
+                 "--k-max", "6", "--tol-gram", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any(line.startswith("FAIL circle_quadrature_vs_closed_form")
+               for line in lines)
+
+
+def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys):
+    # The distance identity is checked on every antidiagonal row, so a state
+    # that is not maximally entangled fails it instead of skipping it.
+    def skewed(model):
+        coeffs = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        return states.LagrangianState(coeffs, math.sqrt(14.0),
+                                      {"closed_form_defect": 0.0})
+
+    monkeypatch.setattr(states, "antidiagonal_state", skewed)
+    code = main(["verify", "--k-min", "2", "--k-max", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL distance_vs_entropy k=2:")
+    assert lines[1].startswith("PASS binomial_square_sum k=2:")
+
+
+def test_report_is_independent_of_blas_threads():
+    # raw_norm is summed without BLAS, whose summation order follows its
+    # thread count; these torus rows differed in the last bits before.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagstate", "report", "--model", "torus",
+             "--mu", "0.37", "--k-min", "150", "--k-max", "152",
+             "--reproducible"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_circle_gram_residual_is_the_verify_defect():
@@ -370,7 +469,7 @@ def test_main_state_json(capsys):
     (["--k", "6", "--model", "torus", "--mu", "0.37"], 6)])
 def test_main_state_provenance_node_counts(capsys, argv, k):
     # perfbench derives its node counters from these provenance keys.
-    assert main(["state", "--format", "json", "--reproducible"] + argv) == 0
+    assert main(["state", "--format", "json"] + argv) == 0
     prov = json.loads(capsys.readouterr().out)["provenance"]
     if prov["model"] == "torus":
         n_max = theta_truncation(TorusModel(k, mu=0.37)).n_max

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (random_state, random_unitary, random_unit_vector,
-                      separable_distance_minimized)
+from conftest import (partial_trace_2, random_state, random_unitary,
+                      random_unit_vector, separable_distance_minimized)
 from lagstate.entanglement import (analyze, closest_separable,
                                    corollary_distance_identity, entropy,
-                                   is_maximally_entangled, partial_trace_2,
-                                   schmidt, schmidt_spectrum)
+                                   is_maximally_entangled, schmidt,
+                                   schmidt_spectrum)
 from lagstate.linalg import frobenius_distance, max_abs
 
 # Entropy of the circle state at k = 2, from the exact Schmidt spectrum

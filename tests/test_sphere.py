@@ -4,13 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import beta_monomial_norm
+from conftest import beta_monomial_norm, pairing_matrix
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import (SphereModel, SphereQuadrature, basis_values,
                              exact_radial_count, gram_matrix, gram_residual,
-                             log_binomial, monomial_gram, pairing_matrix,
-                             phase_average, sphere_quadrature,
-                             weighted_basis_values)
+                             log_binomial, monomial_gram, phase_average,
+                             sphere_quadrature, weighted_basis_values)
 
 
 def test_log_binomial_matches_exact():
