@@ -21,7 +21,6 @@ from .entanglement import (
 )
 from .sphere import (
     SphereModel,
-    SphereQuadrature,
     basis_values,
     gram_matrix,
     monomial_gram,
@@ -57,7 +56,7 @@ __all__ = [
     "SchmidtDecomposition", "EntanglementReport", "schmidt",
     "schmidt_spectrum", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
-    "SphereModel", "SphereQuadrature", "sphere_quadrature", "basis_values",
+    "SphereModel", "sphere_quadrature", "basis_values",
     "weighted_basis_values", "gram_matrix", "monomial_gram",
     "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
     "theta_eval", "gram_quadrature", "orthonormal_basis",

@@ -163,11 +163,8 @@ def tolerance_breaches(config: RunConfig, rows: list[ReportRow]) -> list[str]:
 
 
 def _binomial_square_sum_check(k: int) -> IdentityCheck:
-    total = c = 1
-    for j in range(1, k + 1):
-        c = c * (k - j + 1) // j  # C(k, j), exact
-        total += c * c
-    passed = total == math.comb(2 * k, k)
+    # The same exact integers the sphere amplitudes are built from.
+    passed = sum(c * c for c in sphere.binomials(k)) == math.comb(2 * k, k)
     return IdentityCheck(
         name="binomial_square_sum", k=k, passed=passed,
         detail=f"sum C(k,j)^2 {'=' if passed else '!='} C(2k,k) (exact integers)")
@@ -356,12 +353,12 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused: parse_args returns
     a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
-        prog="lagstate",
+        prog="lagstate", allow_abbrev=False,
         description="Entanglement sweeps for states built from Lagrangian "
                     "submanifolds of the sphere and torus models.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, flags) in COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=help_text,
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
         for flag in flags.split():
             p.add_argument(flag, **FLAGS[flag])

@@ -183,14 +183,17 @@ def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
         sweeps += 1
     w = np.ascontiguousarray(w.T)  # U above V, both in column layout again
     # Each column is scaled by a power of two near its largest modulus: exact,
-    # so squares of moduli below 1e-154 cannot underflow to a zero norm.
+    # so squares of moduli below 1e-154 cannot underflow to a zero norm, and
+    # U is the scaled column over its scaled norm, never over a subnormal.
     e = np.maximum(np.frexp(np.abs(w[:n]).max(axis=0, initial=0.0))[1], -1021)
-    sigma = np.ldexp(np.linalg.norm(w[:n] * np.ldexp(1.0, -e), axis=0), e)
+    scaled = w[:n] * np.ldexp(1.0, -e)
+    norms = np.linalg.norm(scaled, axis=0)
+    sigma = np.ldexp(norms, e)
     order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u, v = w[:n, order], w[n:, order]
+    sigma, norms = sigma[order], norms[order]
+    u, v = scaled[:, order], w[n:, order]
     rank = np.count_nonzero(sigma)
-    u[:, :rank] /= sigma[:rank]
+    u[:, :rank] /= norms[:rank]
     _complete_orthonormal(u, rank)
     return SvdResult(left=u, singular_values=sigma, right=v, sweeps=sweeps,
                      worst_ratio=worst)

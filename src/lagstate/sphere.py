@@ -6,7 +6,8 @@ weighted inner product
     <f, g> = (1/pi) integral f(z) conj(g(z)) (1 + |z|^2)^(-k-2) dx dy
 
 over the affine chart.  The orthonormal basis is
-phi_j = sqrt((k+1) C(k,j)) z^j; all amplitudes are assembled in log space so
+phi_j = sqrt((k+1) C(k,j)) z^j.  The binomials are exact integers
+(:func:`binomials`); each amplitude is rounded once, to its logarithm, so
 large k stays finite.  Quadrature uses the substitution t = r^2 / (1 + r^2),
 which turns every radial integrand appearing here into a polynomial of
 degree <= k in t, so Gauss-Legendre with ceil((k+2)/2) nodes is exact, and
@@ -30,11 +31,13 @@ import numpy as np
 from .linalg import gauss_legendre_01, max_abs, rule_size
 
 
-def log_binomial(n: int, j: int) -> float:
-    """log C(n, j) via log-gamma; exact enough for amplitude assembly."""
-    if not 0 <= j <= n:
-        raise ValueError(f"binomial index out of range: C({n}, {j})")
-    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+def binomials(k: int) -> list[int]:
+    """C(k, j) for j = 0..k as exact integers, by the multiplicative
+    recurrence C(k, j+1) = C(k, j) (k-j) / (j+1)."""
+    row = [1]
+    for j in range(k):
+        row.append(row[-1] * (k - j) // (j + 1))
+    return row
 
 
 @dataclass(frozen=True)
@@ -60,34 +63,22 @@ class SphereModel:
     def log_amplitudes(self) -> np.ndarray:
         """log of the squared basis amplitudes (k+1) C(k, j)."""
         k = self.k
-        return np.array([math.log(k + 1) + log_binomial(k, j)
-                         for j in range(k + 1)])
-
-
-@dataclass(frozen=True)
-class SphereQuadrature:
-    """Gauss-Legendre rule in t = r^2/(1+r^2); the angular trapezoid that
-    completes the product rule is applied in closed form."""
-
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
-
-    @property
-    def radial_count(self) -> int:
-        return len(self.t_nodes)
+        return np.array([math.log((k + 1) * c) for c in binomials(k)])
 
 
 def exact_radial_count(k: int) -> int:
-    """Radial node count ceil((k+2)/2), the fewest with which Gauss-Legendre
-    is exact through degree k, the degree of every Gram integrand."""
+    """Radial node count ceil((k+2)/2), with which Gauss-Legendre is exact
+    through degree k, the degree of every Gram integrand.  It is sufficient,
+    not always the fewest: 3 nodes are already exact at k = 5."""
     return (k + 3) // 2
 
 
-def sphere_quadrature(k: int) -> SphereQuadrature:
-    """Quadrature that integrates every degree-k Gram integrand exactly: the
-    shared rule of ``rule_size(exact_radial_count(k))`` nodes."""
-    t_nodes, t_weights = gauss_legendre_01(rule_size(exact_radial_count(k)))
-    return SphereQuadrature(t_nodes=t_nodes, t_weights=t_weights)
+def sphere_quadrature(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in t = r^2/(1+r^2) that integrate every degree-k
+    Gram integrand exactly: the cached shared rule of
+    ``rule_size(exact_radial_count(k))`` nodes.  The angular trapezoid that
+    completes the product rule is applied in closed form."""
+    return gauss_legendre_01(rule_size(exact_radial_count(k)))
 
 
 def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
@@ -135,45 +126,34 @@ def phase_average(m: int, deltas: np.ndarray) -> np.ndarray:
     return (np.asarray(deltas) % m == 0).astype(float)
 
 
-def _gram(model: SphereModel, quad: SphereQuadrature, log_amp: np.ndarray) -> np.ndarray:
-    """diag(sum_t w_t f_j(t)^2) with f_j(t)^2 = e^log_amp_j t^j (1-t)^(k-j).
+def _gram(model: SphereModel, log_amp: np.ndarray) -> np.ndarray:
+    """diag(sum_t w_t f_j(t)^2) with f_j(t)^2 = e^log_amp_j t^j (1-t)^(k-j),
+    under :func:`sphere_quadrature`.
 
     The angular average of exp(i (j - l) angle) is the Kronecker delta for
     |j - l| <= k under the aliasing-free rule, so only the diagonal is
     integrated.
     """
     k = model.k
-    need = exact_radial_count(k)
-    if quad.radial_count < need:
-        raise ValueError(
-            f"{quad.radial_count} radial nodes cannot integrate degree-{k} "
-            f"integrands exactly; need at least {need}")
+    t_nodes, t_weights = sphere_quadrature(k)
     j = np.arange(k + 1)
-    t = quad.t_nodes[:, None]
+    t = t_nodes[:, None]
     f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))
-    return np.diag((quad.t_weights @ f2).astype(complex))
+    return np.diag((t_weights @ f2).astype(complex))
 
 
-def gram_matrix(model: SphereModel,
-                quad: SphereQuadrature | None = None) -> np.ndarray:
-    """Gram matrix of the orthonormal basis under the quadrature: diagonal,
-    and the identity up to roundoff because the rule is exact for these
-    integrands.  Defaults to :func:`sphere_quadrature`."""
-    if quad is None:
-        quad = sphere_quadrature(model.k)
-    return _gram(model, quad, model.log_amplitudes())
+def gram_matrix(model: SphereModel) -> np.ndarray:
+    """Gram matrix of the orthonormal basis: diagonal, and the identity up
+    to roundoff because the rule is exact for these integrands."""
+    return _gram(model, model.log_amplitudes())
 
 
-def monomial_gram(model: SphereModel,
-                  quad: SphereQuadrature | None = None) -> np.ndarray:
+def monomial_gram(model: SphereModel) -> np.ndarray:
     """Gram matrix of the raw monomials z^j; diagonal j!(k-j)!/(k+1)!."""
-    if quad is None:
-        quad = sphere_quadrature(model.k)
-    return _gram(model, quad, np.zeros(model.k + 1))
+    return _gram(model, np.zeros(model.k + 1))
 
 
-def gram_residual(model: SphereModel,
-                  quad: SphereQuadrature | None = None) -> float:
+def gram_residual(model: SphereModel) -> float:
     """Max-entry deviation of the basis Gram matrix from the identity."""
-    g = gram_matrix(model, quad)
+    g = gram_matrix(model)
     return max_abs(g - np.eye(model.dim))

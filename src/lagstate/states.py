@@ -18,8 +18,8 @@ from typing import Any
 import numpy as np
 
 from .linalg import max_abs
-from .sphere import (SphereModel, log_binomial, sphere_quadrature,
-                     gram_matrix, weighted_basis_values)
+from .sphere import (SphereModel, binomials, sphere_quadrature, gram_matrix,
+                     weighted_basis_values)
 from .sphere import phase_average  # noqa: F401  (perfbench traces this name)
 from . import torus as torus_mod
 from .torus import TorusModel
@@ -109,10 +109,10 @@ def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     normalized state is maximally entangled with raw norm sqrt(d).  Both
     models integrate at a fixed, certified resolution."""
     if isinstance(model, SphereModel):
-        quad = sphere_quadrature(model.k)
+        t_nodes, _ = sphere_quadrature(model.k)
         return _antidiagonal(
-            gram_matrix(model, quad).conj(), ANTIDIAGONAL_TOL_SPHERE,
-            model="sphere", k=model.k, radial_nodes=quad.radial_count,
+            gram_matrix(model).conj(), ANTIDIAGONAL_TOL_SPHERE,
+            model="sphere", k=model.k, radial_nodes=len(t_nodes),
             angular_nodes=model.angular_nodes)
     if isinstance(model, TorusModel):
         basis = torus_mod.orthonormal_basis(model)
@@ -131,14 +131,13 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
 
     The aliasing-free angle trapezoid rule is the Kronecker delta on every
     frequency here, so it is applied in closed form: the coefficients are
-    exactly diagonal, with entries pi 2^(1-k) (k+1)! / (j! (k-j)!) up to
-    roundoff.  The provenance records the largest entrywise defect of the
-    normalized state from :func:`circle_state_closed_form`.
+    exactly diagonal, with entries 2 pi (k+1) C(k,j) / 2^k, each rounded
+    once from exact integers.  The provenance records the largest entrywise
+    defect of the normalized state from :func:`circle_state_closed_form`.
     """
     k = model.k
-    half_log = 0.5 * model.log_amplitudes()
-    mag = np.exp(half_log - 0.5 * k * math.log(2.0))
-    coeffs = np.diag((2.0 * math.pi * np.square(mag)).astype(complex))
+    amp = np.array([(k + 1) * c / 2**k for c in binomials(k)])
+    coeffs = np.diag((2.0 * math.pi * amp).astype(complex))
     raw_norm = _frobenius_norm(coeffs)
     return LagrangianState(
         coeffs=coeffs,
@@ -154,24 +153,26 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     )
 
 
-def circle_state_closed_form(k: int) -> np.ndarray:
-    """Normalized circle state: diagonal entries C(k,j) k! / sqrt((2k)!)."""
+def _circle_log_diagonal(k: int) -> np.ndarray:
+    """log C(k,j) - log C(2k,k) / 2, j = 0..k, from exact integers."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    log_diag = np.array([log_binomial(k, j) + math.lgamma(k + 1)
-                         - 0.5 * math.lgamma(2 * k + 1) for j in range(k + 1)])
-    return np.diag(np.exp(log_diag)).astype(complex)
+    half_log_central = 0.5 * math.log(math.comb(2 * k, k))
+    return np.array([math.log(c) - half_log_central for c in binomials(k)])
+
+
+def circle_state_closed_form(k: int) -> np.ndarray:
+    """Normalized circle state: diagonal entries C(k,j) / sqrt(C(2k,k)),
+    that is C(k,j) k! / sqrt((2k)!)."""
+    return np.diag(np.exp(_circle_log_diagonal(k))).astype(complex)
 
 
 def circle_entropy_closed_form(k: int) -> float:
     """Entropy of the circle state from its binomial Schmidt spectrum.
 
-    The spectrum is p_j = C(k,j)^2 (k!)^2 / (2k)!, which sums to one by the
+    The spectrum is p_j = C(k,j)^2 / C(2k,k), which sums to one by the
     Vandermonde identity sum_j C(k,j)^2 = C(2k,k).  Evaluated in log space
     with compensated summation.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    log_p = [2.0 * (log_binomial(k, j) + math.lgamma(k + 1))
-             - math.lgamma(2 * k + 1) for j in range(k + 1)]
-    return -math.fsum(math.exp(lp) * lp for lp in log_p)
+    log_p = 2.0 * _circle_log_diagonal(k)
+    return -math.fsum(np.exp(log_p) * log_p)

@@ -261,11 +261,18 @@ def test_main_rejects_flags_the_command_does_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *k_flags, flag, *value])
     assert exc.value.code == 2
-    # --k is a prefix of the --k-min and --k-max that report and verify read.
-    message = ("ambiguous option: --k could match --k-min, --k-max"
-               if flag == "--k" else
-               f"unrecognized arguments: {' '.join([flag, *value])}")
+    # No flag answers to a prefix, so --k is not read as --k-min or --k-max.
+    message = f"unrecognized arguments: {' '.join([flag, *value])}"
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("abbreviation", [["--repro"], ["--form", "json"]])
+def test_main_rejects_flag_abbreviations(capsys, abbreviation):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--k-max", "1", *abbreviation])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(abbreviation)}" in err
 
 
 @pytest.mark.parametrize("argv", [["report", "--k-max", "2"],

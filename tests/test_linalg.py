@@ -237,6 +237,17 @@ def test_svd_tiny_singular_values_do_not_underflow():
     assert max_abs(res.left.conj().T @ res.left - np.eye(61)) <= 1e-15
 
 
+def test_svd_subnormal_singular_values():
+    # Complex division by a subnormal singular value overflows, so U must be
+    # formed from the power-of-two-scaled columns and their scaled norms.
+    values = np.array([1.0, 2.0**-1060, 2.0**-1070])
+    res = svd(np.diag(values))
+    assert res.sweeps == 0
+    assert np.array_equal(res.singular_values, values)
+    assert np.array_equal(res.left, np.eye(3))
+    assert np.array_equal(res.right, np.eye(3))
+
+
 def test_svd_large_circle_state_is_full_rank():
     # Circle Schmidt values at k = 600 reach 1e-180; each one must stay
     # within 1e-12 relative of the closed form instead of underflowing to 0.

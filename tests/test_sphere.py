@@ -6,17 +6,25 @@ import pytest
 
 from conftest import beta_monomial_norm, pairing_matrix
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
-from lagstate.sphere import (SphereModel, SphereQuadrature, basis_values,
+from lagstate.sphere import (SphereModel, basis_values, binomials,
                              exact_radial_count, gram_matrix, gram_residual,
-                             log_binomial, monomial_gram, phase_average,
-                             sphere_quadrature, weighted_basis_values)
+                             monomial_gram, phase_average, sphere_quadrature,
+                             weighted_basis_values)
 
 
-def test_log_binomial_matches_exact():
-    for n in range(0, 40):
-        for j in range(0, n + 1):
-            assert math.isclose(math.exp(log_binomial(n, j)),
-                                math.comb(n, j), rel_tol=1e-12)
+def gram_diagonal_oracle(k, n):
+    """Basis Gram diagonal sum_t w (k+1) C(k,j) t^j (1-t)^(k-j) under the
+    n-node Gauss-Legendre rule, with amplitudes straight from math.comb."""
+    t, w = gauss_legendre_01(n)
+    j = np.arange(k + 1)
+    amp = np.array([(k + 1) * math.comb(k, i) for i in j], dtype=float)
+    t = t[:, None]
+    return w @ (amp * t**j * (1.0 - t) ** (k - j))
+
+
+def test_binomials_are_exact():
+    for n in (0, 1, 2, 39, 1000):
+        assert binomials(n) == [math.comb(n, j) for j in range(n + 1)]
 
 
 def test_model_validation():
@@ -108,26 +116,22 @@ def test_quadrature_minimum_counts():
     # The rule built rounds that up to the shared power-of-two size.
     for k, n in ((1, 64), (5, 64), (126, 64), (127, 128), (254, 128),
                  (255, 256), (1000, 512)):
-        assert sphere_quadrature(k).radial_count == n, k
+        assert len(sphere_quadrature(k)[0]) == n, k
         assert rule_size(exact_radial_count(k)) == n, k
     assert rule_size(1) == rule_size(RULE_FLOOR) == RULE_FLOOR
     assert rule_size(RULE_FLOOR + 1) == 2 * RULE_FLOOR
 
 
-def test_gram_rejects_rule_for_smaller_k():
-    short = SphereQuadrature(*gauss_legendre_01(exact_radial_count(3)))
-    with pytest.raises(ValueError, match="exact"):
-        gram_matrix(SphereModel(5), short)
-    # The minimal exact rule is accepted and agrees with the shared one.
-    exact = SphereQuadrature(*gauss_legendre_01(exact_radial_count(5)))
-    assert max_abs(gram_matrix(SphereModel(5), exact)
-                   - gram_matrix(SphereModel(5))) <= 1e-14
+def test_gram_matches_minimal_exact_rule():
+    # The shared rule agrees with the minimal exact one.
+    want = gram_diagonal_oracle(5, exact_radial_count(5))
+    assert max_abs(gram_matrix(SphereModel(5)) - np.diag(want)) <= 1e-14
 
 
 def test_quadrature_volume_is_one():
     for k in (1, 6, 25):
         # The angular rule averages, so the radial weights carry the volume.
-        ws = sphere_quadrature(k).t_weights
+        _, ws = sphere_quadrature(k)
         assert np.all(ws > 0.0)
         assert abs(math.fsum(ws) - 1.0) <= 1e-13
 
@@ -143,27 +147,19 @@ def test_monomial_gram_matches_beta_oracle():
 
 
 def test_gram_is_identity():
-    # The CLI's default sphere tolerance holds over k = 1..400 (the first
-    # breach of 1e-12 is at k = 469).
-    for k in range(1, 401):
+    # The CLI's default sphere tolerance holds over k = 1..510 (the first
+    # breach of 1e-12 is at k = 511, where the rule grows to 512 nodes).
+    for k in range(1, 511):
         model = SphereModel(k)
         residual = gram_residual(model)
         assert residual <= 1e-12, f"k={k}: residual {residual}"
 
 
 def test_gram_stable_under_quadrature_doubling():
-    model = SphereModel(12)
-    base = gram_matrix(model)
-    quad = SphereQuadrature(*gauss_legendre_01(2 * ((12 + 3) // 2)))
-    refined = gram_matrix(model, quad)
-    assert max_abs(base - refined) <= 1e-14
-
-
-def test_gram_rejects_mismatched_quadrature():
-    model = SphereModel(9)
-    quad = SphereQuadrature(*gauss_legendre_01(exact_radial_count(4)))
-    with pytest.raises(ValueError):
-        gram_matrix(model, quad)
+    base = gram_matrix(SphereModel(12))
+    n = exact_radial_count(12)
+    for rule in (n, 2 * n):
+        assert max_abs(base - np.diag(gram_diagonal_oracle(12, rule))) <= 1e-14
 
 
 def test_dimension_growth():

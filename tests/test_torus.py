@@ -271,7 +271,7 @@ def test_y_rule_is_cached_read_only_gauss_legendre():
     assert gauss_legendre_01(64)[0] is ys
     # The sphere radial rule at k = 125 reads the same cached arrays, and
     # the torus default at k = 3 uses this size.
-    assert sphere_quadrature(125).t_nodes is ys
+    assert sphere_quadrature(125)[0] is ys
     assert gram_quadrature(TorusModel(3)).n_y == 64
     nodes, gl_weights = np.polynomial.legendre.leggauss(64)
     assert np.array_equal(ys, (nodes + 1.0) / 2.0)
