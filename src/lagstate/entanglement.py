@@ -15,10 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, hermitian_eigen, svd
+from .linalg import as_matrix, hermitian_eigen, svd
 
 NORM_TOL = 1e-9
-EIGENVALUE_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,7 @@ class SchmidtDecomposition:
 
 
 def _state_matrix(coeffs: np.ndarray, *, require_normalized: bool) -> np.ndarray:
-    c = as_complex_matrix(coeffs, "state coefficients")
+    c = as_matrix(coeffs, "state coefficients")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")
     if require_normalized:
@@ -58,8 +57,8 @@ def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
 
 def _spectrum(c: np.ndarray) -> tuple[np.ndarray, float]:
     """Eigenvalues of c c^* clamped to [0, 1], and their entropy."""
-    lam = np.clip(hermitian_eigen(c @ c.conj().T)[0].real, 0.0, 1.0)
-    return lam, math.fsum(-x * math.log(x) for x in lam if x > EIGENVALUE_FLOOR)
+    lam = np.clip(hermitian_eigen(c @ c.conj().T)[0], 0.0, 1.0)
+    return lam, math.fsum(-x * math.log(x) for x in lam if x > 0.0)
 
 
 def _tail_norm(alphas: np.ndarray) -> float:
@@ -120,7 +119,7 @@ def schmidt_spectrum(coeffs: np.ndarray) -> np.ndarray:
 
 def entropy(coeffs: np.ndarray, *, require_normalized: bool = True) -> float:
     """Entanglement entropy -sum lam ln lam in nats, by compensated
-    summation; eigenvalues below 1e-15 count as exact zeros (0 ln 0 = 0)."""
+    summation over every eigenvalue above zero after clamping (0 ln 0 = 0)."""
     return _spectrum(_state_matrix(coeffs, require_normalized=require_normalized))[1]
 
 

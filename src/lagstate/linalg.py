@@ -1,4 +1,5 @@
-"""Dense complex linear algebra for small coefficient matrices.
+"""Dense linear algebra for small coefficient matrices, real or complex,
+dtype preserved: real input gets real factors in real arithmetic.
 
 The SVD is a one-sided Jacobi iteration on the columns of the input: one
 Gram-matrix convergence test per sweep, and rotations in round-robin
@@ -40,13 +41,15 @@ class SvdResult:
         return (self.left * self.singular_values) @ self.right.conj().T
 
 
-def as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate input as a finite complex 2-D array; no copy is made when
-    it already is one, so callers that keep or modify it copy it themselves."""
-    a = np.asarray(a, dtype=complex)
+def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Validate input as a finite 2-D array: complex input stays complex,
+    anything else becomes float64.  No copy is made when it already is one
+    of the two, so callers that keep or modify it copy it themselves."""
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, np.float64), copy=False)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -58,8 +61,7 @@ def max_abs(a: np.ndarray) -> float:
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius (Hilbert-Schmidt) distance between equally shaped arrays."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm((a - b).ravel()))
@@ -86,22 +88,21 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _complete_orthonormal(u: np.ndarray, rank: int) -> None:
     """Fill the zero columns rank.. of u with unit vectors orthogonal to the rest.
 
-    Deterministic: candidates are scanned in canonical basis order and a
-    candidate is accepted once its residual keeps at least half its norm.
+    Deterministic: each new column starts from the canonical vector e_i of
+    the row with the largest residual 1 - sum_f |u[i, f]|^2 (first index on
+    ties), which is the squared norm of e_i outside the columns so far and
+    at least (n - j) / n for column j; it is projected out of them twice,
+    with matrix-vector products, in the dtype of u.
     """
     n = u.shape[0]
+    residual = 1.0 - np.sum(np.abs(u[:, :rank]) ** 2, axis=1)
     for j in range(rank, n):
-        for i in range(n):
-            cand = np.zeros(n, dtype=complex)
-            cand[i] = 1.0
-            for f in range(j):
-                cand -= np.vdot(u[:, f], cand) * u[:, f]
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
-                u[:, j] = cand / norm
-                break
-        else:
-            raise RuntimeError("failed to complete orthonormal basis")
+        cand = np.zeros(n, dtype=u.dtype)
+        cand[np.argmax(residual)] = 1.0
+        for _ in range(2):
+            cand -= u[:, :j] @ (u[:, :j].conj().T @ cand)
+        u[:, j] = cand / np.linalg.norm(cand)
+        residual -= np.abs(u[:, j]) ** 2
 
 
 def round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -154,7 +155,8 @@ def _rotate_round(w: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float) -> No
 
 def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
         max_sweeps: int = MAX_SWEEPS) -> SvdResult:
-    """One-sided Jacobi SVD of a square complex matrix, without LAPACK.
+    """One-sided Jacobi SVD of a square real or complex matrix, without
+    LAPACK; the factors have the dtype of :func:`as_matrix` of the input.
 
     Each sweep starts with one test on the Gram matrix of the working
     columns, and the SVD stops once every off-diagonal ratio
@@ -165,12 +167,12 @@ def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
     ValueError on non-square or non-finite input, and RuntimeError when
     ``max_sweeps`` rotating sweeps do not converge.
     """
-    a = as_complex_matrix(a, "svd input")
+    a = as_matrix(a, "svd input")
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"svd input must be square, got shape {a.shape}")
     # Row j is column j of U, then column j of V: a pair rotation updates rows.
-    w = np.concatenate((a.T, np.eye(n)), axis=1)
+    w = np.concatenate((a.T, np.eye(n, dtype=a.dtype)), axis=1)
     del a
     sweeps = 0
     while (worst := _worst_ratio(w[:, :n])) > tol:
@@ -206,7 +208,7 @@ def hermitian_eigen(h: np.ndarray, *, tol: float = 1e-10) -> tuple[np.ndarray, n
     cross-check for :func:`svd`.  Rejects input whose Hermitian defect
     exceeds ``tol`` relative to its largest entry.
     """
-    h = as_complex_matrix(h, "hermitian_eigen input")
+    h = as_matrix(h, "hermitian_eigen input")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"hermitian_eigen input must be square, got {h.shape}")
     defect = max_abs(h - h.conj().T)

@@ -139,7 +139,7 @@ def _gram(model: SphereModel, log_amp: np.ndarray) -> np.ndarray:
     j = np.arange(k + 1)
     t = t_nodes[:, None]
     f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))
-    return np.diag((t_weights @ f2).astype(complex))
+    return np.diag(t_weights @ f2)
 
 
 def gram_matrix(model: SphereModel) -> np.ndarray:

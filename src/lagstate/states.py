@@ -137,7 +137,7 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     """
     k = model.k
     amp = np.array([(k + 1) * c / 2**k for c in binomials(k)])
-    coeffs = np.diag((2.0 * math.pi * amp).astype(complex))
+    coeffs = np.diag(2.0 * math.pi * amp)
     raw_norm = _frobenius_norm(coeffs)
     return LagrangianState(
         coeffs=coeffs,
@@ -164,7 +164,7 @@ def _circle_log_diagonal(k: int) -> np.ndarray:
 def circle_state_closed_form(k: int) -> np.ndarray:
     """Normalized circle state: diagonal entries C(k,j) / sqrt(C(2k,k)),
     that is C(k,j) k! / sqrt((2k)!)."""
-    return np.diag(np.exp(_circle_log_diagonal(k))).astype(complex)
+    return np.diag(np.exp(_circle_log_diagonal(k)))
 
 
 def circle_entropy_closed_form(k: int) -> float:

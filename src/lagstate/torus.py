@@ -212,7 +212,7 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     ys, weights = gauss_legendre_01(n_y)
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
-    gram = np.diag(terms.sum(axis=1) @ weights).astype(complex)
+    gram = np.diag(terms.sum(axis=1) @ weights)
     return TorusGramResult(gram=gram, truncation=trunc, n_y=n_y,
                            y_bound=_y_bound(k, trunc, n_y))
 

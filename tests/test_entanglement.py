@@ -221,3 +221,25 @@ def test_analyze_keeps_its_own_copy():
     c[:] = 0.0
     c[0, 0] = 1.0
     assert abs(report.separable_distance - math.sqrt(3.0) / 2.0) <= 1e-15
+
+
+def test_entropy_counts_every_positive_eigenvalue():
+    # The circle spectrum at k = 105 reaches 1.1e-62; its weights below 1e-15
+    # add 7.6e-14 to the entropy, so none may be dropped.  The reference is
+    # the 40-digit entropy of the same computed spectrum, so only the
+    # evaluation of the terms is measured.  With u = 2^-53, each term
+    # -x * log(x) carries the error of math.log (below 1 ulp, 2u relative)
+    # and of the product (u), 3u of itself; math.fsum rounds the sum once (u).
+    # All terms are positive, so the total is at most 4u times the entropy,
+    # 1.2e-15 here.
+    mpmath = pytest.importorskip("mpmath")
+    from lagstate.sphere import SphereModel
+    from lagstate.states import circle_state_quadrature
+    report = analyze(circle_state_quadrature(SphereModel(105)).normalized())
+    lam = report.schmidt_spectrum
+    assert lam.min() < 1e-60
+    with mpmath.workdps(40):
+        exact = -mpmath.fsum(mpmath.mpf(float(x)) * mpmath.log(float(x))
+                             for x in lam if x > 0)
+        bound = 4.0 * 2.0**-53 * float(exact)
+        assert abs(report.entropy - exact) <= bound

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import column_graded_matrix
-from lagstate.linalg import (JACOBI_TOL, SvdResult, frobenius_distance,
-                             hermitian_eigen, max_abs, round_robin, svd)
+from lagstate.linalg import (JACOBI_TOL, SvdResult, as_matrix,
+                             frobenius_distance, hermitian_eigen, max_abs,
+                             round_robin, svd)
 from lagstate.sphere import SphereModel
 from lagstate.states import (antidiagonal_state, circle_state_closed_form,
                              circle_state_quadrature)
@@ -274,3 +275,67 @@ def test_svd_calls_no_lapack(monkeypatch):
         assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * max(
             1.0, float(np.linalg.norm(c.ravel())))
 
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 40])
+def test_svd_real_input_gives_real_factors(d):
+    rng = np.random.default_rng(100 + d)
+    c = rng.standard_normal((d, d))
+    res = svd(c)
+    for factor in (res.left, res.singular_values, res.right):
+        assert factor.dtype == np.float64
+    lapack = np.linalg.svd(c, compute_uv=False)
+    assert max_abs(res.singular_values - lapack) <= 1e-12 * lapack[0]
+    assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * np.linalg.norm(c.ravel())
+    assert max_abs(res.left.T @ res.left - np.eye(d)) <= 1e-12
+    assert max_abs(res.right.T @ res.right - np.eye(d)) <= 1e-12
+
+
+def test_hermitian_eigen_real_symmetric_input():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((6, 6))
+    h = a @ a.T
+    vals, vecs = hermitian_eigen(h)
+    assert vals.dtype == vecs.dtype == np.float64
+    assert max_abs(h @ vecs - vecs * vals) <= 1e-10 * max_abs(h)
+    assert max_abs(vecs.T @ vecs - np.eye(6)) <= 1e-12
+    assert abs(math.fsum(vals) - np.trace(h)) <= 1e-10 * max_abs(h) * 6
+
+
+def test_integer_input_promotes_and_complex_input_stays_complex():
+    ints = np.diag([3, 0, 4])
+    assert as_matrix(ints).dtype == np.float64
+    res = svd(ints)
+    assert res.left.dtype == res.right.dtype == np.float64
+    assert np.array_equal(res.singular_values, [4.0, 3.0, 0.0])
+    assert hermitian_eigen(ints)[1].dtype == np.float64
+    # Complex input keeps complex factors, here also through the division
+    # by subnormal column norms, which overflows in complex arithmetic
+    # unless the columns are scaled first.
+    values = np.array([1.0, 2.0**-1060, 2.0**-1070])
+    res = svd(np.diag(values).astype(complex))
+    assert res.left.dtype == res.right.dtype == np.complex128
+    assert np.array_equal(res.singular_values, values)
+    assert np.array_equal(res.left, np.eye(3))
+    assert hermitian_eigen(np.eye(2, dtype=complex))[1].dtype == np.complex128
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(np.array([[1.0, complex(0.0, math.inf)]]))
+
+
+def test_svd_completes_u_over_many_exact_zeros():
+    # 300 of 400 diagonal entries are exact zeros, scattered over the rows,
+    # so U needs 300 completing columns; each is a canonical vector of a
+    # zero row.  Three dense columns and 37 exact zero ones need 37 that
+    # are not.
+    rng = np.random.default_rng(400)
+    values = np.zeros(400)
+    values[rng.choice(400, size=100, replace=False)] = rng.uniform(0.5, 2.0, 100)
+    res = svd(np.diag(values))
+    assert max_abs(res.left.T @ res.left - np.eye(400)) <= 1e-12
+    assert frobenius_distance(res.reconstruct(), np.diag(values)) <= 1e-12
+    a = np.zeros((40, 40))
+    a[:, :3] = rng.standard_normal((40, 3))
+    res = svd(a)
+    assert np.count_nonzero(res.singular_values) == 3
+    assert max_abs(res.left.T @ res.left - np.eye(40)) <= 1e-12
+    assert frobenius_distance(res.reconstruct(), a) <= 1e-12 * np.linalg.norm(a.ravel())

@@ -169,6 +169,24 @@ def test_sphere_and_circle_states_are_exactly_diagonal():
             assert svd(c).sweeps == 0
 
 
+def test_builders_return_real_coefficients():
+    # Every coefficient matrix the CLI builds is real, so the Schmidt
+    # analysis runs in real arithmetic all the way to the report.
+    from lagstate.entanglement import analyze
+    from lagstate.sphere import gram_matrix
+    states = [antidiagonal_state(SphereModel(4)),
+              antidiagonal_state(TorusModel(4, mu=0.37)),
+              circle_state_quadrature(SphereModel(4))]
+    for state in states:
+        assert state.coeffs.dtype == np.float64
+        report = analyze(state.normalized())
+        assert report.coeffs.dtype == report.schmidt_spectrum.dtype == np.float64
+        assert svd(report.coeffs).left.dtype == np.float64
+    assert circle_state_closed_form(4).dtype == np.float64
+    assert gram_matrix(SphereModel(4)).dtype == np.float64
+    assert gram_quadrature(TorusModel(4)).gram.dtype == np.float64
+
+
 def test_circle_closed_form_matches_quadrature():
     for k in (1, 2, 7, 12):
         state = circle_state_quadrature(SphereModel(k))
