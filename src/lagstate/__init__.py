@@ -17,7 +17,6 @@ from .entanglement import (
     entropy,
     is_maximally_entangled,
     schmidt,
-    schmidt_spectrum,
 )
 from .sphere import (
     SphereModel,
@@ -53,8 +52,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SvdResult", "svd", "hermitian_eigen", "frobenius_distance",
-    "SchmidtDecomposition", "EntanglementReport", "schmidt",
-    "schmidt_spectrum", "entropy", "closest_separable",
+    "SchmidtDecomposition", "EntanglementReport", "schmidt", "entropy",
+    "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
     "SphereModel", "sphere_quadrature", "basis_values",
     "weighted_basis_values", "gram_matrix", "monomial_gram",

@@ -21,7 +21,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -171,32 +170,35 @@ def _binomial_square_sum_check(k: int) -> IdentityCheck:
 
 
 def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck:
-    top = Fraction(math.comb(k, k // 2) ** 2, math.comb(2 * k, k))
-    gap = abs(distance - math.sqrt(float(1 - top)))
+    central = math.comb(2 * k, k)
+    # Exact integers, one correctly rounded division.
+    rest = (central - math.comb(k, k // 2) ** 2) / central
+    gap = abs(distance - math.sqrt(rest))
     return IdentityCheck(
         name="circle_distance_vs_closed_form", k=k, passed=gap <= tol,
         detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")
 
 
 def verify_identities(config: RunConfig) -> list[IdentityCheck]:
-    """Cross-identities over the configured k range, a fixed list per row.
+    """Cross-identities over the configured k range, a fixed list per
+    :func:`run` row.
 
     (a) On antidiagonal rows, the separable distance must equal
         sqrt(1 - e^-entropy) within ``tol_identity``.
     (b) On the sphere, the binomial identity behind the circle state norm,
         sum_j C(k,j)^2 = C(2k,k), in exact integers.
     (c) On circle rows, the quadrature state must match the closed form
-        entrywise within the Gram tolerance; the builder records that defect.
+        entrywise within the Gram tolerance; the row's ``gram_residual``
+        is that defect, recorded by the builder.
     (d) On circle rows, the separable distance must equal
         sqrt(1 - max_j p_j), with the largest Schmidt weight
-        max_j p_j = C(k, k//2)^2 / C(2k, k) in exact rationals.
+        max_j p_j = C(k, k//2)^2 / C(2k, k) from exact integers.
     """
     checks = []
-    for k in range(config.k_min, config.k_max + 1):
-        state = _build_state(config, k)
-        report = entanglement.analyze(state.normalized())
+    for row in run(config):
+        k = row.k
         if config.submanifold == "antidiagonal":
-            gap = abs(report.separable_distance - report.corollary_distance)
+            gap = abs(row.separable_distance - row.corollary_rhs)
             checks.append(IdentityCheck(
                 name="distance_vs_entropy", k=k,
                 passed=gap <= config.tol_identity,
@@ -204,13 +206,12 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
         if config.model == "sphere":
             checks.append(_binomial_square_sum_check(k))
         if config.submanifold == "circle":
-            defect = state.provenance["closed_form_defect"]
             checks.append(IdentityCheck(
                 name="circle_quadrature_vs_closed_form", k=k,
-                passed=defect <= config.max_gram_residual,
-                detail=f"max entrywise defect {defect:.3e}"))
+                passed=row.gram_residual <= config.max_gram_residual,
+                detail=f"max entrywise defect {row.gram_residual:.3e}"))
             checks.append(_circle_distance_check(
-                k, report.separable_distance, config.tol_identity))
+                k, row.separable_distance, config.tol_identity))
     return checks
 
 
@@ -413,4 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         # A ValueError is bad input; a RuntimeError is a failed numerical check.
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
+    except MemoryError as exc:
+        # A k too large for the memory at hand: a failed run, not bad usage.
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
+        return 1
     raise AssertionError("unreachable command")

@@ -18,6 +18,9 @@ import numpy as np
 from .linalg import as_matrix, hermitian_eigen, svd
 
 NORM_TOL = 1e-9
+# Default gap between the entropy and ln d within which a state counts as
+# maximally entangled.
+MAX_ENTROPY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,17 +35,6 @@ class SchmidtDecomposition:
         return (self.basis_left * self.alphas) @ self.basis_right.T
 
 
-def _state_matrix(coeffs: np.ndarray, *, require_normalized: bool) -> np.ndarray:
-    c = as_matrix(coeffs, "state coefficients")
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {c.shape}")
-    if require_normalized:
-        norm = float(np.linalg.norm(c.ravel()))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |v| = {norm:.12g}")
-    return c
-
-
 def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
     """Schmidt decomposition of a (not necessarily normalized) state.
 
@@ -51,14 +43,8 @@ def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
     c = U S V^* the right basis holds the conjugated columns of V, so that
     ``reconstruct`` resumes c without further conjugation.
     """
-    res = svd(_state_matrix(coeffs, require_normalized=False))
+    res = svd(coeffs)
     return SchmidtDecomposition(res.singular_values, res.left, res.right.conj())
-
-
-def _spectrum(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Eigenvalues of c c^* clamped to [0, 1], and their entropy."""
-    lam = np.clip(hermitian_eigen(c @ c.conj().T)[0], 0.0, 1.0)
-    return lam, math.fsum(-x * math.log(x) for x in lam if x > 0.0)
 
 
 def _tail_norm(alphas: np.ndarray) -> float:
@@ -81,7 +67,7 @@ class EntanglementReport:
     def separable_distance(self) -> float:
         return _tail_norm(svd(self.coeffs).singular_values)
 
-    def is_maximally_entangled(self, tol: float = 1e-9) -> bool:
+    def is_maximally_entangled(self, tol: float = MAX_ENTROPY_TOL) -> bool:
         """Whether the Schmidt spectrum is flat, i.e. the entropy attains ln d.
 
         Two equivalent checks are run: the entropy is within ``tol`` of
@@ -103,24 +89,26 @@ class EntanglementReport:
 def analyze(coeffs: np.ndarray) -> EntanglementReport:
     """Entanglement summary of a normalized state, factorized once: one
     eigensolve of c c^*, plus one SVD of c if the distance is read.  The
-    report keeps its own copy of c, the only copy along this path."""
-    c = _state_matrix(coeffs, require_normalized=True).copy()
-    lam, nu = _spectrum(c)
+    entropy -sum lam ln lam (nats) sums every eigenvalue above zero after
+    clamping to [0, 1] (0 ln 0 = 0), by compensated summation.  The report
+    keeps its own copy of c, the only copy along this path."""
+    c = as_matrix(coeffs, "state coefficients").copy()
+    if c.shape[0] != c.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got {c.shape}")
+    norm = float(np.linalg.norm(c.ravel()))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |v| = {norm:.12g}")
+    lam = np.clip(hermitian_eigen(c @ c.conj().T), 0.0, 1.0)
+    nu = math.fsum(-x * math.log(x) for x in lam if x > 0.0)
     return EntanglementReport(
         coeffs=c, d=len(c), entropy=nu, max_entropy=math.log(len(c)),
         corollary_distance=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
         schmidt_spectrum=lam)
 
 
-def schmidt_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the reduced density matrix, descending, clamped to [0, 1]."""
-    return _spectrum(_state_matrix(coeffs, require_normalized=False))[0]
-
-
-def entropy(coeffs: np.ndarray, *, require_normalized: bool = True) -> float:
-    """Entanglement entropy -sum lam ln lam in nats, by compensated
-    summation over every eigenvalue above zero after clamping (0 ln 0 = 0)."""
-    return _spectrum(_state_matrix(coeffs, require_normalized=require_normalized))[1]
+def entropy(coeffs: np.ndarray) -> float:
+    """Entanglement entropy of a normalized state; see :func:`analyze`."""
+    return analyze(coeffs).entropy
 
 
 def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -134,20 +122,20 @@ def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
     return u_s, _tail_norm(dec.alphas)
 
 
-def is_maximally_entangled(coeffs: np.ndarray, *, tol: float = 1e-9) -> bool:
+def is_maximally_entangled(coeffs: np.ndarray) -> bool:
     """See :meth:`EntanglementReport.is_maximally_entangled`."""
-    return analyze(coeffs).is_maximally_entangled(tol)
+    return analyze(coeffs).is_maximally_entangled()
 
 
-def corollary_distance_identity(coeffs: np.ndarray, *, tol: float = 1e-9) -> tuple[float, float]:
+def corollary_distance_identity(coeffs: np.ndarray) -> tuple[float, float]:
     """Separable distance of a maximally entangled state vs sqrt(1 - e^-nu).
 
     Returns the pair (distance, sqrt(1 - exp(-entropy))); for maximally
     entangled states the two agree.  Raises for states that are not
-    maximally entangled within ``tol``.
+    maximally entangled within ``MAX_ENTROPY_TOL``.
     """
     report = analyze(coeffs)
-    if abs(report.entropy - report.max_entropy) > tol:
+    if abs(report.entropy - report.max_entropy) > MAX_ENTROPY_TOL:
         raise ValueError(
             f"state is not maximally entangled: entropy {report.entropy:.12g} "
             f"vs ln d = {report.max_entropy:.12g}")

@@ -4,8 +4,9 @@ dtype preserved: real input gets real factors in real arithmetic.
 The SVD is a one-sided Jacobi iteration on the columns of the input: one
 Gram-matrix convergence test per sweep, and rotations in round-robin
 parallel order.  It calls no LAPACK routine, so the Schmidt route through
-``svd`` stays independent of the spectral route through ``hermitian_eigen``
-(which wraps LAPACK); the two are cross-checked against each other.
+``svd`` stays independent of the spectral route through ``hermitian_eigen``,
+which returns eigenvalues only, from LAPACK's Hermitian eigenvalue solver;
+the two are cross-checked against each other.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
 here too, with the policy that sizes it (:func:`rule_size`).
 """
@@ -20,6 +21,8 @@ import numpy as np
 # Off-diagonal Gram ratio below which a column pair counts as orthogonal.
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
+# Hermitian defect, relative to the largest entry, that hermitian_eigen accepts.
+HERMITIAN_TOL = 1e-10
 # Smallest Gauss-Legendre rule the models build.  Building a 64-node rule
 # costs more than the rest of a row at small k, so every sphere level up to
 # k = 126 and every torus level up to k = 74 shares this one, and a sweep
@@ -130,15 +133,15 @@ def _worst_ratio(u: np.ndarray) -> float:
     return float(ratio.max(initial=0.0))
 
 
-def _rotate_round(w: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float) -> None:
+def _rotate_round(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     """Rotate, all at once, the disjoint row pairs (p, q) of w = [U^T | V^T]
-    whose U halves are further than tol from orthogonal."""
+    whose U halves are further than JACOBI_TOL from orthogonal."""
     n = w.shape[1] // 2
     xu, yu = w[p, :n], w[q, :n]
     app, aqq = (np.einsum("ij,ij->i", z.view(float), z.view(float)) for z in (xu, yu))
     apq = np.einsum("ij,ij->i", xu.conj(), yu)
     beta = np.abs(apq)
-    act = (beta > tol * np.sqrt(app) * np.sqrt(aqq)) & (app > 0.0) & (aqq > 0.0)
+    act = (beta > JACOBI_TOL * np.sqrt(app) * np.sqrt(aqq)) & (app > 0.0) & (aqq > 0.0)
     if not act.any():
         return
     p, q, app, aqq, apq, beta = p[act], q[act], app[act], aqq[act], apq[act], beta[act]
@@ -153,19 +156,18 @@ def _rotate_round(w: np.ndarray, p: np.ndarray, q: np.ndarray, tol: float) -> No
     w[q] = s[:, None] * x + (c * np.conj(phase))[:, None] * y
 
 
-def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
-        max_sweeps: int = MAX_SWEEPS) -> SvdResult:
+def svd(a: np.ndarray, *, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     """One-sided Jacobi SVD of a square real or complex matrix, without
     LAPACK; the factors have the dtype of :func:`as_matrix` of the input.
 
     Each sweep starts with one test on the Gram matrix of the working
     columns, and the SVD stops once every off-diagonal ratio
-    |<a_p, a_q>| / (|a_p| |a_q|) between nonzero columns is at most ``tol``.
-    Otherwise the sweep rotates the pairs above ``tol`` in round-robin
-    order, one numpy step per round of disjoint pairs.  Singular values are
-    descending; equal values keep the order of the original columns.  Raises
-    ValueError on non-square or non-finite input, and RuntimeError when
-    ``max_sweeps`` rotating sweeps do not converge.
+    |<a_p, a_q>| / (|a_p| |a_q|) between nonzero columns is at most
+    ``JACOBI_TOL``.  Otherwise the sweep rotates the pairs above it in
+    round-robin order, one numpy step per round of disjoint pairs.  Singular
+    values are descending; equal values keep the order of the original
+    columns.  Raises ValueError on non-square or non-finite input, and
+    RuntimeError when ``max_sweeps`` rotating sweeps do not converge.
     """
     a = as_matrix(a, "svd input")
     n = a.shape[0]
@@ -175,13 +177,13 @@ def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
     w = np.concatenate((a.T, np.eye(n, dtype=a.dtype)), axis=1)
     del a
     sweeps = 0
-    while (worst := _worst_ratio(w[:, :n])) > tol:
+    while (worst := _worst_ratio(w[:, :n])) > JACOBI_TOL:
         if sweeps == max_sweeps:
             raise RuntimeError(
                 f"jacobi svd did not converge in {max_sweeps} sweeps; "
                 f"worst off-diagonal ratio {worst:.3e}")
         for p, q in round_robin(n):
-            _rotate_round(w, p, q, tol)
+            _rotate_round(w, p, q)
         sweeps += 1
     w = np.ascontiguousarray(w.T)  # U above V, both in column layout again
     # Each column is scaled by a power of two near its largest modulus: exact,
@@ -201,21 +203,20 @@ def svd(a: np.ndarray, *, tol: float = JACOBI_TOL,
                      worst_ratio=worst)
 
 
-def hermitian_eigen(h: np.ndarray, *, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+def hermitian_eigen(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending, in float64.
 
-    Thin wrapper over LAPACK's Hermitian solver; serves as the spectral
-    cross-check for :func:`svd`.  Rejects input whose Hermitian defect
-    exceeds ``tol`` relative to its largest entry.
+    Thin wrapper over LAPACK's eigenvalue-only Hermitian solver; serves as
+    the spectral cross-check for :func:`svd`.  Rejects input whose
+    Hermitian defect exceeds ``HERMITIAN_TOL`` relative to its largest entry.
     """
     h = as_matrix(h, "hermitian_eigen input")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"hermitian_eigen input must be square, got {h.shape}")
     defect = max_abs(h - h.conj().T)
     scale = max_abs(h)
-    if defect > tol * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"input is not Hermitian: max |h - h^*| = {defect:.3e} "
             f"(max entry {scale:.3e})")
-    w, vecs = np.linalg.eigh(h)
-    return w[::-1].copy(), vecs[:, ::-1].copy()
+    return np.linalg.eigvalsh(h)[::-1]

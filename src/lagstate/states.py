@@ -153,26 +153,24 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     )
 
 
-def _circle_log_diagonal(k: int) -> np.ndarray:
-    """log C(k,j) - log C(2k,k) / 2, j = 0..k, from exact integers."""
+def _circle_spectrum(k: int) -> np.ndarray:
+    """Circle Schmidt weights p_j = C(k,j)^2 / C(2k,k), j = 0..k, each an
+    exact integer quotient rounded once."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    half_log_central = 0.5 * math.log(math.comb(2 * k, k))
-    return np.array([math.log(c) - half_log_central for c in binomials(k)])
+    central = math.comb(2 * k, k)
+    return np.array([c * c / central for c in binomials(k)])
 
 
 def circle_state_closed_form(k: int) -> np.ndarray:
-    """Normalized circle state: diagonal entries C(k,j) / sqrt(C(2k,k)),
-    that is C(k,j) k! / sqrt((2k)!)."""
-    return np.diag(np.exp(_circle_log_diagonal(k)))
+    """Normalized circle state: diagonal entries sqrt(p_j) = C(k,j) /
+    sqrt(C(2k,k)), that is C(k,j) k! / sqrt((2k)!)."""
+    return np.diag(np.sqrt(_circle_spectrum(k)))
 
 
 def circle_entropy_closed_form(k: int) -> float:
-    """Entropy of the circle state from its binomial Schmidt spectrum.
-
-    The spectrum is p_j = C(k,j)^2 / C(2k,k), which sums to one by the
-    Vandermonde identity sum_j C(k,j)^2 = C(2k,k).  Evaluated in log space
-    with compensated summation.
-    """
-    log_p = 2.0 * _circle_log_diagonal(k)
-    return -math.fsum(np.exp(log_p) * log_p)
+    """Entropy -sum p_j ln p_j of the circle state's binomial Schmidt
+    spectrum p_j = C(k,j)^2 / C(2k,k), which sums to one by the Vandermonde
+    identity sum_j C(k,j)^2 = C(2k,k).  Compensated summation over the
+    weights above zero; weights that underflow contribute below 1e-300."""
+    return -math.fsum(p * math.log(p) for p in _circle_spectrum(k) if p > 0.0)

@@ -235,9 +235,10 @@ class TorusBasis:
         relative to the squared norm."""
         return max_abs(self.normalized_gram - np.eye(self.model.k))
 
-    def values(self, z: complex, tol: float = THETA_TOL) -> np.ndarray:
-        """All phi_j(z), j = 1..k."""
-        return _theta_values(self.model, z, tol) / closed_form_norm(self.model)
+    def values(self, z: complex) -> np.ndarray:
+        """All phi_j(z), j = 1..k, with the theta tail below THETA_TOL."""
+        return (_theta_values(self.model, z, THETA_TOL)
+                / closed_form_norm(self.model))
 
 
 def orthonormal_basis(model: TorusModel) -> TorusBasis:

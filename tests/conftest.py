@@ -77,6 +77,18 @@ def circle_spectrum_exact(k: int) -> list[Fraction]:
     return [Fraction(math.comb(k, j) ** 2, total) for j in range(k + 1)]
 
 
+def circle_schmidt_values_exact(k: int) -> np.ndarray:
+    """Circle Schmidt values C(k,j) / sqrt(C(2k,k)), j = 0..k, each from an
+    exact integer square root carrying at least 64 significant bits, so they
+    keep full relative accuracy where the weights C(k,j)^2 / C(2k,k)
+    underflow."""
+    central = math.comb(2 * k, k)
+    shift = k + 64  # sqrt(C(2k,k)) < 2^k, so every root is >= 2^64
+    roots = [math.isqrt((math.comb(k, j) ** 2 << 2 * shift) // central)
+             for j in range(k + 1)]
+    return np.array([math.ldexp(float(r), -shift) for r in roots])
+
+
 def circle_entropy_reference(k: int) -> float:
     """Entropy from the exact spectrum, summed independently."""
     return -math.fsum(float(p) * math.log(float(p))

@@ -15,8 +15,7 @@ from conftest import (beta_monomial_norm, circle_diag_coefficient,
                       circle_spectrum_exact, random_state, random_unitary, random_unit_vector,
                       separable_distance_minimized)
 from lagstate.cli import RunConfig, main, parse_csv, render_csv, run
-from lagstate.entanglement import (closest_separable, entropy, schmidt,
-                                   schmidt_spectrum)
+from lagstate.entanglement import analyze, closest_separable, entropy, schmidt
 from lagstate.linalg import frobenius_distance, max_abs
 from lagstate.sphere import (SphereModel, gram_residual, monomial_gram,
                              sphere_quadrature)
@@ -290,7 +289,7 @@ def test_c8_decomposition_and_serialization(tmp_path):
             worst_rec = max(worst_rec, rec)
             if rec > TOL_RECONSTRUCT:
                 failures.append(f"d={d}: reconstruction {rec:.3e}")
-            gap = abs(math.fsum(schmidt_spectrum(c)) - 1.0)
+            gap = abs(math.fsum(analyze(c).schmidt_spectrum) - 1.0)
             worst_sum = max(worst_sum, gap)
             if gap > TOL_SPECTRUM_SUM:
                 failures.append(f"d={d}: spectrum sum defect {gap:.3e}")
@@ -332,12 +331,53 @@ def test_c8_decomposition_and_serialization(tmp_path):
 
 
 def test_c9_circle_report_at_large_k(capsys):
-    # The graded circle spectrum spans about 1e95 at k = 320; the report
-    # must still exit 0 (its SVD used to stop after 30 sweeps without
-    # converging).
-    code = main(["report", "--submanifold", "circle", "--k-min", "320",
-                 "--k-max", "320", "--reproducible"])
-    out, err = capsys.readouterr()
-    failures = [] if code == 0 else [f"exit {code}: {err.strip()}"]
-    _finish("C9 circle report k=320", out.splitlines()[-1] if out else err,
-            failures)
+    # The graded circle spectrum spans about 1e95 at k = 320 and 1e600 at
+    # k = 2000, where its smallest weights underflow; the report must still
+    # exit 0 (its SVD used to stop after 30 sweeps without converging at
+    # k = 320) and its two residuals must stay within this bound, with
+    # u = 2^-53 and p_max = C(k,k//2)^2 / C(2k,k) the largest weight:
+    #
+    # Coefficients.  Each computed diagonal entry 2 pi ((k+1) C(k,j) / 2^k)
+    # carries 3u (the integer quotient, fl(2 pi) and the product).  So the
+    # exact norm of the computed entries is within 3u of the true raw norm,
+    # and the computed raw norm differs from it by rho, measured below in
+    # exact rationals (the pairwise summation and the square root, plus u
+    # for the measurement).  Normalizing divides once (u): each normalized
+    # entry is within 7u + rho relative of sqrt(p_j).
+    # gram_residual.  The closed form sqrt(fl(p_j)) is within 1.5u of
+    # sqrt(p_j), so the defect is at most sqrt(p_max) (8.5u + rho).
+    # entropy_residual.  c c^* of the diagonal state is diagonal, each entry
+    # one rounded square, and the eigensolver returns a diagonal matrix's
+    # entries unchanged, so each eigenvalue is p_j (1 + e_j) with
+    # |e_j| <= 15u + 2 rho.  Perturbing every weight by a relative e moves
+    # the entropy by at most e (H + 1), and evaluating the terms adds 4u H
+    # (see tests/test_states.py); the closed form adds u (H + 1) + 4u H.
+    # In all, |entropy - closed form| <= (24u + 2 rho)(H + 1).
+    # Entries below 2^-511 (weights below 2^-1022) may round to zero or lose
+    # relative accuracy; they add at most 2^-511 to the defect and below
+    # 1e-298 to either entropy.
+    u = 2.0**-53
+    failures, details = [], []
+    for k in (320, 2000):
+        code = main(["report", "--submanifold", "circle", "--k-min", str(k),
+                     "--k-max", str(k), "--reproducible"])
+        out, err = capsys.readouterr()
+        if code != 0:
+            failures.append(f"k={k}: exit {code}: {err.strip()}")
+            continue
+        row, = parse_csv(out)
+        state = circle_state_quadrature(SphereModel(k))
+        exact_sq = sum(Fraction(float(x)) ** 2 for x in np.diag(state.coeffs))
+        ratio = float(Fraction(state.raw_norm) ** 2 / exact_sq)
+        rho = abs(ratio - 1.0) / 2.0 + u
+        sqrt_p_max = math.comb(k, k // 2) / math.isqrt(math.comb(2 * k, k))
+        gram_bound = sqrt_p_max * (8.5 * u + rho) + 2.0**-511
+        entropy_bound = (24.0 * u + 2.0 * rho) * (row.entropy + 1.0) + 1e-298
+        details.append(f"k={k}: entropy_residual {row.entropy_residual:.3e} "
+                       f"(<= {entropy_bound:.3e}), gram_residual "
+                       f"{row.gram_residual:.3e} (<= {gram_bound:.3e})")
+        if row.entropy_residual > entropy_bound:
+            failures.append(details[-1])
+        if row.gram_residual > gram_bound:
+            failures.append(details[-1])
+    _finish("C9 circle report k=320, 2000", "; ".join(details), failures)

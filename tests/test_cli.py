@@ -384,6 +384,23 @@ def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 2.00 GiB"),
+     "error: out of memory: Unable to allocate 2.00 GiB\n"),
+])
+def test_main_memory_error_is_an_error_line(monkeypatch, capsys, exc, message):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(states, "antidiagonal_state", fail)
+    code = main(["state", "--k", "20000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_main_verify_torus_skips_binomial(capsys):
     code = main(["verify", "--model", "torus", "--k-min", "3", "--k-max", "4"])
     lines = capsys.readouterr().out.splitlines()

@@ -7,8 +7,7 @@ from conftest import (partial_trace_2, random_state, random_unitary,
                       random_unit_vector, separable_distance_minimized)
 from lagstate.entanglement import (analyze, closest_separable,
                                    corollary_distance_identity, entropy,
-                                   is_maximally_entangled, schmidt,
-                                   schmidt_spectrum)
+                                   is_maximally_entangled, schmidt)
 from lagstate.linalg import frobenius_distance, max_abs
 
 # Entropy of the circle state at k = 2, from the exact Schmidt spectrum
@@ -75,12 +74,14 @@ def test_entropy_examples():
 
 
 def test_entropy_requires_normalization():
-    with pytest.raises(ValueError, match="not normalized"):
-        entropy(2.0 * np.eye(3, dtype=complex))
-    # Explicitly unnormalized input is accepted when flagged.
-    value = entropy(np.eye(3, dtype=complex) * 2.0 / math.sqrt(3.0) / 2.0,
-                    require_normalized=False)
-    assert value >= 0.0
+    # analyze is the one spectral entry point, and entropy reads it, so both
+    # reject a state whose norm is off by more than NORM_TOL.
+    near = np.eye(3) / math.sqrt(3.0) * (1.0 + 1e-8)
+    for c in (2.0 * np.eye(3, dtype=complex), near):
+        for fn in (analyze, entropy):
+            with pytest.raises(ValueError, match="not normalized"):
+                fn(c)
+    assert abs(entropy(np.eye(3) / math.sqrt(3.0)) - math.log(3.0)) <= 1e-15
 
 
 def test_entropy_range_and_spectrum_sum():
@@ -90,7 +91,7 @@ def test_entropy_range_and_spectrum_sum():
             c = random_state(rng, d)
             nu = entropy(c)
             assert -1e-15 <= nu <= math.log(d) + 1e-12
-            lam = schmidt_spectrum(c)
+            lam = analyze(c).schmidt_spectrum
             assert abs(math.fsum(lam) - 1.0) <= 1e-12
 
 

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import column_graded_matrix
+from conftest import circle_schmidt_values_exact, column_graded_matrix
 from lagstate.linalg import (JACOBI_TOL, SvdResult, as_matrix,
                              frobenius_distance, hermitian_eigen, max_abs,
                              round_robin, svd)
 from lagstate.sphere import SphereModel
-from lagstate.states import (antidiagonal_state, circle_state_closed_form,
-                             circle_state_quadrature)
+from lagstate.states import antidiagonal_state, circle_state_quadrature
 
 
 def test_svd_identity_input():
@@ -61,7 +60,7 @@ def test_svd_matches_hermitian_eigen_oracle():
     for _ in range(10):
         c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         res = svd(c)
-        eigvals, _ = hermitian_eigen(c.conj().T @ c)
+        eigvals = hermitian_eigen(c.conj().T @ c)
         assert max_abs(res.singular_values ** 2 - eigvals) <= 1e-10
 
 
@@ -104,23 +103,27 @@ def test_svd_convergence_error_names_residual():
 
 
 def test_hermitian_eigen_examples():
-    vals, vecs = hermitian_eigen(3.0 * np.eye(2))
-    assert np.allclose(vals, [3.0, 3.0], atol=1e-15)
+    # Known spectra: 3I, and the Pauli matrices X (real) and Y (complex).
+    assert np.array_equal(hermitian_eigen(3.0 * np.eye(2)), [3.0, 3.0])
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    vals, vecs = hermitian_eigen(pauli_x)
-    assert np.allclose(vals, [1.0, -1.0], atol=1e-14)
-    assert max_abs(pauli_x @ vecs - vecs @ np.diag(vals)) <= 1e-10
+    pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
+    for pauli in (pauli_x, pauli_y):
+        assert max_abs(hermitian_eigen(pauli) - [1.0, -1.0]) <= 1e-15
 
 
 def test_hermitian_eigen_sum_matches_trace():
+    # Invariants of any Hermitian h: sum(lam) = tr h and sum(lam^2) = |h|_F^2,
+    # with the eigenvalues in descending order.
     rng = np.random.default_rng(5)
     for d in (2, 3, 6):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = a @ a.conj().T
-        vals, vecs = hermitian_eigen(h)
+        vals = hermitian_eigen(h)
+        assert vals.shape == (d,)
         assert abs(math.fsum(vals) - np.trace(h).real) <= 1e-10 * max_abs(h) * d
-        assert max_abs(h @ vecs - vecs * vals) <= 1e-10 * max_abs(h)
-        assert np.all(np.diff(vals) <= 1e-15)
+        frob2 = math.fsum(np.abs(h.ravel()) ** 2)
+        assert abs(math.fsum(vals ** 2) - frob2) <= 1e-12 * frob2
+        assert np.all(np.diff(vals) <= 0.0)
 
 
 def test_hermitian_eigen_rejects_non_hermitian():
@@ -251,10 +254,11 @@ def test_svd_subnormal_singular_values():
 
 def test_svd_large_circle_state_is_full_rank():
     # Circle Schmidt values at k = 600 reach 1e-180; each one must stay
-    # within 1e-12 relative of the closed form instead of underflowing to 0.
+    # within 1e-12 relative of C(k,j) / sqrt(C(2k,k)) instead of underflowing
+    # to 0.
     k = 600
     res = svd(circle_state_quadrature(SphereModel(k)).normalized())
-    exact = np.sort(np.diag(circle_state_closed_form(k)).real)[::-1]
+    exact = np.sort(circle_schmidt_values_exact(k))[::-1]
     assert res.sweeps == 0
     assert np.max(np.abs(res.singular_values - exact) / exact) <= 1e-12
 
@@ -292,13 +296,15 @@ def test_svd_real_input_gives_real_factors(d):
 
 
 def test_hermitian_eigen_real_symmetric_input():
+    # h = Q diag(lam) Q^T with a random orthogonal Q has the spectrum lam.
     rng = np.random.default_rng(17)
-    a = rng.standard_normal((6, 6))
-    h = a @ a.T
-    vals, vecs = hermitian_eigen(h)
-    assert vals.dtype == vecs.dtype == np.float64
-    assert max_abs(h @ vecs - vecs * vals) <= 1e-10 * max_abs(h)
-    assert max_abs(vecs.T @ vecs - np.eye(6)) <= 1e-12
+    lam = rng.uniform(-2.0, 3.0, 6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    h = (q * lam) @ q.T
+    h = (h + h.T) / 2.0
+    vals = hermitian_eigen(h)
+    assert vals.dtype == np.float64
+    assert max_abs(vals - np.sort(lam)[::-1]) <= 1e-13 * max_abs(lam)
     assert abs(math.fsum(vals) - np.trace(h)) <= 1e-10 * max_abs(h) * 6
 
 
@@ -308,7 +314,8 @@ def test_integer_input_promotes_and_complex_input_stays_complex():
     res = svd(ints)
     assert res.left.dtype == res.right.dtype == np.float64
     assert np.array_equal(res.singular_values, [4.0, 3.0, 0.0])
-    assert hermitian_eigen(ints)[1].dtype == np.float64
+    assert np.array_equal(hermitian_eigen(ints * ints), [16.0, 9.0, 0.0])
+    assert hermitian_eigen(ints).dtype == np.float64
     # Complex input keeps complex factors, here also through the division
     # by subnormal column norms, which overflows in complex arithmetic
     # unless the columns are scaled first.
@@ -317,7 +324,8 @@ def test_integer_input_promotes_and_complex_input_stays_complex():
     assert res.left.dtype == res.right.dtype == np.complex128
     assert np.array_equal(res.singular_values, values)
     assert np.array_equal(res.left, np.eye(3))
-    assert hermitian_eigen(np.eye(2, dtype=complex))[1].dtype == np.complex128
+    # Eigenvalues of Hermitian input are real, so complex input gives float64.
+    assert hermitian_eigen(np.eye(2, dtype=complex)).dtype == np.float64
     with pytest.raises(ValueError, match="non-finite"):
         as_matrix(np.array([[1.0, complex(0.0, math.inf)]]))
 

@@ -217,6 +217,27 @@ def test_circle_entropy():
         assert circle_entropy_closed_form(k) < math.log(k + 1.0)
 
 
+@pytest.mark.parametrize("k", [105, 500, 1500])
+def test_circle_entropy_closed_form_against_mpmath(k):
+    # With u = 2^-53, each weight p_j = C(k,j)^2 / C(2k,k) is one correctly
+    # rounded integer quotient, p(1 + d) with |d| <= u.  That moves the term
+    # -p ln p by at most u p (|ln p| + 1), u (H + 1) over all j.  Evaluating
+    # the term adds the error of math.log (below 1 ulp, 2u relative) and of
+    # the product (u), 3u of itself, and math.fsum rounds the sum once (u):
+    # 4u H, as all terms are positive.  The bound is therefore
+    # u (H + 1) + 4u H <= 5u (H + 1), about 2.8e-15 at k = 1500.  Weights
+    # below 2^-1022 round with an absolute error of at most 2^-1075, and
+    # their terms are below 1e-304 in all, far under that bound.
+    mpmath = pytest.importorskip("mpmath")
+    central = math.comb(2 * k, k)
+    with mpmath.workdps(50):
+        weights = [mpmath.mpf(math.comb(k, j) ** 2) / central
+                   for j in range(k + 1)]
+        exact = float(-mpmath.fsum(p * mpmath.log(p) for p in weights))
+    bound = 5.0 * 2.0**-53 * (exact + 1.0)
+    assert abs(circle_entropy_closed_form(k) - exact) <= bound
+
+
 def test_circle_entropy_validation():
     with pytest.raises(ValueError):
         circle_entropy_closed_form(0)
