@@ -25,7 +25,9 @@ MAX_ENTROPY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """v = sum_j alphas[j] * basis_left[:, j] (x) basis_right[:, j]."""
+    """v = sum_j alphas[j] * basis_left[:, j] (x) basis_right[:, j], one
+    term per nonzero Schmidt coefficient: for d x d coefficients of Schmidt
+    rank r, alphas is (r,) and both bases are (d, r)."""
 
     alphas: np.ndarray
     basis_left: np.ndarray
@@ -38,8 +40,9 @@ class SchmidtDecomposition:
 def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
     """Schmidt decomposition of a (not necessarily normalized) state.
 
-    The left/right bases are orthonormal and the coefficients are the
-    singular values of the coefficient matrix in descending order.  With
+    The coefficients are the nonzero singular values of the coefficient
+    matrix in descending order, so their count is the Schmidt rank r, and
+    the left/right bases are their r orthonormal singular vectors.  With
     c = U S V^* the right basis holds the conjugated columns of V, so that
     ``reconstruct`` resumes c without further conjugation.
     """
@@ -114,11 +117,12 @@ def entropy(coeffs: np.ndarray) -> float:
 def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest product vector and its distance from the state.
 
-    The minimizer keeps only the top Schmidt term; the distance is the
-    Euclidean norm of the remaining Schmidt coefficients.
+    The minimizer keeps only the top Schmidt term, or is zero for the zero
+    state; the distance is the Euclidean norm of the remaining Schmidt
+    coefficients.
     """
     dec = schmidt(coeffs)
-    u_s = dec.alphas[0] * np.outer(dec.basis_left[:, 0], dec.basis_right[:, 0])
+    u_s = (dec.basis_left[:, :1] * dec.alphas[:1]) @ dec.basis_right[:, :1].T
     return u_s, _tail_norm(dec.alphas)
 
 

@@ -3,7 +3,8 @@ dtype preserved: real input gets real factors in real arithmetic.
 
 The SVD is a one-sided Jacobi iteration on the columns of the input: one
 Gram-matrix convergence test per sweep, and rotations in round-robin
-parallel order.  It calls no LAPACK routine, so the Schmidt route through
+parallel order.  It is compact: singular vectors exist only for the nonzero
+singular values.  It calls no LAPACK routine, so the Schmidt route through
 ``svd`` stays independent of the spectral route through ``hermitian_eigen``,
 which returns eigenvalues only, from LAPACK's Hermitian eigenvalue solver;
 the two are cross-checked against each other.
@@ -32,7 +33,9 @@ RULE_FLOOR = 64
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Factorization a = left @ diag(singular_values) @ right.conj().T."""
+    """Compact factorization a = left @ diag(singular_values) @ right.conj().T
+    of an n x n matrix of rank r: left is (n, r), singular_values is (r,)
+    and positive, right is (n, r), both with orthonormal columns."""
 
     left: np.ndarray
     singular_values: np.ndarray
@@ -88,26 +91,6 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _complete_orthonormal(u: np.ndarray, rank: int) -> None:
-    """Fill the zero columns rank.. of u with unit vectors orthogonal to the rest.
-
-    Deterministic: each new column starts from the canonical vector e_i of
-    the row with the largest residual 1 - sum_f |u[i, f]|^2 (first index on
-    ties), which is the squared norm of e_i outside the columns so far and
-    at least (n - j) / n for column j; it is projected out of them twice,
-    with matrix-vector products, in the dtype of u.
-    """
-    n = u.shape[0]
-    residual = 1.0 - np.sum(np.abs(u[:, :rank]) ** 2, axis=1)
-    for j in range(rank, n):
-        cand = np.zeros(n, dtype=u.dtype)
-        cand[np.argmax(residual)] = 1.0
-        for _ in range(2):
-            cand -= u[:, :j] @ (u[:, :j].conj().T @ cand)
-        u[:, j] = cand / np.linalg.norm(cand)
-        residual -= np.abs(u[:, j]) ** 2
-
-
 def round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Brent-Luk round-robin order of the pairs p < q of n columns: n - 1
     rounds (n for odd n, padded by a dropped dummy index) of disjoint pairs,
@@ -156,7 +139,7 @@ def _rotate_round(w: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
     w[q] = s[:, None] * x + (c * np.conj(phase))[:, None] * y
 
 
-def svd(a: np.ndarray, *, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
+def svd(a: np.ndarray) -> SvdResult:
     """One-sided Jacobi SVD of a square real or complex matrix, without
     LAPACK; the factors have the dtype of :func:`as_matrix` of the input.
 
@@ -166,8 +149,10 @@ def svd(a: np.ndarray, *, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     ``JACOBI_TOL``.  Otherwise the sweep rotates the pairs above it in
     round-robin order, one numpy step per round of disjoint pairs.  Singular
     values are descending; equal values keep the order of the original
-    columns.  Raises ValueError on non-square or non-finite input, and
-    RuntimeError when ``max_sweeps`` rotating sweeps do not converge.
+    columns.  Only the r nonzero ones are kept, with their columns of U and
+    V: shapes (n, r), (r,) and (n, r).  Raises ValueError on non-square or
+    non-finite input, and RuntimeError when ``MAX_SWEEPS`` rotating sweeps
+    do not converge.
     """
     a = as_matrix(a, "svd input")
     n = a.shape[0]
@@ -178,9 +163,9 @@ def svd(a: np.ndarray, *, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     del a
     sweeps = 0
     while (worst := _worst_ratio(w[:, :n])) > JACOBI_TOL:
-        if sweeps == max_sweeps:
+        if sweeps == MAX_SWEEPS:
             raise RuntimeError(
-                f"jacobi svd did not converge in {max_sweeps} sweeps; "
+                f"jacobi svd did not converge in {MAX_SWEEPS} sweeps; "
                 f"worst off-diagonal ratio {worst:.3e}")
         for p, q in round_robin(n):
             _rotate_round(w, p, q)
@@ -193,14 +178,11 @@ def svd(a: np.ndarray, *, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
     scaled = w[:n] * np.ldexp(1.0, -e)
     norms = np.linalg.norm(scaled, axis=0)
     sigma = np.ldexp(norms, e)
-    order = np.argsort(-sigma, kind="stable")
-    sigma, norms = sigma[order], norms[order]
-    u, v = scaled[:, order], w[n:, order]
-    rank = np.count_nonzero(sigma)
-    u[:, :rank] /= norms[:rank]
-    _complete_orthonormal(u, rank)
-    return SvdResult(left=u, singular_values=sigma, right=v, sweeps=sweeps,
-                     worst_ratio=worst)
+    order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
+    u = scaled[:, order]
+    u /= norms[order]
+    return SvdResult(left=u, singular_values=sigma[order], right=w[n:, order],
+                     sweeps=sweeps, worst_ratio=worst)
 
 
 def hermitian_eigen(h: np.ndarray) -> np.ndarray:

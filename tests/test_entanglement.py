@@ -122,6 +122,33 @@ def test_closest_separable_of_product_state_is_itself():
     assert max_abs(u_s - sep) <= 1e-10
 
 
+def test_schmidt_rank_deficient_states():
+    # Schmidt terms exist only for nonzero coefficients: len(alphas) is the
+    # Schmidt rank.  The product state's two nonzero columns are equal bit
+    # for bit, so one rotation cancels one of them exactly; the diagonal
+    # state has 100 nonzero entries scattered among 300 exact zeros.
+    rng = np.random.default_rng(16)
+    a = random_unit_vector(rng, 5)
+    b = np.zeros(5)
+    b[[1, 3]] = math.sqrt(0.5)
+    values = np.zeros(400)
+    values[rng.choice(400, size=100, replace=False)] = rng.uniform(0.5, 2.0, 100)
+    tail = np.sort(values)[::-1][1:100]
+    for c, rank, distance in ((np.zeros((4, 4)), 0, 0.0),
+                              (np.outer(a, b), 1, 0.0),
+                              (np.diag(values), 100,
+                               math.sqrt(math.fsum(tail ** 2)))):
+        dec = schmidt(c)
+        assert len(dec.alphas) == rank
+        assert max_abs(dec.reconstruct() - c) <= 1e-12
+        u_s, dist = closest_separable(c)
+        assert dist == math.sqrt(math.fsum(dec.alphas[1:] ** 2)) == distance
+        assert frobenius_distance(c, u_s) <= distance + 1e-12
+    # The zero state is its own nearest product vector.
+    u_s, _ = closest_separable(np.zeros((4, 4)))
+    assert np.array_equal(u_s, np.zeros((4, 4)))
+
+
 def test_closest_separable_matches_minimization_oracle():
     rng = np.random.default_rng(51)
     for trial in range(8):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import circle_schmidt_values_exact, column_graded_matrix
+from lagstate import linalg
 from lagstate.linalg import (JACOBI_TOL, SvdResult, as_matrix,
                              frobenius_distance, hermitian_eigen, max_abs,
                              round_robin, svd)
@@ -44,15 +45,22 @@ def test_svd_reconstruction_and_unitarity_sweep():
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     cases.append(np.outer(a, b))
     cases.append(np.zeros((4, 4), dtype=complex))
+    ranks = []
     for c in cases:
         res = svd(c)
-        d = c.shape[0]
+        d, r = c.shape[0], len(res.singular_values)
+        ranks.append(r)
+        assert res.left.shape == res.right.shape == (d, r)
         scale = np.linalg.norm(c.ravel())
         assert frobenius_distance(res.reconstruct(), c) <= 1e-12 * max(scale, 1.0)
-        assert max_abs(res.left.conj().T @ res.left - np.eye(d)) <= 1e-12
-        assert max_abs(res.right.conj().T @ res.right - np.eye(d)) <= 1e-12
+        assert max_abs(res.left.conj().T @ res.left - np.eye(r)) <= 1e-12
+        assert max_abs(res.right.conj().T @ res.right - np.eye(r)) <= 1e-12
         assert np.all(np.diff(res.singular_values) <= 1e-15)
-        assert np.all(res.singular_values >= 0.0)
+        assert np.all(res.singular_values > 0.0)
+    # Compact factors: one singular pair per nonzero singular value, so the
+    # random inputs keep all d pairs and the zero input keeps none.
+    assert ranks[:7] == [len(c) for c in cases[:7]]
+    assert ranks[-1] == 0
 
 
 def test_svd_matches_hermitian_eigen_oracle():
@@ -95,11 +103,13 @@ def test_svd_rejects_bad_input():
         svd(np.ones(4))
 
 
-def test_svd_convergence_error_names_residual():
+def test_svd_convergence_error_names_residual(monkeypatch):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    with pytest.raises(RuntimeError, match="off-diagonal ratio"):
-        svd(c, max_sweeps=1)
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError,
+                       match="in 1 sweeps; worst off-diagonal ratio"):
+        svd(c)
 
 
 def test_hermitian_eigen_examples():
@@ -313,7 +323,8 @@ def test_integer_input_promotes_and_complex_input_stays_complex():
     assert as_matrix(ints).dtype == np.float64
     res = svd(ints)
     assert res.left.dtype == res.right.dtype == np.float64
-    assert np.array_equal(res.singular_values, [4.0, 3.0, 0.0])
+    assert np.array_equal(res.singular_values, [4.0, 3.0])
+    assert res.left.shape == res.right.shape == (3, 2)
     assert np.array_equal(hermitian_eigen(ints * ints), [16.0, 9.0, 0.0])
     assert hermitian_eigen(ints).dtype == np.float64
     # Complex input keeps complex factors, here also through the division
@@ -330,20 +341,41 @@ def test_integer_input_promotes_and_complex_input_stays_complex():
         as_matrix(np.array([[1.0, complex(0.0, math.inf)]]))
 
 
-def test_svd_completes_u_over_many_exact_zeros():
+def test_svd_compact_factors_over_many_exact_zeros():
     # 300 of 400 diagonal entries are exact zeros, scattered over the rows,
-    # so U needs 300 completing columns; each is a canonical vector of a
-    # zero row.  Three dense columns and 37 exact zero ones need 37 that
-    # are not.
+    # and three dense columns sit among 37 exact zero ones: the factors keep
+    # only the r = 100 and r = 3 nonzero singular values and their vectors.
     rng = np.random.default_rng(400)
     values = np.zeros(400)
     values[rng.choice(400, size=100, replace=False)] = rng.uniform(0.5, 2.0, 100)
     res = svd(np.diag(values))
-    assert max_abs(res.left.T @ res.left - np.eye(400)) <= 1e-12
+    assert np.array_equal(res.singular_values, np.sort(values[values > 0.0])[::-1])
+    assert res.left.shape == res.right.shape == (400, 100)
+    assert max_abs(res.left.T @ res.left - np.eye(100)) <= 1e-12
+    assert max_abs(res.right.T @ res.right - np.eye(100)) <= 1e-12
     assert frobenius_distance(res.reconstruct(), np.diag(values)) <= 1e-12
     a = np.zeros((40, 40))
     a[:, :3] = rng.standard_normal((40, 3))
     res = svd(a)
-    assert np.count_nonzero(res.singular_values) == 3
-    assert max_abs(res.left.T @ res.left - np.eye(40)) <= 1e-12
+    lapack = np.linalg.svd(a[:, :3], compute_uv=False)
+    assert max_abs(res.singular_values - lapack) <= 1e-13 * lapack[0]
+    assert res.left.shape == res.right.shape == (40, 3)
+    assert max_abs(res.left.T @ res.left - np.eye(3)) <= 1e-12
+    assert max_abs(res.right.T @ res.right - np.eye(3)) <= 1e-12
     assert frobenius_distance(res.reconstruct(), a) <= 1e-12 * np.linalg.norm(a.ravel())
+
+
+def test_svd_matches_hermitian_eigen_oracle_rank_deficient():
+    # Four dense complex columns scattered among eight exact zero ones: the
+    # squared singular values are the top r = 4 eigenvalues of a^* a, and
+    # the remaining eight eigenvalues vanish.
+    rng = np.random.default_rng(12)
+    a = np.zeros((12, 12), dtype=complex)
+    cols = [1, 4, 5, 10]
+    a[:, cols] = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+    sigma = svd(a).singular_values
+    eigvals = hermitian_eigen(a.conj().T @ a)
+    r = len(cols)
+    assert len(sigma) == r
+    assert max_abs(sigma ** 2 - eigvals[:r]) <= 1e-12 * eigvals[0]
+    assert max_abs(eigvals[r:]) <= 1e-12 * eigvals[0]
