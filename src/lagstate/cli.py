@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -222,7 +222,7 @@ def _fmt_float(x: float) -> str:
 def render_csv(rows: list[ReportRow]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        k, d_k, *floats = astuple(row)
+        k, d_k, *floats = vars(row).values()
         lines.append(",".join([str(k), str(d_k)] + [_fmt_float(x) for x in floats]))
     return "\n".join(lines) + "\n"
 
@@ -239,7 +239,7 @@ def parse_csv(text: str) -> list[ReportRow]:
 
 
 def render_json(rows: list[ReportRow]) -> str:
-    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
+    return json.dumps([vars(row) for row in rows], indent=2) + "\n"
 
 
 def _complex_table(a: np.ndarray) -> list[str]:

@@ -9,13 +9,18 @@ singular values.  It calls no LAPACK routine, so the Schmidt route through
 which returns eigenvalues only, from LAPACK's Hermitian eigenvalue solver;
 the two are cross-checked against each other.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
-here too, with the policy that sizes it (:func:`rule_size`).
+here too, with the policy that sizes it (:func:`rule_size`).  It is built in
+θ-form, by Newton steps on P_n(cos θ) with the weights from the same
+derivative, so no companion-matrix eigensolve is made.  Half of it is solved
+and mirrored, which halves the work and keeps the rule exactly symmetric,
+and it carries log t and log(1 - t) for log-space integrands.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +29,17 @@ JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
 # Hermitian defect, relative to the largest entry, that hermitian_eigen accepts.
 HERMITIAN_TOL = 1e-10
-# Smallest Gauss-Legendre rule the models build.  Building a 64-node rule
-# costs more than the rest of a row at small k, so every sphere level up to
-# k = 126 and every torus level up to k = 74 shares this one, and a sweep
-# over them builds a single rule.
+# Smallest Gauss-Legendre rule the models build.  Building the 64-node rule
+# takes about 1.5 ms, six times a whole sphere or torus row at k <= 10
+# (0.22-0.29 ms, one core of a Xeon VM), so every sphere level up to k = 126
+# and every torus level up to k = 74 shares this one, and a sweep over them
+# builds a single rule.
 RULE_FLOOR = 64
+# Newton steps from the Tricomi guesses to the Gauss-Legendre nodes.  The
+# worst guess, the first node's, is 2 % off, and the steps correct θ by
+# 2e-2, 2e-4 and 2e-8 relative: three steps reach roundoff, and the fourth
+# evaluates the derivative, and so the weight, at a converged node.
+NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,58 @@ def rule_size(n_min: int) -> int:
     return max(RULE_FLOOR, 1 << (n_min - 1).bit_length())
 
 
+class GaussLegendreRule(NamedTuple):
+    """Gauss-Legendre nodes t and weights on [0, 1], ascending, with log t
+    and log(1 - t) at each node; every array is read-only."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    log_nodes: np.ndarray
+    log_complements: np.ndarray
+
+
 @functools.lru_cache(maxsize=16)
-def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1], built once per
-    node count and shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def gauss_legendre_01(n: int) -> GaussLegendreRule:
+    """n-point Gauss-Legendre rule on [0, 1], built once per node count and
+    shared read-only.
+
+    The roots of P_n are x_i = cos θ_i, and the rule is symmetric under
+    t -> 1 - t, so only the roots with θ_i in (0, π/2] are solved for:
+    ``NEWTON_STEPS`` Newton steps on P_n(cos θ) from the Tricomi guesses
+    θ_i = π(4i - 1)/(4n + 2), with P_n and P_{n-1} from the three-term
+    recurrence and dP_n/dθ = n (x P_n - P_{n-1}) / sin θ.  The weight on
+    [0, 1] is 1 / (dP_n/dθ)², shared by both mirror nodes.  The nodes are
+    sin²(θ_i/2) = (1 - x_i)/2 and 1 - sin²(θ_i/2) = cos²(θ_i/2), so both
+    ends of [0, 1] come from small θ_i without cancellation, and log t,
+    log(1 - t) are 2 log sin(θ_i/2) and log1p(-sin²(θ_i/2)) = 2 log cos(θ_i/2).
+    """
+    if n < 1:
+        raise ValueError(f"rule needs n >= 1 nodes, got {n}")
+    theta = np.pi * (4 * np.arange(1, (n + 3) // 2) - 1) / (4 * n + 2)
+    for _ in range(NEWTON_STEPS):
+        x = np.cos(theta)
+        p0, p1 = np.ones_like(x), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (x * p1 - p0) / np.sin(theta)
+        theta = theta - p1 / dp
+    # The last step moves θ by roundoff, so dp is the derivative at the node.
+    s = np.sin(theta / 2.0)
+    s2 = s * s
+    log_s2, log_c2, weights = 2.0 * np.log(s), np.log1p(-s2), 1.0 / dp ** 2
+
+    def mirrored(a: np.ndarray, image: np.ndarray) -> np.ndarray:
+        """a at the nodes t <= 1/2, then image at their mirrors 1 - t, the
+        middle node θ = π/2 of odd n being its own mirror."""
+        return np.concatenate((a, image[:n // 2][::-1]))
+
+    rule = GaussLegendreRule(
+        nodes=mirrored(s2, 1.0 - s2), weights=mirrored(weights, weights),
+        log_nodes=mirrored(log_s2, log_c2),
+        log_complements=mirrored(log_c2, log_s2))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gauss_legendre_01, max_abs, rule_size
+from .linalg import GaussLegendreRule, gauss_legendre_01, max_abs, rule_size
 
 
 def binomials(k: int) -> list[int]:
@@ -73,9 +73,9 @@ def exact_radial_count(k: int) -> int:
     return (k + 3) // 2
 
 
-def sphere_quadrature(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights in t = r^2/(1+r^2) that integrate every degree-k
-    Gram integrand exactly: the cached shared rule of
+def sphere_quadrature(k: int) -> GaussLegendreRule:
+    """Rule in t = r^2/(1+r^2) that integrates every degree-k Gram
+    integrand exactly: the cached shared rule of
     ``rule_size(exact_radial_count(k))`` nodes.  The angular trapezoid that
     completes the product rule is applied in closed form."""
     return gauss_legendre_01(rule_size(exact_radial_count(k)))
@@ -128,18 +128,19 @@ def phase_average(m: int, deltas: np.ndarray) -> np.ndarray:
 
 def _gram(model: SphereModel, log_amp: np.ndarray) -> np.ndarray:
     """diag(sum_t w_t f_j(t)^2) with f_j(t)^2 = e^log_amp_j t^j (1-t)^(k-j),
-    under :func:`sphere_quadrature`.
+    under :func:`sphere_quadrature`, assembled in log space from the rule's
+    cached log t and log(1 - t).
 
     The angular average of exp(i (j - l) angle) is the Kronecker delta for
     |j - l| <= k under the aliasing-free rule, so only the diagonal is
     integrated.
     """
     k = model.k
-    t_nodes, t_weights = sphere_quadrature(k)
+    rule = sphere_quadrature(k)
     j = np.arange(k + 1)
-    t = t_nodes[:, None]
-    f2 = np.exp(log_amp + j * np.log(t) + (k - j) * np.log1p(-t))
-    return np.diag(t_weights @ f2)
+    f2 = np.exp(log_amp + j * rule.log_nodes[:, None]
+                + (k - j) * rule.log_complements[:, None])
+    return np.diag(rule.weights @ f2)
 
 
 def gram_matrix(model: SphereModel) -> np.ndarray:

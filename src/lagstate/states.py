@@ -109,10 +109,10 @@ def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     normalized state is maximally entangled with raw norm sqrt(d).  Both
     models integrate at a fixed, certified resolution."""
     if isinstance(model, SphereModel):
-        t_nodes, _ = sphere_quadrature(model.k)
         return _antidiagonal(
             gram_matrix(model).conj(), ANTIDIAGONAL_TOL_SPHERE,
-            model="sphere", k=model.k, radial_nodes=len(t_nodes),
+            model="sphere", k=model.k,
+            radial_nodes=len(sphere_quadrature(model.k).nodes),
             angular_nodes=model.angular_nodes)
     if isinstance(model, TorusModel):
         basis = torus_mod.orthonormal_basis(model)

@@ -209,7 +209,7 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     n_y = rule_size(_y_nodes(k, trunc))
     shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
               + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
-    ys, weights = gauss_legendre_01(n_y)
+    ys, weights, _, _ = gauss_legendre_01(n_y)
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights)

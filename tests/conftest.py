@@ -130,18 +130,19 @@ def partial_trace_2(coeffs: np.ndarray) -> np.ndarray:
     return c @ c.conj().T
 
 
-def gauss_legendre_01_defects(ys: np.ndarray,
-                              ws: np.ndarray) -> tuple[float, float]:
+def gauss_legendre_01_defects(ys: np.ndarray, ws: np.ndarray,
+                              n: int | None = None) -> tuple[float, float]:
     """Errors of a computed Gauss-Legendre rule on [0, 1]: the largest node
     error and the sum of absolute weight errors.
 
-    Each computed node seeds two Newton steps on P_n in 30-digit arithmetic
-    (the three-term recurrence); the exact weight is
-    1 / ((1 - x^2) P_n'(x)^2) on [0, 1].
+    ys and ws are the whole n-point rule, or some of its nodes with their
+    weights when n is given.  Each computed node seeds two Newton steps on
+    P_n in 30-digit arithmetic (the three-term recurrence); the exact weight
+    is 1 / ((1 - x^2) P_n'(x)^2) on [0, 1].
     """
     import mpmath
 
-    n = len(ys)
+    n = len(ys) if n is None else n
     node_error = weight_error = 0.0
     with mpmath.workdps(30):
         for y, w in zip(ys, ws):

@@ -381,3 +381,18 @@ def test_c9_circle_report_at_large_k(capsys):
         if row.gram_residual > gram_bound:
             failures.append(details[-1])
     _finish("C9 circle report k=320, 2000", "; ".join(details), failures)
+
+
+def test_c10_sphere_report_at_large_k(capsys):
+    # The sphere Gram holds the CLI's default 1e-12 at k = 2000, on the
+    # 1024-node rule: report exits 0 and its gram_residual is within it.
+    k = 2000
+    code = main(["report", "--k-min", str(k), "--k-max", str(k),
+                 "--reproducible"])
+    out, err = capsys.readouterr()
+    failures = [f"exit {code}: {err.strip()}"] if code != 0 else []
+    row, = parse_csv(out)
+    detail = f"k={k}: gram_residual {row.gram_residual:.3e}"
+    if not row.gram_residual <= TOL_SPHERE_GRAM:
+        failures.append(detail)
+    _finish("C10 sphere report k=2000", detail, failures)

@@ -507,23 +507,19 @@ def test_main_state_provenance_node_counts(capsys, argv, k):
                 == RULE_FLOOR)
 
 
-def test_sweeps_share_one_gauss_legendre_rule(monkeypatch):
+def test_sweeps_share_one_gauss_legendre_rule():
     # Every certified node count in these sweeps rounds up to the shared
     # rule size, so a fresh process builds a single rule for all of them.
-    built = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting_leggauss(n):
-        built.append(n)
-        return leggauss(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
     gauss_legendre_01.cache_clear()
     for config in (RunConfig(k_min=1, k_max=120),
                    RunConfig(submanifold="circle", k_min=1, k_max=80),
                    RunConfig(model="torus", mu=0.37, k_min=3, k_max=24)):
         assert not tolerance_breaches(config, run(config))
-    assert built == [RULE_FLOOR]
+    built = gauss_legendre_01.cache_info()
+    assert (built.misses, built.currsize) == (1, 1)
+    # The one rule built is the RULE_FLOOR one: asking for it builds nothing.
+    gauss_legendre_01(RULE_FLOOR)
+    assert gauss_legendre_01.cache_info().misses == 1
 
 
 def test_main_state_csv(capsys):
@@ -578,6 +574,25 @@ def test_main_calls_share_parser_not_state(capsys):
         main(["report", "--model", "plane"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_report_rows_leave_numpy_polynomial_unloaded():
+    # The Gauss-Legendre rule is built by Newton steps, so a process that runs
+    # a sphere row and a torus row never imports numpy.polynomial (a 6 ms
+    # import that numpy defers until first use).
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = (
+        "import sys\n"
+        "from lagstate.cli import main\n"
+        "assert main(['report', '--k-min', '1', '--k-max', '1']) == 0\n"
+        "assert main(['report', '--model', 'torus', '--k-min', '3',"
+        " '--k-max', '3']) == 0\n"
+        "assert 'numpy.polynomial' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(CSV_HEADER) == 2
 
 
 def test_package_import_leaves_cli_unloaded():

@@ -15,7 +15,7 @@ from lagstate.sphere import (SphereModel, basis_values, binomials,
 def gram_diagonal_oracle(k, n):
     """Basis Gram diagonal sum_t w (k+1) C(k,j) t^j (1-t)^(k-j) under the
     n-node Gauss-Legendre rule, with amplitudes straight from math.comb."""
-    t, w = gauss_legendre_01(n)
+    t, w, _, _ = gauss_legendre_01(n)
     j = np.arange(k + 1)
     amp = np.array([(k + 1) * math.comb(k, i) for i in j], dtype=float)
     t = t[:, None]
@@ -131,7 +131,7 @@ def test_gram_matches_minimal_exact_rule():
 def test_quadrature_volume_is_one():
     for k in (1, 6, 25):
         # The angular rule averages, so the radial weights carry the volume.
-        _, ws = sphere_quadrature(k)
+        ws = sphere_quadrature(k).weights
         assert np.all(ws > 0.0)
         assert abs(math.fsum(ws) - 1.0) <= 1e-13
 
@@ -147,9 +147,10 @@ def test_monomial_gram_matches_beta_oracle():
 
 
 def test_gram_is_identity():
-    # The CLI's default sphere tolerance holds over k = 1..510 (the first
-    # breach of 1e-12 is at k = 511, where the rule grows to 512 nodes).
-    for k in range(1, 511):
+    # The CLI's default sphere tolerance holds at every k up to 510, and on a
+    # sample up to 1000, where the rule has 512 nodes (all of 511..1000 takes
+    # about 6 s).  The residual is 3.2e-14 at k = 511 and 7.1e-14 at 1000.
+    for k in [*range(1, 511), 512, *range(511, 1000, 7), 1000]:
         model = SphereModel(k)
         residual = gram_residual(model)
         assert residual <= 1e-12, f"k={k}: residual {residual}"
