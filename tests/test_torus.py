@@ -245,20 +245,19 @@ def _rule_defects(n):
 @pytest.mark.parametrize("mu", [0.0, 0.37])
 def test_gram_residual_is_closed_form_defect_within_certificate(mu):
     pytest.importorskip("mpmath")
-    residuals = []
     for k in range(3, 201):
         basis = orthonormal_basis(TorusModel(k, mu=mu))
         res = basis.quadrature
         residual = basis.gram_residual()
         diag = np.diag(res.gram).real
         assert residual == max_abs(diag * math.sqrt(2.0 * k) - 1.0)
+        # The residual measures the quadrature, so it is nonzero at every
+        # row but k = 4, mu = 0, where every diagonal entry rounds to the
+        # closed form.
+        assert residual > 0.0 or (k, mu) == (4, 0.0), (k, mu)
         assert math.sqrt(2.0 * k) * res.y_bound <= THETA_TOL
         bound = _closed_form_certificate(k, res, *_rule_defects(res.n_y))
         assert residual <= bound < DEFAULT_TOL_GRAM["torus"], (k, residual, bound)
-        residuals.append(residual)
-    # The residual measures the quadrature: it is an exact zero only where
-    # every diagonal entry rounds to the closed form (k = 4 at mu = 0).
-    assert np.count_nonzero(residuals) > len(residuals) // 2
 
 
 def test_theta_conjugation_symmetry():
@@ -285,12 +284,13 @@ def test_y_rule_is_cached_read_only_gauss_legendre():
     # CHANGES.md: the largest node error is at most 5.6u (first order, worst
     # case), and the weight errors sum to at most 14u + 4.4 sqrt(n) u (the
     # rounding of the weight formula, plus twice the rms of the recurrence
-    # roundoff under independent roundings).  numpy's companion-matrix rule
-    # sums to 79u, 184u and 589u at these sizes.  At n = 512 the check
-    # reads both end blocks of 16 nodes and every 8th node.
+    # roundoff under independent roundings), 49u and 64u at n = 64 and 128.
+    # At n = 512 the check reads both end blocks of 16 nodes and every 8th
+    # node, and the same derivation summed over those 92 nodes gives 24u.
+    # numpy's companion-matrix rule sums to 79u, 184u and 340u on these.
     pytest.importorskip("mpmath")
     u = 2.0**-53
-    for n in (64, 128, 512):
+    for n, weight_bound in ((64, 49.0), (128, 64.0), (512, 24.0)):
         rule = gauss_legendre_01(n)
         idx = np.arange(n)
         if n == 512:
@@ -298,4 +298,4 @@ def test_y_rule_is_cached_read_only_gauss_legendre():
         node_error, weight_error = gauss_legendre_01_defects(
             rule.nodes[idx], rule.weights[idx], n)
         assert node_error <= 5.6 * u, (n, node_error / u)
-        assert weight_error <= (14.0 + 4.4 * math.sqrt(n)) * u, (n, weight_error / u)
+        assert weight_error <= weight_bound * u, (n, weight_error / u)
