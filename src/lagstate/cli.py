@@ -3,10 +3,12 @@
 ``report`` sweeps k over a model, emitting one row per k with the entropy,
 its deviation from the maximal value ln d, the distance to the nearest
 product vector, and the state's closed-form residual.  ``verify`` runs a
-fixed list of cross-identity checks for each submanifold (see
-:func:`verify_identities`).  ``state`` and ``gram`` dump a single state or
-Gram matrix.  Each subcommand accepts only the flags it reads
-(``COMMAND_FLAGS``); any other flag is a usage error.
+fixed list of cross-identity checks on the same rows (see
+:func:`verify_identities`).  Both gate the residuals in
+:func:`tolerance_breaches`, the one judge of the closed-form defect.
+``state`` and ``gram`` dump a single state or Gram matrix and gate nothing.
+Each subcommand accepts only the flags it reads (``COMMAND_FLAGS``); any
+other flag is a usage error.
 
 Exit status: 0 on success, 1 when a residual or check exceeds its tolerance
 or a numerical check fails (reported as ``error:``), 2 for invalid usage.
@@ -179,9 +181,11 @@ def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck
         detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")
 
 
-def verify_identities(config: RunConfig) -> list[IdentityCheck]:
-    """Cross-identities over the configured k range, a fixed list per
-    :func:`run` row.
+def verify_identities(config: RunConfig,
+                      rows: list[ReportRow]) -> list[IdentityCheck]:
+    """Cross-identities on the :func:`run` rows of ``config``, a fixed list
+    per row.  The rows' residuals are gated apart, by
+    :func:`tolerance_breaches`.
 
     (a) On antidiagonal rows, the separable distance must equal
         sqrt(1 - e^-entropy) within ``tol_identity``.
@@ -195,7 +199,7 @@ def verify_identities(config: RunConfig) -> list[IdentityCheck]:
         max_j p_j = C(k, k//2)^2 / C(2k, k) from exact integers.
     """
     checks = []
-    for row in run(config):
+    for row in rows:
         k = row.k
         if config.submanifold == "antidiagonal":
             gap = abs(row.separable_distance - row.corollary_rhs)
@@ -370,23 +374,22 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "report":
+        if args.command in ("report", "verify"):
             rows = run(config)
-            text = render_csv(rows) if config.fmt == "csv" else render_json(rows)
+            failed = False
+            if args.command == "report":
+                text = render_csv(rows) if config.fmt == "csv" else render_json(rows)
+            else:
+                checks = verify_identities(config, rows)
+                failed = not all(check.passed for check in checks)
+                text = "".join(
+                    f"{'PASS' if check.passed else 'FAIL'} {check.name} "
+                    f"k={check.k}: {check.detail}\n" for check in checks)
             _emit(text, config.out)
             breaches = tolerance_breaches(config, rows)
             for message in breaches:
                 print(f"TOLERANCE BREACH {message}", file=sys.stderr)
-            return 1 if breaches else 0
-
-        if args.command == "verify":
-            checks = verify_identities(config)
-            lines = []
-            for check in checks:
-                status = "PASS" if check.passed else "FAIL"
-                lines.append(f"{status} {check.name} k={check.k}: {check.detail}")
-            _emit("\n".join(lines) + "\n", config.out)
-            return 0 if all(check.passed for check in checks) else 1
+            return 1 if breaches or failed else 0
 
         if args.command == "state":
             payload = _state_payload(config, config.k_min)

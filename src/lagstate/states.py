@@ -24,9 +24,6 @@ from .sphere import phase_average  # noqa: F401  (perfbench traces this name)
 from . import torus as torus_mod
 from .torus import TorusModel
 
-ANTIDIAGONAL_TOL_SPHERE = 1e-10
-ANTIDIAGONAL_TOL_TORUS = 1e-7
-
 
 @dataclass(frozen=True)
 class CoherentVector:
@@ -85,20 +82,15 @@ def _frobenius_norm(coeffs: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.square(np.abs(coeffs)))))
 
 
-def _antidiagonal(coeffs: np.ndarray, tol: float,
-                  **provenance: Any) -> LagrangianState:
-    """Wrap the conjugated normalized Gram as the antidiagonal state, after
-    checking it against its closed form, the identity."""
-    defect = max_abs(coeffs - np.eye(len(coeffs)))
-    if defect > tol:
-        raise RuntimeError(
-            f"{provenance['model']} antidiagonal coefficients deviate from "
-            f"the identity by {defect:.3e} (> {tol:g})")
+def _antidiagonal(coeffs: np.ndarray, **provenance: Any) -> LagrangianState:
+    """Wrap the conjugated normalized Gram as the antidiagonal state,
+    recording, not gating, its largest entrywise defect from its closed
+    form, the identity."""
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=_frobenius_norm(coeffs),
         provenance={**provenance, "submanifold": "antidiagonal",
-                    "closed_form_defect": defect},
+                    "closed_form_defect": max_abs(coeffs - np.eye(len(coeffs)))},
     )
 
 
@@ -110,15 +102,14 @@ def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     models integrate at a fixed, certified resolution."""
     if isinstance(model, SphereModel):
         return _antidiagonal(
-            gram_matrix(model).conj(), ANTIDIAGONAL_TOL_SPHERE,
-            model="sphere", k=model.k,
+            gram_matrix(model).conj(), model="sphere", k=model.k,
             radial_nodes=len(sphere_quadrature(model.k).nodes),
             angular_nodes=model.angular_nodes)
     if isinstance(model, TorusModel):
         basis = torus_mod.orthonormal_basis(model)
         quad = basis.quadrature
         return _antidiagonal(
-            basis.normalized_gram.conj(), ANTIDIAGONAL_TOL_TORUS,
+            basis.normalized_gram.conj(),
             model="torus", k=model.k, mu=model.mu,
             n_max=quad.truncation.n_max,
             tail_bound=quad.truncation.tail_bound, m_x=quad.m_x,

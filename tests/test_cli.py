@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from lagstate import entanglement, sphere, states
+from lagstate import entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
@@ -117,7 +118,7 @@ def test_reproducible_runs_are_identical():
 
 def test_verify_identities_sphere():
     config = RunConfig(model="sphere", k_min=1, k_max=5)
-    checks = verify_identities(config)
+    checks = verify_identities(config, run(config))
     assert all(check.passed for check in checks)
     names = {check.name for check in checks}
     assert names == {"distance_vs_entropy", "binomial_square_sum"}
@@ -125,7 +126,7 @@ def test_verify_identities_sphere():
 
 def test_verify_identities_circle():
     config = RunConfig(model="sphere", k_min=1, k_max=7, submanifold="circle")
-    checks = verify_identities(config)
+    checks = verify_identities(config, run(config))
     assert all(check.passed for check in checks)
     names = {check.name for check in checks}
     assert {"circle_quadrature_vs_closed_form",
@@ -334,7 +335,7 @@ def test_circle_gram_residual_is_the_verify_defect():
     # the number behind verify's circle_quadrature_vs_closed_form check.
     config = RunConfig(submanifold="circle", k_min=1, k_max=12)
     rows = run(config)
-    checks = [c for c in verify_identities(config)
+    checks = [c for c in verify_identities(config, rows)
               if c.name == "circle_quadrature_vs_closed_form"]
     assert [c.k for c in checks] == [row.k for row in rows]
     for row, check in zip(rows, checks):
@@ -372,16 +373,107 @@ def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target,
 
 
 def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise RuntimeError("torus antidiagonal coefficients deviate")
+    message = ("jacobi svd did not converge in 30 sweeps; worst off-diagonal "
+               "ratio 1.000e-03")
 
-    monkeypatch.setattr(states, "antidiagonal_state", fail)
+    def fail(*args, **kwargs):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(entanglement, "svd", fail)
     code = main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "error: torus antidiagonal coefficients deviate\n"
+    assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _sphere_gram_defect(monkeypatch, k, defect):
+    """Shift one diagonal entry of the sphere Gram by ``defect`` at ``k``."""
+    exact = states.gram_matrix
+
+    def shifted(model):
+        gram = exact(model).copy()
+        if model.k == k:
+            gram[0, 0] += defect
+        return gram
+
+    monkeypatch.setattr(states, "gram_matrix", shifted)
+
+
+def test_main_report_gates_a_sphere_gram_defect_in_its_row(monkeypatch, capsys):
+    # The builder records the defect; the CLI's Gram gate alone judges it,
+    # so the other rows still print and the breach names its row.
+    _sphere_gram_defect(monkeypatch, 5, 1e-9)
+    argv = ["report", "--k-min", "3", "--k-max", "6", "--reproducible"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    rows = parse_csv(captured.out)
+    assert [row.k for row in rows] == [3, 4, 5, 6]
+    assert rows[2].gram_residual == pytest.approx(1e-9, rel=1e-6)
+    (line,) = captured.err.splitlines()
+    assert line.startswith("TOLERANCE BREACH k=5: gram_residual ")
+    assert line.endswith(" exceeds 1e-12")
+
+    # --tol-gram loosens the one gate, past the builder's former 1e-10.
+    code = main(argv + ["--tol-gram", "1e-8"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(parse_csv(captured.out)) == 4
+
+
+def test_main_report_gates_a_torus_gram_defect(monkeypatch, capsys):
+    exact = torus.gram_quadrature
+
+    def shifted(model):
+        quad = exact(model)
+        gram = quad.gram.copy()
+        gram[0, 0] += 1e-6 / math.sqrt(2.0 * model.k)
+        return dataclasses.replace(quad, gram=gram)
+
+    monkeypatch.setattr(torus, "gram_quadrature", shifted)
+    argv = ["report", "--model", "torus", "--k-min", "3", "--k-max", "4",
+            "--reproducible"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(parse_csv(captured.out)) == 2
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "TOLERANCE BREACH k=3", "TOLERANCE BREACH k=4"]
+    assert all("gram_residual" in line and line.endswith(" exceeds 1e-07")
+               for line in lines)
+
+    code = main(argv + ["--tol-gram", "1e-5"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert len(parse_csv(captured.out)) == 2
+
+
+def test_main_verify_gates_a_sphere_gram_defect(monkeypatch, capsys):
+    _sphere_gram_defect(monkeypatch, 5, 1e-9)
+    code = main(["verify", "--k-min", "3", "--k-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("PASS") for line in lines)
+    (line,) = captured.err.splitlines()
+    assert line.startswith("TOLERANCE BREACH k=5: gram_residual ")
+
+
+def test_main_verify_reads_tol_gram_on_antidiagonal_rows(capsys):
+    # Every sphere residual at k = 1..3 is above zero (about 1e-16).
+    code = main(["verify", "--k-max", "3", "--tol-gram", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert all(line.startswith("PASS") for line in captured.out.splitlines())
+    lines = captured.err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"TOLERANCE BREACH k={k}" for k in (1, 2, 3)]
+    assert all("gram_residual" in line and line.endswith(" exceeds 0")
+               for line in lines)
 
 
 @pytest.mark.parametrize("exc,message", [
