@@ -5,8 +5,10 @@ its deviation from the maximal value ln d, the distance to the nearest
 product vector, and the state's closed-form residual.  ``verify`` runs a
 fixed list of cross-identity checks on the same rows (see
 :func:`verify_identities`).  Both gate the residuals in
-:func:`tolerance_breaches`, the one judge of the closed-form defect.
-``state`` and ``gram`` dump a single state or Gram matrix and gate nothing.
+:func:`tolerance_breaches`, the one judge of the closed-form defect and of
+the entropy's gap to ln d.  ``state`` and ``gram`` dump a single state or
+Gram matrix and gate nothing; ``state``'s ``maximally_entangled`` verdict
+reads the model's entropy tolerance.
 Each subcommand accepts only the flags it reads (``COMMAND_FLAGS``); any
 other flag is a usage error.
 
@@ -33,9 +35,9 @@ from .linalg import max_abs
 CSV_HEADER = ("k,d_k,entropy,ln_d_k,entropy_residual,separable_distance,"
               "corollary_rhs,gram_residual,raw_norm,wall_time_ms")
 
-DEFAULT_TOL_ENTROPY = {"sphere": 1e-9, "torus": 1e-6}
+DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
-DEFAULT_K_MIN = {"sphere": 1, "torus": 3}
+DEFAULT_K_MIN = {"sphere": sphere.SphereModel.K_MIN, "torus": torus.TorusModel.K_MIN}
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,14 @@ def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck
 def verify_identities(config: RunConfig,
                       rows: list[ReportRow]) -> list[IdentityCheck]:
     """Cross-identities on the :func:`run` rows of ``config``, a fixed list
-    per row.  The rows' residuals are gated apart, by
-    :func:`tolerance_breaches`.
+    per row.  The rows' residuals, the circle state's closed-form defect
+    among them, are gated apart, by :func:`tolerance_breaches` alone.
 
     (a) On antidiagonal rows, the separable distance must equal
         sqrt(1 - e^-entropy) within ``tol_identity``.
     (b) On the sphere, the binomial identity behind the circle state norm,
         sum_j C(k,j)^2 = C(2k,k), in exact integers.
-    (c) On circle rows, the quadrature state must match the closed form
-        entrywise within the Gram tolerance; the row's ``gram_residual``
-        is that defect, recorded by the builder.
-    (d) On circle rows, the separable distance must equal
+    (c) On circle rows, the separable distance must equal
         sqrt(1 - max_j p_j), with the largest Schmidt weight
         max_j p_j = C(k, k//2)^2 / C(2k, k) from exact integers.
     """
@@ -210,10 +209,6 @@ def verify_identities(config: RunConfig,
         if config.model == "sphere":
             checks.append(_binomial_square_sum_check(k))
         if config.submanifold == "circle":
-            checks.append(IdentityCheck(
-                name="circle_quadrature_vs_closed_form", k=k,
-                passed=row.gram_residual <= config.max_gram_residual,
-                detail=f"max entrywise defect {row.gram_residual:.3e}"))
             checks.append(_circle_distance_check(
                 k, row.separable_distance, config.tol_identity))
     return checks
@@ -270,7 +265,8 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
         "max_entropy": report.max_entropy,
         "separable_distance": report.separable_distance,
         "corollary_distance": report.corollary_distance,
-        "maximally_entangled": report.is_maximally_entangled(),
+        "maximally_entangled": report.is_maximally_entangled(
+            config.max_entropy_residual),
         "schmidt_spectrum": [float(x) for x in report.schmidt_spectrum],
         "provenance": state.provenance,
         "coeffs_real": v.real.tolist(),

@@ -71,22 +71,8 @@ class EntanglementReport:
         return _tail_norm(svd(self.coeffs).singular_values)
 
     def is_maximally_entangled(self, tol: float = MAX_ENTROPY_TOL) -> bool:
-        """Whether the Schmidt spectrum is flat, i.e. the entropy attains ln d.
-
-        Two equivalent checks are run: the entropy is within ``tol`` of
-        ln d, and every eigenvalue is within sqrt(2 tol / d) of 1/d (the
-        second-order expansion of the entropy around the flat spectrum).  A
-        disagreement between them indicates a borderline state and raises
-        RuntimeError: it is a numerical outcome, not a usage error.
-        """
-        by_entropy = abs(self.entropy - self.max_entropy) <= tol
-        by_spectrum = bool(np.max(np.abs(self.schmidt_spectrum - 1.0 / self.d))
-                           <= math.sqrt(2.0 * tol / self.d))
-        if by_entropy != by_spectrum:
-            raise RuntimeError(
-                "maximal-entanglement checks disagree: "
-                f"entropy check {by_entropy}, spectrum check {by_spectrum}")
-        return by_entropy
+        """Whether the entropy is within ``tol`` of its maximum ln d."""
+        return abs(self.entropy - self.max_entropy) <= tol
 
 
 def analyze(coeffs: np.ndarray) -> EntanglementReport:
@@ -135,13 +121,13 @@ def corollary_distance_identity(coeffs: np.ndarray) -> tuple[float, float]:
     """Separable distance of a maximally entangled state vs sqrt(1 - e^-nu).
 
     Returns the pair (distance, sqrt(1 - exp(-entropy))); for maximally
-    entangled states the two agree.  Raises for states that are not
-    maximally entangled within ``MAX_ENTROPY_TOL``.
+    entangled states the two agree.  Raises ValueError for states that
+    :meth:`EntanglementReport.is_maximally_entangled` rejects at its
+    default ``MAX_ENTROPY_TOL``.
     """
     report = analyze(coeffs)
-    if abs(report.entropy - report.max_entropy) > MAX_ENTROPY_TOL:
+    if not report.is_maximally_entangled():
         raise ValueError(
             f"state is not maximally entangled: entropy {report.entropy:.12g} "
             f"vs ln d = {report.max_entropy:.12g}")
     return report.separable_distance, report.corollary_distance
-

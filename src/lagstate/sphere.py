@@ -44,11 +44,13 @@ def binomials(k: int) -> list[int]:
 class SphereModel:
     """Degree-k model; the Hilbert space has dimension d = k + 1."""
 
+    K_MIN = 1  # smallest degree
+
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"sphere model needs k >= 1, got {self.k}")
+        if self.k < self.K_MIN:
+            raise ValueError(f"sphere model needs k >= {self.K_MIN}, got {self.k}")
 
     @property
     def dim(self) -> int:

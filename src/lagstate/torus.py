@@ -45,12 +45,14 @@ _LOG_RHO = np.geomspace(1e-3, 8.0, 256)
 class TorusModel:
     """Level-k model with real character parameter mu; dimension d = k."""
 
+    K_MIN = 3  # smallest level
+
     k: int
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError(f"torus model needs k >= 3, got {self.k}")
+        if self.k < self.K_MIN:
+            raise ValueError(f"torus model needs k >= {self.K_MIN}, got {self.k}")
         if not math.isfinite(self.mu):
             raise ValueError("mu must be finite")
 

@@ -53,6 +53,15 @@ def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def near_flat_state(d: int, gap: float) -> np.ndarray:
+    """Diagonal d x d state (d even) with Schmidt weights 1/d +- eps,
+    alternating in sign, eps = sqrt(2 gap) / d: its entropy is ln d - gap
+    up to fourth order in eps."""
+    eps = math.sqrt(2.0 * gap) / d
+    signs = np.resize([1.0, -1.0], d)
+    return np.diag(np.sqrt(1.0 / d + signs * eps))
+
+
 def beta_monomial_norm(k: int, j: int) -> Fraction:
     """Exact value of <z^j, z^j> = j! (k-j)! / (k+1)! from the Beta integral."""
     return Fraction(math.factorial(j) * math.factorial(k - j),

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from lagstate import entanglement, sphere, states, torus
+from conftest import near_flat_state
+from lagstate import cli, entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
@@ -129,8 +130,7 @@ def test_verify_identities_circle():
     checks = verify_identities(config, run(config))
     assert all(check.passed for check in checks)
     names = {check.name for check in checks}
-    assert {"circle_quadrature_vs_closed_form",
-            "circle_distance_vs_closed_form"} <= names
+    assert names == {"binomial_square_sum", "circle_distance_vs_closed_form"}
     exact = [c for c in checks if c.name == "binomial_square_sum"]
     assert all("exact integers" in c.detail for c in exact)
 
@@ -287,12 +287,16 @@ def test_main_rejects_mu_on_the_sphere(capsys, argv):
 
 
 def test_main_verify_circle_defect_uses_tol_gram(capsys):
+    # tolerance_breaches is the one judge of the circle defect: a breach
+    # line on stderr, and no identity check on stdout repeats it.
     code = main(["verify", "--submanifold", "circle", "--k-min", "2",
                  "--k-max", "6", "--tol-gram", "0"])
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
     assert code == 1
-    assert any(line.startswith("FAIL circle_quadrature_vs_closed_form")
-               for line in lines)
+    assert any(line.startswith("TOLERANCE BREACH k=") and "gram_residual" in line
+               for line in captured.err.splitlines())
+    assert "circle_quadrature_vs_closed_form" not in captured.out
+    assert all(line.startswith("PASS ") for line in captured.out.splitlines())
 
 
 def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys):
@@ -330,20 +334,23 @@ def test_report_is_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-def test_circle_gram_residual_is_the_verify_defect():
+def test_circle_gram_residual_is_the_verify_defect(capsys):
     # A circle row reports its state's defect from the binomial closed form,
-    # the number behind verify's circle_quadrature_vs_closed_form check.
+    # the number behind verify's TOLERANCE BREACH line at --tol-gram 0.
     config = RunConfig(submanifold="circle", k_min=1, k_max=12)
     rows = run(config)
-    checks = [c for c in verify_identities(config, rows)
-              if c.name == "circle_quadrature_vs_closed_form"]
-    assert [c.k for c in checks] == [row.k for row in rows]
-    for row, check in zip(rows, checks):
+    for row in rows:
         state = states.circle_state_quadrature(sphere.SphereModel(row.k))
         defect = max_abs(state.normalized()
                          - states.circle_state_closed_form(row.k))
         assert row.gram_residual == defect
-        assert check.detail == f"max entrywise defect {defect:.3e}"
+    assert main(["verify", "--submanifold", "circle", "--k-min", "1",
+                 "--k-max", "12", "--tol-gram", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"TOLERANCE BREACH k={row.k}: gram_residual {row.gram_residual:.3e} "
+        "exceeds 0" for row in rows if row.gram_residual > 0.0]
+    assert "circle_quadrature_vs_closed_form" not in captured.out
 
 
 @pytest.mark.parametrize("k", [700, 1000])
@@ -576,6 +583,22 @@ def test_main_state_json(capsys):
     assert len(payload["schmidt_spectrum"]) == 4
     assert abs(math.fsum(payload["schmidt_spectrum"]) - 1.0) <= 1e-12
     assert len(payload["coeffs_real"]) == 4
+
+
+@pytest.mark.parametrize("argv, flat", [
+    (["--k", "3"], False), (["--k", "3", "--model", "torus"], True)])
+def test_main_state_judges_maximal_entanglement_at_the_model_tol(
+        monkeypatch, capsys, argv, flat):
+    # ln d - nu = 2e-9: above the sphere's entropy tolerance 1e-9, below the
+    # torus's 1e-6.  state reports the verdict and gates nothing.
+    c = near_flat_state(4, 2e-9)
+    monkeypatch.setattr(cli, "_build_state", lambda config, k: (
+        states.LagrangianState(c, 1.0, {"closed_form_defect": 0.0})))
+    code = main(["state", "--format", "json"] + argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert json.loads(captured.out)["maximally_entangled"] is flat
 
 
 @pytest.mark.parametrize("argv, k", [

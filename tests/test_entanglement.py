@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (partial_trace_2, random_state, random_unitary,
-                      random_unit_vector, separable_distance_minimized)
+from conftest import (near_flat_state, partial_trace_2, random_state,
+                      random_unitary, random_unit_vector,
+                      separable_distance_minimized)
 from lagstate.entanglement import (analyze, closest_separable,
                                    corollary_distance_identity, entropy,
                                    is_maximally_entangled, schmidt)
@@ -203,15 +204,40 @@ def test_is_maximally_entangled():
     assert not is_maximally_entangled(circle)
 
 
-def test_maximal_entanglement_disagreement_is_numerical():
-    # d = 4, spectrum 1/4 +- eps with sqrt(2 tol)/d < eps < sqrt(2 tol/d):
-    # the spectrum check passes, the entropy check (ln d - nu ~ 8 eps^2)
-    # fails.
-    tol, d = 1e-9, 4
-    eps = math.sqrt(math.sqrt(2.0 * tol) / d * math.sqrt(2.0 * tol / d))
-    c = np.diag(np.sqrt([0.25 + eps, 0.25 + eps, 0.25 - eps, 0.25 - eps]))
-    with pytest.raises(RuntimeError, match="checks disagree"):
-        analyze(c).is_maximally_entangled(tol)
+def test_maximal_entanglement_is_one_entropy_comparison():
+    # d = 4 with ln d - nu = 2e-9.  Its weights lie within sqrt(2 tol/d) of
+    # 1/d at tol = 1e-9, so a spectrum test would call the state flat; the
+    # verdict is the entropy's alone.
+    report = analyze(near_flat_state(4, 2e-9))
+    assert abs(report.max_entropy - report.entropy - 2e-9) <= 1e-12
+    assert report.is_maximally_entangled(1e-8) is True
+    assert report.is_maximally_entangled(1e-9) is False
+
+
+def test_maximal_entanglement_rejects_a_gap_above_tol():
+    # d = 100, weights 1/d +- sqrt(2e-9/d)/2: every weight is inside the
+    # spectrum band sqrt(2 tol/d) of the default tol, yet the entropy is
+    # 2.5e-8 short of ln d, 25 times tol.
+    c = near_flat_state(100, 2.5e-8)
+    assert max_abs(np.diag(c) ** 2 - 0.01) < math.sqrt(2e-9 / 100)
+    report = analyze(c)
+    assert abs(report.max_entropy - report.entropy - 2.5e-8) <= 1e-11
+    assert report.is_maximally_entangled() is False
+    assert report.is_maximally_entangled(1e-7) is True
+    assert is_maximally_entangled(c) is False
+
+
+def test_corollary_distance_identity_uses_the_verdict():
+    # The identity rejects exactly the states that the verdict rejects.
+    c = near_flat_state(100, 2.5e-8)
+    assert not analyze(c).is_maximally_entangled()
+    with pytest.raises(ValueError, match="not maximally entangled"):
+        corollary_distance_identity(c)
+    flat_enough = near_flat_state(100, 5e-10)
+    report = analyze(flat_enough)
+    assert report.is_maximally_entangled()
+    assert (corollary_distance_identity(flat_enough)
+            == (report.separable_distance, report.corollary_distance))
 
 
 def test_corollary_distance_identity():
