@@ -8,7 +8,8 @@ fixed list of cross-identity checks on the same rows (see
 :func:`tolerance_breaches`, the one judge of the closed-form defect and of
 the entropy's gap to ln d.  ``state`` and ``gram`` dump a single state or
 Gram matrix and gate nothing; ``state``'s ``maximally_entangled`` verdict
-reads the model's entropy tolerance.
+reads the model's entropy tolerance.  ``gram``'s ``normalized_residual`` is
+an antidiagonal row's ``gram_residual``, from :func:`linalg.identity_defect`.
 Each subcommand accepts only the flags it reads (``COMMAND_FLAGS``); any
 other flag is a usage error.
 
@@ -30,13 +31,14 @@ from typing import Any
 import numpy as np
 
 from . import entanglement, sphere, states, torus
-from .linalg import max_abs
+from .linalg import identity_defect
 
 CSV_HEADER = ("k,d_k,entropy,ln_d_k,entropy_residual,separable_distance,"
               "corollary_rhs,gram_residual,raw_norm,wall_time_ms")
 
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
+DEFAULT_TOL_IDENTITY = 1e-9
 DEFAULT_K_MIN = {"sphere": sphere.SphereModel.K_MIN, "torus": torus.TorusModel.K_MIN}
 
 
@@ -51,7 +53,7 @@ class RunConfig:
     out: str | None = None
     tol_entropy: float | None = None
     tol_gram: float | None = None
-    tol_identity: float = 1e-9
+    tol_identity: float = DEFAULT_TOL_IDENTITY
     reproducible: bool = False
 
     def __post_init__(self) -> None:
@@ -226,35 +228,27 @@ def render_csv(rows: list[ReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> list[ReportRow]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        k, d_k, *floats = line.split(",")
-        rows.append(ReportRow(int(k), int(d_k), *map(float, floats)))
-    return rows
-
-
 def render_json(rows: list[ReportRow]) -> str:
     return json.dumps([vars(row) for row in rows], indent=2) + "\n"
 
 
 def _complex_table(a: np.ndarray) -> list[str]:
     lines = ["j,l,re,im"]
-    for j in range(a.shape[0]):
-        for l in range(a.shape[1]):
-            lines.append(f"{j},{l},{_fmt_float(a[j, l].real)},"
-                         f"{_fmt_float(a[j, l].imag)}")
+    for (j, l), x in np.ndenumerate(a):
+        lines.append(f"{j},{l},{_fmt_float(x.real)},{_fmt_float(x.imag)}")
     return lines
 
 
-def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
+# A dump: its metadata, the name and matrix that JSON appends last as
+# <name>_real and <name>_imag, and the lines CSV writes after the matrix.
+Dump = tuple[dict[str, Any], str, np.ndarray, list[str]]
+
+
+def _state_dump(config: RunConfig, k: int) -> Dump:
     state = _build_state(config, k)
     v = state.normalized()
     report = entanglement.analyze(v)
-    return {
+    meta = {
         "model": config.model,
         "k": k,
         "mu": config.mu,
@@ -269,29 +263,21 @@ def _state_payload(config: RunConfig, k: int) -> dict[str, Any]:
             config.max_entropy_residual),
         "schmidt_spectrum": [float(x) for x in report.schmidt_spectrum],
         "provenance": state.provenance,
-        "coeffs_real": v.real.tolist(),
-        "coeffs_imag": v.imag.tolist(),
-        "_coeffs": v,
     }
+    alphas = [f"{j},{_fmt_float(math.sqrt(max(p, 0.0)))}"
+              for j, p in enumerate(meta["schmidt_spectrum"])]
+    return meta, "coeffs", v, ["", "j,alpha", *alphas]
 
 
-def _gram_payload(config: RunConfig, k: int) -> dict[str, Any]:
+def _gram_dump(config: RunConfig, k: int) -> Dump:
     if config.model == "torus":
         basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu))
-        gram = basis.quadrature.gram
-        residual = basis.gram_residual()
+        gram, normalized = basis.quadrature.gram, basis.normalized_gram
     else:
-        gram = sphere.gram_matrix(sphere.SphereModel(k))
-        residual = max_abs(gram - np.eye(len(gram)))
-    return {
-        "model": config.model,
-        "k": k,
-        "mu": config.mu,
-        "normalized_residual": residual,
-        "gram_real": gram.real.tolist(),
-        "gram_imag": gram.imag.tolist(),
-        "_gram": gram,
-    }
+        gram = normalized = sphere.gram_matrix(sphere.SphereModel(k))
+    meta = {"model": config.model, "k": k, "mu": config.mu,
+            "normalized_residual": identity_defect(normalized)}
+    return meta, "gram", gram, []
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -387,28 +373,15 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"TOLERANCE BREACH {message}", file=sys.stderr)
             return 1 if breaches or failed else 0
 
-        if args.command == "state":
-            payload = _state_payload(config, config.k_min)
-            coeffs = payload.pop("_coeffs")
-            if config.fmt == "json":
-                _emit(json.dumps(payload, indent=2) + "\n", config.out)
-            else:
-                lines = _complex_table(coeffs)
-                lines.append("")
-                lines.append("j,alpha")
-                for j, alpha in enumerate(payload["schmidt_spectrum"]):
-                    lines.append(f"{j},{_fmt_float(math.sqrt(max(alpha, 0.0)))}")
-                _emit("\n".join(lines) + "\n", config.out)
-            return 0
-
-        if args.command == "gram":
-            payload = _gram_payload(config, config.k_min)
-            gram = payload.pop("_gram")
-            if config.fmt == "json":
-                _emit(json.dumps(payload, indent=2) + "\n", config.out)
-            else:
-                _emit("\n".join(_complex_table(gram)) + "\n", config.out)
-            return 0
+        dump = _state_dump if args.command == "state" else _gram_dump
+        meta, name, matrix, trailer = dump(config, config.k_min)
+        if config.fmt == "json":
+            meta[f"{name}_real"] = matrix.real.tolist()
+            meta[f"{name}_imag"] = matrix.imag.tolist()
+            _emit(json.dumps(meta, indent=2) + "\n", config.out)
+        else:
+            _emit("\n".join(_complex_table(matrix) + trailer) + "\n", config.out)
+        return 0
     except (ValueError, RuntimeError) as exc:
         # A ValueError is bad input; a RuntimeError is a failed numerical check.
         print(f"error: {exc}", file=sys.stderr)
@@ -418,4 +391,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
               file=sys.stderr)
         return 1
-    raise AssertionError("unreachable command")

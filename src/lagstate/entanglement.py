@@ -80,7 +80,8 @@ def analyze(coeffs: np.ndarray) -> EntanglementReport:
     eigensolve of c c^*, plus one SVD of c if the distance is read.  The
     entropy -sum lam ln lam (nats) sums every eigenvalue above zero after
     clamping to [0, 1] (0 ln 0 = 0), by compensated summation.  The report
-    keeps its own copy of c, the only copy along this path."""
+    keeps its own copy of c, so that the lazy SVD does not see the caller's
+    later writes to ``coeffs``."""
     c = as_matrix(coeffs, "state coefficients").copy()
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")

@@ -76,6 +76,12 @@ def max_abs(a: np.ndarray) -> float:
     return 0.0 if np.size(a) == 0 else float(np.max(np.abs(a)))
 
 
+def identity_defect(a: np.ndarray) -> float:
+    """Largest entrywise |a - I|: the defect of a basis Gram matrix, and of
+    the antidiagonal state built from it, from its closed form."""
+    return max_abs(a - np.eye(len(a)))
+
+
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius (Hilbert-Schmidt) distance between equally shaped arrays."""
     a, b = np.asarray(a), np.asarray(b)

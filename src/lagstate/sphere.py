@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GaussLegendreRule, gauss_legendre_01, max_abs, rule_size
+from .linalg import (GaussLegendreRule, gauss_legendre_01, identity_defect,
+                     rule_size)
 
 
 def binomials(k: int) -> list[int]:
@@ -158,5 +159,4 @@ def monomial_gram(model: SphereModel) -> np.ndarray:
 
 def gram_residual(model: SphereModel) -> float:
     """Max-entry deviation of the basis Gram matrix from the identity."""
-    g = gram_matrix(model)
-    return max_abs(g - np.eye(model.dim))
+    return identity_defect(gram_matrix(model))

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import max_abs
+from .linalg import identity_defect, max_abs
 from .sphere import (SphereModel, binomials, sphere_quadrature, gram_matrix,
                      weighted_basis_values)
 from .sphere import phase_average  # noqa: F401  (perfbench traces this name)
@@ -90,7 +90,7 @@ def _antidiagonal(coeffs: np.ndarray, **provenance: Any) -> LagrangianState:
         coeffs=coeffs,
         raw_norm=_frobenius_norm(coeffs),
         provenance={**provenance, "submanifold": "antidiagonal",
-                    "closed_form_defect": max_abs(coeffs - np.eye(len(coeffs)))},
+                    "closed_form_defect": identity_defect(coeffs)},
     )
 
 

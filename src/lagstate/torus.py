@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gauss_legendre_01, max_abs, rule_size
+from .linalg import gauss_legendre_01, rule_size
 
 THETA_TOL = 1e-12
 MAX_TERMS = 64
@@ -231,11 +231,6 @@ class TorusBasis:
     def normalized_gram(self) -> np.ndarray:
         """Raw Gram divided by the closed-form squared norm 1/sqrt(2k)."""
         return self.quadrature.gram * math.sqrt(2.0 * self.model.k)
-
-    def gram_residual(self) -> float:
-        """Largest defect of the quadrature Gram from its closed form,
-        relative to the squared norm."""
-        return max_abs(self.normalized_gram - np.eye(self.model.k))
 
     def values(self, z: complex) -> np.ndarray:
         """All phi_j(z), j = 1..k, with the theta tail below THETA_TOL."""

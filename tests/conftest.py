@@ -9,8 +9,8 @@ torus Gram matrix, Newton-polished Legendre roots in 30-digit arithmetic
 for the error of the computed Gauss-Legendre rule, and alternating
 maximization (no SVD) for the distance to the separable set.  It also holds
 the small helpers that only tests call: the torus inner-product weight, the
-separable pair of two coherent vectors, the sphere fiber pairing and the
-reduced density matrix.
+separable pair of two coherent vectors, the sphere fiber pairing, the
+reduced density matrix and the parser of ``report``'s CSV back into rows.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from lagstate.cli import CSV_HEADER, ReportRow
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -254,3 +256,15 @@ def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
                 break
         best = max(best, value)
     return math.sqrt(max(0.0, total * total - best * best))
+
+
+def parse_csv(text: str) -> list[ReportRow]:
+    """Rows of ``report``'s CSV output; the header must be ``CSV_HEADER``."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unexpected CSV header")
+    rows = []
+    for line in lines[1:]:
+        k, d_k, *floats = line.split(",")
+        rows.append(ReportRow(int(k), int(d_k), *map(float, floats)))
+    return rows

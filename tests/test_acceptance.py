@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import (beta_monomial_norm, circle_diag_coefficient,
-                      circle_spectrum_exact, random_state, random_unitary, random_unit_vector,
-                      separable_distance_minimized)
-from lagstate.cli import RunConfig, main, parse_csv, render_csv, run
+                      circle_spectrum_exact, parse_csv, random_state, random_unitary,
+                      random_unit_vector, separable_distance_minimized)
+from lagstate.cli import RunConfig, main, render_csv, run
 from lagstate.entanglement import analyze, closest_separable, entropy, schmidt
 from lagstate.linalg import frobenius_distance, max_abs
 from lagstate.sphere import (SphereModel, gram_residual, monomial_gram,

@@ -9,13 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import near_flat_state
+from conftest import near_flat_state, parse_csv
 from lagstate import cli, entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
-from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, parse_csv,
-                          render_csv, render_json, run, tolerance_breaches,
+from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, render_csv,
+                          render_json, run, tolerance_breaches,
                           verify_identities)
 
 CIRCLE_K2_ENTROPY = 0.8675632284814612
@@ -669,6 +669,71 @@ def test_main_gram_csv(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert captured.out.splitlines()[0] == "j,l,re,im"
+
+
+def _dump_and_row(capsys, model_argv, k):
+    """``gram``'s normalized_residual and the ``report`` row's gram_residual
+    at one k."""
+    assert main(["gram", "--format", "json", "--k", str(k)] + model_argv) == 0
+    dumped = json.loads(capsys.readouterr().out)["normalized_residual"]
+    main(["report", "--reproducible", "--k-min", str(k), "--k-max", str(k)]
+         + model_argv)
+    (row,) = parse_csv(capsys.readouterr().out)
+    return dumped, row.gram_residual
+
+
+@pytest.mark.parametrize("model_argv, k", [([], k) for k in (1, 3, 60, 300)] + [
+    (["--model", "torus", "--mu", mu], k)
+    for mu in ("0", "0.37") for k in (3, 5, 20, 80)])
+def test_gram_dump_residual_is_the_report_gram_residual(capsys, model_argv, k):
+    # The antidiagonal state is the conjugated normalized Gram, so both
+    # outputs print one number.
+    dumped, reported = _dump_and_row(capsys, model_argv, k)
+    assert dumped == reported
+
+
+def test_gram_dump_residual_is_the_report_gram_residual_off_its_closed_form(
+        monkeypatch, capsys):
+    exact = torus.gram_quadrature
+
+    def shifted(model):
+        quad = exact(model)
+        gram = quad.gram.copy()
+        gram[0, 0] += 1e-6 / math.sqrt(2.0 * model.k)
+        return dataclasses.replace(quad, gram=gram)
+
+    monkeypatch.setattr(torus, "gram_quadrature", shifted)
+    dumped, reported = _dump_and_row(capsys, ["--model", "torus"], 5)
+    assert dumped == reported == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv, name, d", [
+    (["state", "--k", "3"], "coeffs", 4),
+    (["state", "--k", "4", "--submanifold", "circle"], "coeffs", 5),
+    (["state", "--k", "5", "--model", "torus", "--mu", "0.37"], "coeffs", 5),
+    (["gram", "--k", "3"], "gram", 4),
+    (["gram", "--k", "5", "--model", "torus"], "gram", 5)])
+def test_dump_formats_carry_the_same_matrix(capsys, argv, name, d):
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "j,l,re,im"
+    cells = [line.split(",") for line in lines[1:1 + d * d]]
+    assert [(int(j), int(l)) for j, l, _, _ in cells] == [
+        (j, l) for j in range(d) for l in range(d)]
+    for column, part in ((2, "real"), (3, "imag")):
+        assert [[float(cells[j * d + l][column]) for l in range(d)]
+                for j in range(d)] == payload[f"{name}_{part}"]
+    rest = lines[1 + d * d:]
+    if name == "gram":
+        assert rest == []
+        return
+    assert rest[:2] == ["", "j,alpha"]
+    alphas = [line.split(",") for line in rest[2:]]
+    assert [(int(j), float(a)) for j, a in alphas] == [
+        (j, math.sqrt(max(p, 0.0)))
+        for j, p in enumerate(payload["schmidt_spectrum"])]
 
 
 def test_main_calls_share_parser_not_state(capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import (circle_diag_coefficient, circle_entropy_reference,
                       circle_raw_norm, pair_coherent, random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
-from lagstate.linalg import max_abs, svd
+from lagstate.linalg import identity_defect, max_abs, svd
 from lagstate.sphere import (SphereModel, basis_values,
                              weighted_basis_values)
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
@@ -121,7 +121,7 @@ def test_torus_antidiagonal_state():
     assert "theta_tol" not in prov
     assert prov["y_bound"] == basis.quadrature.y_bound
     assert prov["tail_bound"] == basis.quadrature.truncation.tail_bound
-    assert prov["closed_form_defect"] == basis.gram_residual()
+    assert prov["closed_form_defect"] == identity_defect(basis.normalized_gram)
 
 
 @pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,

@@ -8,7 +8,8 @@ from conftest import (gauss_legendre_01_defects, gaussian_weight,
                       theta_reference, torus_gram_diag_reference,
                       torus_gram_reference, torus_norm_reference)
 from lagstate.cli import DEFAULT_TOL_GRAM
-from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
+from lagstate.linalg import (RULE_FLOOR, gauss_legendre_01, identity_defect,
+                             max_abs, rule_size)
 from lagstate.sphere import sphere_quadrature
 from lagstate.torus import (THETA_TOL, TorusModel, _y_bound, _y_nodes,
                             closed_form_norm, gram_quadrature, orthonormal_basis,
@@ -196,7 +197,7 @@ def test_norm_oracle_matches_closed_form():
 def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
     basis = orthonormal_basis(model)
-    assert basis.gram_residual() <= 1e-7
+    assert identity_defect(basis.normalized_gram) <= 1e-7
     # The basis keeps the quadrature that checks its norms, y-rule bound
     # included, and the quadrature norms agree with the closed form.
     assert basis.quadrature.y_bound <= THETA_TOL / math.sqrt(10.0)
@@ -248,7 +249,7 @@ def test_gram_residual_is_closed_form_defect_within_certificate(mu):
     for k in range(3, 201):
         basis = orthonormal_basis(TorusModel(k, mu=mu))
         res = basis.quadrature
-        residual = basis.gram_residual()
+        residual = identity_defect(basis.normalized_gram)
         diag = np.diag(res.gram).real
         assert residual == max_abs(diag * math.sqrt(2.0 * k) - 1.0)
         # The residual measures the quadrature, so it is nonzero at every
