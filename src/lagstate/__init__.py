@@ -38,7 +38,6 @@ from .torus import (
     theta_truncation,
 )
 from .states import (
-    CoherentVector,
     LagrangianState,
     antidiagonal_state,
     circle_entropy_closed_form,
@@ -60,7 +59,7 @@ __all__ = [
     "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
     "theta_eval", "gram_quadrature", "orthonormal_basis",
     "quasi_periodicity_factor", "closed_form_norm",
-    "CoherentVector", "LagrangianState", "coherent_vector",
+    "LagrangianState", "coherent_vector",
     "section_frame_value", "antidiagonal_state",
     "circle_state_quadrature", "circle_state_closed_form",
     "circle_entropy_closed_form",

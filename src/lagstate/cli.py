@@ -25,16 +25,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from . import entanglement, sphere, states, torus
 from .linalg import identity_defect
-
-CSV_HEADER = ("k,d_k,entropy,ln_d_k,entropy_residual,separable_distance,"
-              "corollary_rhs,gram_residual,raw_norm,wall_time_ms")
 
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
@@ -103,6 +100,9 @@ class ReportRow:
     gram_residual: float
     raw_norm: float
     wall_time_ms: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _state_dump(config: RunConfig, k: int) -> Dump:
         "schmidt_spectrum": [float(x) for x in report.schmidt_spectrum],
         "provenance": state.provenance,
     }
-    alphas = [f"{j},{_fmt_float(math.sqrt(max(p, 0.0)))}"
+    alphas = [f"{j},{_fmt_float(math.sqrt(p))}"
               for j, p in enumerate(meta["schmidt_spectrum"])]
     return meta, "coeffs", v, ["", "j,alpha", *alphas]
 
@@ -325,14 +325,14 @@ COMMAND_FLAGS = {
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags given; unset ones keep RunConfig's defaults,
     except the k range, which starts at the model's smallest k."""
-    fields = vars(args).copy()
-    del fields["command"]
-    if "k" in fields:
-        fields["k_min"] = fields["k_max"] = fields.pop("k")
+    given = vars(args).copy()
+    del given["command"]
+    if "k" in given:
+        given["k_min"] = given["k_max"] = given.pop("k")
     else:
-        fields.setdefault("k_min", DEFAULT_K_MIN[fields.get("model", RunConfig.model)])
-        fields.setdefault("k_max", max(fields["k_min"], 10))
-    return RunConfig(**fields)
+        given.setdefault("k_min", DEFAULT_K_MIN[given.get("model", RunConfig.model)])
+        given.setdefault("k_max", max(given["k_min"], 10))
+    return RunConfig(**given)
 
 
 @functools.cache

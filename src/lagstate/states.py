@@ -12,7 +12,7 @@ form in binomial coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -26,39 +26,28 @@ from .torus import TorusModel
 
 
 @dataclass(frozen=True)
-class CoherentVector:
-    """Coefficients of the vector reproducing evaluation at base_point."""
-
-    coeffs: np.ndarray
-    base_point: complex
-    frame_scale: complex
-
-
-@dataclass(frozen=True)
 class LagrangianState:
     """Unnormalized state in H (x) H built by integrating over a submanifold."""
 
     coeffs: np.ndarray
     raw_norm: float
-    provenance: dict[str, Any] = field(default_factory=dict)
+    provenance: dict[str, Any]
 
     def normalized(self) -> np.ndarray:
         return self.coeffs / self.raw_norm
 
 
 def coherent_vector(model: SphereModel, z: complex,
-                    frame_scale: complex = 1.0 + 0.0j) -> CoherentVector:
-    """Coherent vector for the frame covector scaled by frame_scale at z.
+                    frame_scale: complex = 1.0 + 0.0j) -> np.ndarray:
+    """Coefficients of the coherent vector for the frame covector scaled by
+    frame_scale at z.
 
     With the unit frame, the coefficient of phi_j is
     conj(phi_j(z)) / (1 + |z|^2)^(k/2); rescaling the frame by alpha
     multiplies all coefficients by conj(alpha)^k.
     """
-    z = complex(z)
     scale = np.conj(complex(frame_scale)) ** model.k
-    coeffs = scale * weighted_basis_values(model, z).conj()
-    return CoherentVector(coeffs=coeffs, base_point=z,
-                          frame_scale=complex(frame_scale))
+    return scale * weighted_basis_values(model, z).conj()
 
 
 def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,

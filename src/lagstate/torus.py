@@ -109,29 +109,26 @@ def theta_truncation(model: TorusModel, tol: float = THETA_TOL,
         f"terms for k = {model.k}, y_max = {y_max:g}")
 
 
-def _theta_columns(model: TorusModel, zs: np.ndarray,
-                   trunc: ThetaTruncation) -> np.ndarray:
-    """Theta values at the flat array zs; column j-1 holds theta_j."""
-    k = model.k
-    n = np.arange(-trunc.n_max, trunc.n_max + 1)
-    x = zs.real[None, :]
-    y = zs.imag[None, :]
-    out = np.empty((len(zs), k), dtype=complex)
-    for j in range(1, k + 1):
-        nq = (n + model.reduced_q(j))[:, None]
-        exponent = (-math.pi * k * nq * nq - 2.0 * math.pi * k * nq * y
-                    + 2j * math.pi * k * nq * x)
-        out[:, j - 1] = np.exp(exponent).sum(axis=0)
-    return out
+def _shifts(model: TorusModel, n_max: int) -> np.ndarray:
+    """The k x (2 n_max + 1) table of n + q_j; row j-1 belongs to theta_j."""
+    return (np.arange(-n_max, n_max + 1)[None, :]
+            + np.array([model.reduced_q(j) for j in range(1, model.k + 1)])[:, None])
 
 
 def _theta_values(model: TorusModel, z: complex, tol: float) -> np.ndarray:
-    """All theta_j(z), j = 1..k, truncated with a certified tail below tol."""
+    """All theta_j(z), j = 1..k, with a certified tail below tol.  The largest
+    term is about exp(pi k (Im z)^2): past k (Im z)^2 ~ 226 it is a ValueError."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("evaluation point must be finite")
-    trunc = theta_truncation(model, tol, y_max=max(1.0, abs(z.imag)))
-    return _theta_columns(model, np.array([z]), trunc)[0]
+    k = model.k
+    nq = _shifts(model, theta_truncation(model, tol, max(1.0, abs(z.imag))).n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(-math.pi * k * nq * nq - 2.0 * math.pi * k * nq * z.imag
+                        + 2j * math.pi * k * nq * z.real).sum(axis=1)
+    if not np.isfinite(values).all():
+        raise ValueError(f"theta series overflows at k = {k}, Im z = {z.imag:g}")
+    return values
 
 
 def theta_eval(model: TorusModel, j: int, z: complex,
@@ -209,8 +206,7 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     k = model.k
     trunc = theta_truncation(model, THETA_TOL, y_max=1.0)
     n_y = rule_size(_y_nodes(k, trunc))
-    shifts = (np.arange(-trunc.n_max, trunc.n_max + 1)[None, :]
-              + np.array([model.reduced_q(j) for j in range(1, k + 1)])[:, None])
+    shifts = _shifts(model, trunc.n_max)
     ys, weights, _, _ = gauss_legendre_01(n_y)
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)

@@ -113,13 +113,12 @@ def gaussian_weight(k: int, y: np.ndarray | float) -> np.ndarray | float:
 
 
 def pair_coherent(u, w) -> np.ndarray:
-    """Separable state u (x) w of two coherent vectors as a coefficient
-    matrix (outer product)."""
-    if u.coeffs.shape != w.coeffs.shape:
+    """Separable state u (x) w of two coherent vectors, given by their
+    coefficients, as a coefficient matrix (outer product)."""
+    if u.shape != w.shape:
         raise ValueError(
-            f"coherent vectors live in different spaces: "
-            f"{u.coeffs.shape} vs {w.coeffs.shape}")
-    return np.outer(u.coeffs, w.coeffs)
+            f"coherent vectors live in different spaces: {u.shape} vs {w.shape}")
+    return np.outer(u, w)
 
 
 def pairing_matrix(model, z: complex) -> np.ndarray:

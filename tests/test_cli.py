@@ -519,6 +519,20 @@ def test_main_torus_large_mu(capsys):
         assert abs(row.entropy - math.log(row.k)) <= 1e-6
 
 
+def test_main_negative_mu_in_exponent_form(capsys):
+    # argparse reads "-1e-3" after a space as a flag; the "=" form is an
+    # argument, and gives the same rows as the decimal form.
+    outputs = []
+    for mu in (["--mu=-1e-3"], ["--mu", "-0.001"]):
+        code = main(["report", "--model", "torus", *mu, "--k-min", "3",
+                     "--k-max", "4", "--reproducible"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert [row.k for row in parse_csv(outputs[0])] == [3, 4]
+
+
 @pytest.mark.parametrize("argv,rows,eigh,svd", [
     (["report", "--k-min", "1", "--k-max", "4"], 4, 1, 1),
     (["verify", "--k-min", "1", "--k-max", "4"], 4, 1, 1),

@@ -66,6 +66,23 @@ def test_theta_eval_rejects_non_finite():
         theta_eval(TorusModel(3), 1, complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("k,z", [(12, 0.3 + 4.4j), (60, 0.3 + 3j)])
+def test_theta_overflow_is_an_error(k, z):
+    # Past k (Im z)^2 of about 226 the series leaves the float range; the
+    # pytest setting turns any RuntimeWarning on the way into a failure.
+    model = TorusModel(k)
+    with pytest.raises(ValueError, match=f"k = {k}, Im z = {z.imag:g}"):
+        theta_eval(model, 1, z)
+    with pytest.raises(ValueError, match="overflows"):
+        orthonormal_basis(model).values(z)
+
+
+def test_theta_large_but_finite_value():
+    value = theta_eval(TorusModel(12), 1, 0.3 + 3.5j)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    assert abs(value.real - 4.24e197) <= 1e-2 * 4.24e197
+
+
 def test_theta_eval_rejects_index_out_of_range():
     model = TorusModel(4, mu=0.37)
     for j in (0, -1, 5):
