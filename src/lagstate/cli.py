@@ -145,7 +145,6 @@ def run(config: RunConfig) -> list[ReportRow]:
             corollary_rhs=report.corollary_distance,
             gram_residual=state.provenance["closed_form_defect"],
             raw_norm=state.raw_norm,
-            # Read last, so the time covers the SVD behind separable_distance.
             wall_time_ms=(0.0 if config.reproducible
                           else (time.perf_counter() - t0) * 1e3),
         ))

@@ -10,8 +10,7 @@ and the nearest product vector is the top Schmidt term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,24 +50,21 @@ def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
 
 
 def _tail_norm(alphas: np.ndarray) -> float:
-    return math.sqrt(math.fsum(float(a) ** 2 for a in alphas[1:]))
+    return math.sqrt(math.fsum([a ** 2 for a in alphas[1:].tolist()]))
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Entanglement measures of one normalized state with coefficients c;
-    the SVD behind the separable distance runs on first access only."""
+    """Entanglement measures of one normalized state with coefficients c:
+    the entropy and Schmidt spectrum from the eigenvalues of c c^*, the
+    separable distance from the singular values of c."""
 
-    coeffs: np.ndarray = field(repr=False)
     d: int
     entropy: float
     max_entropy: float
     corollary_distance: float
+    separable_distance: float
     schmidt_spectrum: np.ndarray
-
-    @cached_property
-    def separable_distance(self) -> float:
-        return _tail_norm(svd(self.coeffs).singular_values)
 
     def is_maximally_entangled(self, tol: float = MAX_ENTROPY_TOL) -> bool:
         """Whether the entropy is within ``tol`` of its maximum ln d."""
@@ -76,23 +72,23 @@ class EntanglementReport:
 
 
 def analyze(coeffs: np.ndarray) -> EntanglementReport:
-    """Entanglement summary of a normalized state, factorized once: one
-    eigensolve of c c^*, plus one SVD of c if the distance is read.  The
-    entropy -sum lam ln lam (nats) sums every eigenvalue above zero after
-    clamping to [0, 1] (0 ln 0 = 0), by compensated summation.  The report
-    keeps its own copy of c, so that the lazy SVD does not see the caller's
-    later writes to ``coeffs``."""
-    c = as_matrix(coeffs, "state coefficients").copy()
+    """Entanglement summary of a normalized state, factorized once each way:
+    one eigensolve of c c^* and one SVD of c, of which only the singular
+    values are read.  The entropy -sum lam ln lam (nats) sums every
+    eigenvalue above zero after clamping to [0, 1] (0 ln 0 = 0), by
+    compensated summation.  The report holds no reference to ``coeffs``."""
+    c = as_matrix(coeffs, "state coefficients")
     if c.shape[0] != c.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got {c.shape}")
     norm = float(np.linalg.norm(c.ravel()))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |v| = {norm:.12g}")
     lam = np.clip(hermitian_eigen(c @ c.conj().T), 0.0, 1.0)
-    nu = math.fsum(-x * math.log(x) for x in lam if x > 0.0)
+    nu = math.fsum([-x * math.log(x) for x in lam.tolist() if x > 0.0])
     return EntanglementReport(
-        coeffs=c, d=len(c), entropy=nu, max_entropy=math.log(len(c)),
+        d=len(c), entropy=nu, max_entropy=math.log(len(c)),
         corollary_distance=math.sqrt(max(0.0, 1.0 - math.exp(-nu))),
+        separable_distance=_tail_norm(svd(c).singular_values),
         schmidt_spectrum=lam)
 
 

@@ -3,11 +3,13 @@ dtype preserved: real input gets real factors in real arithmetic.
 
 The SVD is a one-sided Jacobi iteration on the columns of the input: one
 Gram-matrix convergence test per sweep, and rotations in round-robin
-parallel order.  It is compact: singular vectors exist only for the nonzero
-singular values.  It calls no LAPACK routine, so the Schmidt route through
-``svd`` stays independent of the spectral route through ``hermitian_eigen``,
-which returns eigenvalues only, from LAPACK's Hermitian eigenvalue solver;
-the two are cross-checked against each other.
+parallel order.  The singular values are the norms of the rotated columns,
+so they are computed up front and the singular vectors only when read; V is
+accumulated only once a sweep rotates.  The SVD is compact: singular vectors
+exist only for the nonzero singular values.  It calls no LAPACK routine, so
+the Schmidt route through ``svd`` stays independent of the spectral route
+through ``hermitian_eigen``, which returns eigenvalues only, from LAPACK's
+Hermitian eigenvalue solver; the two are cross-checked against each other.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
 here too, with the policy that sizes it (:func:`rule_size`).  It is built in
 θ-form, by Newton steps on P_n(cos θ) with the weights from the same
@@ -19,7 +21,7 @@ and it carries log t and log(1 - t) for log-space integrands.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -45,14 +47,34 @@ NEWTON_STEPS = 4
 @dataclass(frozen=True)
 class SvdResult:
     """Compact factorization a = left @ diag(singular_values) @ right.conj().T
-    of an n x n matrix of rank r: left is (n, r), singular_values is (r,)
-    and positive, right is (n, r), both with orthonormal columns."""
+    of an n x n matrix of rank r: singular_values is (r,) and positive, left
+    and right are (n, r) with orthonormal columns.  The singular values are
+    computed by :func:`svd`; left and right are formed on first read and then
+    cached, so a caller that reads only the singular values never builds
+    them."""
 
-    left: np.ndarray
     singular_values: np.ndarray
-    right: np.ndarray
     sweeps: int          # rotating sweeps performed
     worst_ratio: float   # off-diagonal ratio at the final convergence test
+    # The rotated columns scaled by powers of two, with their norms, and the
+    # index of each kept singular value among them, descending.
+    scaled: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    # Row j is column j of V; None when no sweep rotated, V being the identity.
+    v_rows: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def left(self) -> np.ndarray:
+        u = self.scaled[:, self.order]
+        u /= self.norms[self.order]
+        return u
+
+    @functools.cached_property
+    def right(self) -> np.ndarray:
+        if self.v_rows is None:
+            return np.eye(len(self.scaled), dtype=self.scaled.dtype)[:, self.order]
+        return self.v_rows.T[:, self.order]
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.conj().T
@@ -211,16 +233,17 @@ def svd(a: np.ndarray) -> SvdResult:
     round-robin order, one numpy step per round of disjoint pairs.  Singular
     values are descending; equal values keep the order of the original
     columns.  Only the r nonzero ones are kept, with their columns of U and
-    V: shapes (n, r), (r,) and (n, r).  Raises ValueError on non-square or
-    non-finite input, and RuntimeError when ``MAX_SWEEPS`` rotating sweeps
-    do not converge.
+    V: shapes (n, r), (r,) and (n, r), U and V formed when first read.  A
+    matrix whose columns pass the first test never accumulates V, which is
+    then the identity.  Raises ValueError on non-square or non-finite input,
+    and RuntimeError when ``MAX_SWEEPS`` rotating sweeps do not converge.
     """
     a = as_matrix(a, "svd input")
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"svd input must be square, got shape {a.shape}")
-    # Row j is column j of U, then column j of V: a pair rotation updates rows.
-    w = np.concatenate((a.T, np.eye(n, dtype=a.dtype)), axis=1)
+    # Row j is column j of U; the first rotating sweep appends column j of V.
+    w = a.T.copy()
     del a
     sweeps = 0
     while (worst := _worst_ratio(w[:, :n])) > JACOBI_TOL:
@@ -228,22 +251,25 @@ def svd(a: np.ndarray) -> SvdResult:
             raise RuntimeError(
                 f"jacobi svd did not converge in {MAX_SWEEPS} sweeps; "
                 f"worst off-diagonal ratio {worst:.3e}")
+        if sweeps == 0:
+            w = np.concatenate((w, np.eye(n, dtype=w.dtype)), axis=1)
         for p, q in round_robin(n):
             _rotate_round(w, p, q)
         sweeps += 1
-    w = np.ascontiguousarray(w.T)  # U above V, both in column layout again
+    v_rows = w[:, n:].copy() if sweeps else None
+    scaled = w[:, :n].T.copy()  # U in column layout again
+    del w
     # Each column is scaled by a power of two near its largest modulus: exact,
     # so squares of moduli below 1e-154 cannot underflow to a zero norm, and
     # U is the scaled column over its scaled norm, never over a subnormal.
-    e = np.maximum(np.frexp(np.abs(w[:n]).max(axis=0, initial=0.0))[1], -1021)
-    scaled = w[:n] * np.ldexp(1.0, -e)
+    e = np.maximum(np.frexp(np.abs(scaled).max(axis=0, initial=0.0))[1], -1021)
+    scaled *= np.ldexp(1.0, -e)
     norms = np.linalg.norm(scaled, axis=0)
     sigma = np.ldexp(norms, e)
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
-    u = scaled[:, order]
-    u /= norms[order]
-    return SvdResult(left=u, singular_values=sigma[order], right=w[n:, order],
-                     sweeps=sweeps, worst_ratio=worst)
+    return SvdResult(singular_values=sigma[order], sweeps=sweeps,
+                     worst_ratio=worst, scaled=scaled, norms=norms,
+                     order=order, v_rows=v_rows)
 
 
 def hermitian_eigen(h: np.ndarray) -> np.ndarray:

@@ -268,13 +268,37 @@ def test_analyze_report_consistency():
 
 
 def test_analyze_keeps_its_own_copy():
-    # The distance is computed lazily, so it must not see later edits of
-    # the caller's array; svd itself no longer copies its input.
+    # analyze computes the distance before it returns and keeps no
+    # reference to the caller's array, so later edits of it cannot reach
+    # the report.
     c = np.eye(4, dtype=complex) / 2.0
     report = analyze(c)
     c[:] = 0.0
     c[0, 0] = 1.0
     assert abs(report.separable_distance - math.sqrt(3.0) / 2.0) <= 1e-15
+
+
+def test_analyze_holds_three_state_sized_arrays_at_most():
+    # The Schmidt analysis of a row needs at most three d x d arrays at
+    # once: c c^T and its Hermitian defect with that defect's modulus during
+    # the eigensolve, then the Jacobi work array and its transposed U half.
+    # The caller's c is not counted.  Everything else is O(d): the spectrum,
+    # column norms and exponents, and the entropy terms as Python floats,
+    # so 64 bytes per row bound the rest.
+    import tracemalloc
+    from lagstate.sphere import SphereModel
+    from lagstate.states import antidiagonal_state
+    c = antidiagonal_state(SphereModel(300)).normalized()
+    d, block = len(c), 8 * c.size
+    tracemalloc.start()
+    try:
+        report = analyze(c)
+        report.separable_distance
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * block + 64 * d
+    assert all(np.ndim(v) < 2 for v in vars(report).values())
 
 
 def test_entropy_counts_every_positive_eigenvalue():

@@ -379,3 +379,47 @@ def test_svd_matches_hermitian_eigen_oracle_rank_deficient():
     assert len(sigma) == r
     assert max_abs(sigma ** 2 - eigvals[:r]) <= 1e-12 * eigvals[0]
     assert max_abs(eigvals[r:]) <= 1e-12 * eigvals[0]
+
+
+def _lazy_vector_input(kind):
+    rng = np.random.default_rng(11)
+    if kind == "sphere state":
+        return antidiagonal_state(SphereModel(12)).normalized()
+    if kind == "real diagonal, rank 3":
+        return np.diag([0.0, 3.0, 1.0, 3.0, 0.0])
+    if kind == "complex diagonal, rank 3":
+        return np.diag([1j, 0.0, 2.0 - 1.0j, 0.5])
+    if kind == "real dense":
+        return rng.standard_normal((7, 7))
+    a = np.zeros((8, 8), dtype=complex if kind.startswith("complex") else float)
+    a[:, [1, 4, 6]] = rng.standard_normal((8, 3))
+    if kind.startswith("complex"):
+        a[:, [1, 4, 6]] += 1j * rng.standard_normal((8, 3))
+    return a
+
+
+@pytest.mark.parametrize("kind, rotates", [
+    ("sphere state", False), ("real diagonal, rank 3", False),
+    ("complex diagonal, rank 3", False), ("real dense", True),
+    ("real, rank 3 among zero columns", True),
+    ("complex, rank 3 among zero columns", True)])
+def test_svd_singular_vectors_formed_on_first_read(kind, rotates):
+    # svd computes the singular values only; U and V are formed when first
+    # read and then cached.  An input whose columns pass the first Gram test
+    # never accumulates V: right is then exactly columns of the identity.
+    a = _lazy_vector_input(kind)
+    n = len(a)
+    res = svd(a)
+    assert (res.sweeps > 0) == rotates
+    assert "left" not in vars(res) and "right" not in vars(res)
+    if not rotates:
+        assert res.v_rows is None
+        assert np.array_equal(res.right, np.eye(n)[:, res.order])
+    assert res.left is res.left and res.right is res.right
+    r = len(res.singular_values)
+    assert r == (3 if "rank 3" in kind else n)
+    assert res.left.shape == res.right.shape == (n, r)
+    assert res.left.dtype == res.right.dtype == a.dtype
+    assert frobenius_distance(res.reconstruct(), a) <= 1e-12 * np.linalg.norm(a.ravel())
+    assert max_abs(res.left.conj().T @ res.left - np.eye(r)) <= 1e-12
+    assert max_abs(res.right.conj().T @ res.right - np.eye(r)) <= 1e-12

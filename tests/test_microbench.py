@@ -1,6 +1,8 @@
 """Per-layer microbenchmark of the Jacobi SVD on the two kinds of state the
 CLI sweeps, a near-identity sphere state and the diagonal circle state,
-and on a column-graded matrix that makes it rotate.
+and on a column-graded matrix that makes it rotate.  ``svd`` computes the
+singular values only, as the separable distance reads them; the sphere
+state is timed once more with the singular vectors read as well.
 
 Timings are recorded by pytest-benchmark (skipped when it is not
 installed) and printed in its table; nothing asserts on them.  Compare
@@ -32,3 +34,15 @@ def test_svd_microbench(benchmark, kind, k):
     else:
         # Every state the CLI builds passes the first Gram test: no rotation.
         assert res.sweeps == 0
+
+
+def test_svd_vectors_microbench(benchmark):
+    coeffs = antidiagonal_state(SphereModel(120)).normalized()
+
+    def svd_with_vectors():
+        res = svd(coeffs)
+        res.left, res.right
+        return res
+
+    res = benchmark.pedantic(svd_with_vectors, rounds=3, iterations=1)
+    assert res.sweeps == 0
