@@ -27,7 +27,6 @@ from .sphere import (
     weighted_basis_values,
 )
 from .torus import (
-    ThetaTruncation,
     TorusBasis,
     TorusModel,
     closed_form_norm,
@@ -56,9 +55,9 @@ __all__ = [
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
     "SphereModel", "sphere_quadrature", "basis_values",
     "weighted_basis_values", "gram_matrix", "monomial_gram",
-    "TorusModel", "TorusBasis", "ThetaTruncation", "theta_truncation",
-    "theta_eval", "gram_quadrature", "orthonormal_basis",
-    "quasi_periodicity_factor", "closed_form_norm",
+    "TorusModel", "TorusBasis", "theta_truncation", "theta_eval",
+    "gram_quadrature", "orthonormal_basis", "quasi_periodicity_factor",
+    "closed_form_norm",
     "LagrangianState", "coherent_vector",
     "section_frame_value", "antidiagonal_state",
     "circle_state_quadrature", "circle_state_closed_form",

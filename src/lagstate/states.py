@@ -72,7 +72,7 @@ def _frobenius_norm(coeffs: np.ndarray) -> float:
 
 
 def _antidiagonal(coeffs: np.ndarray, **provenance: Any) -> LagrangianState:
-    """Wrap the conjugated normalized Gram as the antidiagonal state,
+    """Wrap the normalized Gram as the antidiagonal state,
     recording, not gating, its largest entrywise defect from its closed
     form, the identity."""
     return LagrangianState(
@@ -85,23 +85,23 @@ def _antidiagonal(coeffs: np.ndarray, **provenance: Any) -> LagrangianState:
 
 def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     """State from the antidiagonal submanifold: quadrature of the conjugated
-    fiber pairing.  Its coefficient matrix equals the basis Gram matrix
-    (conjugated), hence the identity up to quadrature defect, and the
-    normalized state is maximally entangled with raw norm sqrt(d).  Both
-    models integrate at a fixed, certified resolution."""
+    fiber pairing.  Its coefficient matrix is the conjugated basis Gram
+    matrix; that Gram is real, hence its own conjugate, and is passed as it
+    is.  It is the identity up to quadrature defect, and the normalized
+    state is maximally entangled with raw norm sqrt(d).  Both models
+    integrate at a fixed, certified resolution."""
     if isinstance(model, SphereModel):
         return _antidiagonal(
-            gram_matrix(model).conj(), model="sphere", k=model.k,
+            gram_matrix(model), model="sphere", k=model.k,
             radial_nodes=len(sphere_quadrature(model.k).nodes),
             angular_nodes=model.angular_nodes)
     if isinstance(model, TorusModel):
         basis = torus_mod.orthonormal_basis(model)
         quad = basis.quadrature
         return _antidiagonal(
-            basis.normalized_gram.conj(),
+            basis.normalized_gram,
             model="torus", k=model.k, mu=model.mu,
-            n_max=quad.truncation.n_max,
-            tail_bound=quad.truncation.tail_bound, m_x=quad.m_x,
+            n_max=quad.n_max, tail_bound=quad.tail_bound, m_x=quad.m_x,
             n_y=quad.n_y, y_bound=quad.y_bound)
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -113,11 +113,13 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     frequency here, so it is applied in closed form: the coefficients are
     exactly diagonal, with entries 2 pi (k+1) C(k,j) / 2^k, each rounded
     once from exact integers.  The provenance records the largest entrywise
-    defect of the normalized state from :func:`circle_state_closed_form`.
+    defect of the normalized state from :func:`circle_state_closed_form`,
+    read off the two diagonals, since both off-diagonals are exact zeros.
     """
     k = model.k
-    amp = np.array([(k + 1) * c / 2**k for c in binomials(k)])
-    coeffs = np.diag(2.0 * math.pi * amp)
+    diagonal = 2.0 * math.pi * np.array([(k + 1) * c / 2**k
+                                         for c in binomials(k)])
+    coeffs = np.diag(diagonal)
     raw_norm = _frobenius_norm(coeffs)
     return LagrangianState(
         coeffs=coeffs,
@@ -127,8 +129,8 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
             "k": k,
             "submanifold": "circle",
             "angular_nodes": model.angular_nodes,
-            "closed_form_defect": max_abs(coeffs / raw_norm
-                                          - circle_state_closed_form(k)),
+            "closed_form_defect": max_abs(diagonal / raw_norm
+                                          - np.sqrt(_circle_spectrum(k))),
         },
     )
 

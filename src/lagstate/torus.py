@@ -37,7 +37,7 @@ MAX_TERMS = 64
 # log rho over which the y-rule error bound is minimized.  Every rho gives a
 # valid bound, so the grid sets only its tightness; it brackets the optimum
 # asinh(4n / (pi k)) / 2 (ignoring the 1/(rho^2 - 1) factor) for every
-# k < 10^7 at the default tolerance.
+# k < 10^7 at THETA_TOL.
 _LOG_RHO = np.geomspace(1e-3, 8.0, 256)
 
 
@@ -72,28 +72,17 @@ class TorusModel:
         return q - round(q)
 
 
-@dataclass(frozen=True)
-class ThetaTruncation:
-    """Certified n-sum cutoff: dropped terms sum below tail_bound <= tol
-    everywhere in the strip |Im z| <= y_max."""
-
-    n_max: int
-    tail_bound: float
-    tol: float
-    y_max: float
-
-
-def theta_truncation(model: TorusModel, tol: float = THETA_TOL,
-                     y_max: float = 1.0) -> ThetaTruncation:
-    """Smallest cutoff N whose guaranteed tail bound is below tol.
+def theta_truncation(model: TorusModel, *,
+                     y_max: float = 1.0) -> tuple[int, float]:
+    """Smallest cutoff N whose guaranteed tail bound is below THETA_TOL, as
+    (N, tail bound): the dropped terms sum below that bound everywhere in
+    the strip |Im z| <= y_max.
 
     For |n| = m > N, |q| <= 1/2 and |y| <= y_max each term is bounded by
     g(m) = exp(-pi k (m - 1/2)^2 + 2 pi k (m + 1/2) y_max), and consecutive
     bounds decay by at least exp(-2 pi k (m - y_max)), so the two-sided tail
     is below 2 g(N+1) / (1 - exp(-2 pi k (N + 1 - y_max))).
     """
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     k = model.k
     for n_max in range(max(1, math.ceil(y_max)), MAX_TERMS + 1):
         m = n_max + 1
@@ -101,12 +90,11 @@ def theta_truncation(model: TorusModel, tol: float = THETA_TOL,
         if log_g > 500.0:
             continue
         bound = 2.0 * math.exp(log_g) / (-math.expm1(-2.0 * math.pi * k * (m - y_max)))
-        if bound <= tol:
-            return ThetaTruncation(n_max=n_max, tail_bound=bound, tol=tol,
-                                   y_max=y_max)
+        if bound <= THETA_TOL:
+            return n_max, bound
     raise ValueError(
-        f"theta tolerance {tol:g} not reachable within {MAX_TERMS} series "
-        f"terms for k = {model.k}, y_max = {y_max:g}")
+        f"theta tolerance {THETA_TOL:g} not reachable within {MAX_TERMS} "
+        f"series terms for k = {model.k}, y_max = {y_max:g}")
 
 
 def _shifts(model: TorusModel, n_max: int) -> np.ndarray:
@@ -115,14 +103,15 @@ def _shifts(model: TorusModel, n_max: int) -> np.ndarray:
             + np.array([model.reduced_q(j) for j in range(1, model.k + 1)])[:, None])
 
 
-def _theta_values(model: TorusModel, z: complex, tol: float) -> np.ndarray:
-    """All theta_j(z), j = 1..k, with a certified tail below tol.  The largest
-    term is about exp(pi k (Im z)^2): past k (Im z)^2 ~ 226 it is a ValueError."""
+def _theta_values(model: TorusModel, z: complex) -> np.ndarray:
+    """All theta_j(z), j = 1..k, with a certified tail below THETA_TOL.  The
+    largest term is about exp(pi k (Im z)^2): past k (Im z)^2 ~ 226 it is a
+    ValueError."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("evaluation point must be finite")
     k = model.k
-    nq = _shifts(model, theta_truncation(model, tol, max(1.0, abs(z.imag))).n_max)
+    nq = _shifts(model, theta_truncation(model, y_max=max(1.0, abs(z.imag)))[0])
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(-math.pi * k * nq * nq - 2.0 * math.pi * k * nq * z.imag
                         + 2j * math.pi * k * nq * z.real).sum(axis=1)
@@ -131,11 +120,11 @@ def _theta_values(model: TorusModel, z: complex, tol: float) -> np.ndarray:
     return values
 
 
-def theta_eval(model: TorusModel, j: int, z: complex,
-               tol: float = THETA_TOL) -> complex:
-    """theta_j at a single point, truncated with a certified tail below tol."""
+def theta_eval(model: TorusModel, j: int, z: complex) -> complex:
+    """theta_j at a single point, truncated with a certified tail below
+    THETA_TOL."""
     model._check_index(j)
-    return complex(_theta_values(model, z, tol)[j - 1])
+    return complex(_theta_values(model, z)[j - 1])
 
 
 def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> complex:
@@ -147,10 +136,13 @@ def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> c
 
 @dataclass(frozen=True)
 class TorusGramResult:
-    """Raw theta-basis Gram matrix, its resolution and its y-rule error bound."""
+    """Raw theta-basis Gram matrix, its resolution and its two certified
+    bounds: the series is cut at |n| <= n_max with a tail below tail_bound
+    on |Im z| <= 1, and the n_y-node y-rule errs below y_bound."""
 
     gram: np.ndarray
-    truncation: ThetaTruncation
+    n_max: int
+    tail_bound: float
     n_y: int
     y_bound: float
 
@@ -158,23 +150,23 @@ class TorusGramResult:
     def m_x(self) -> int:
         """Size of the x-trapezoid that aliases no frequency of the truncated
         theta products; the x-rule is applied in closed form at this size."""
-        return 2 * len(self.gram) * (2 * self.truncation.n_max + 1)
+        return 2 * len(self.gram) * (2 * self.n_max + 1)
 
 
-def _y_log_majorant(k: int, trunc: ThetaTruncation) -> np.ndarray:
+def _y_log_majorant(k: int, n_max: int) -> np.ndarray:
     """log of (32/15) (2N + 1) exp(2 pi k b^2) / (rho^2 - 1) on the log rho
     grid: the y-rule error bound without its rho^(-2n) factor."""
     s = _LOG_RHO
-    return (math.log(32.0 / 15.0 * (2 * trunc.n_max + 1))
+    return (math.log(32.0 / 15.0 * (2 * n_max + 1))
             + 0.5 * math.pi * k * np.sinh(s) ** 2 - np.log(np.expm1(2.0 * s)))
 
 
-def _y_bound(k: int, trunc: ThetaTruncation, n: int) -> float:
+def _y_bound(k: int, n_max: int, n: int) -> float:
     """Error bound of the n-point Gauss-Legendre y-rule on the Gram diagonal."""
-    return float(np.exp((_y_log_majorant(k, trunc) - 2.0 * n * _LOG_RHO).min()))
+    return float(np.exp((_y_log_majorant(k, n_max) - 2.0 * n * _LOG_RHO).min()))
 
 
-def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
+def _y_nodes(k: int, n_max: int) -> int:
     """Certified minimum y-node count.
 
     The diagonal integrand f(y) = sum_{|n| <= N} exp(-2 pi k (y + n + q)^2)
@@ -184,12 +176,12 @@ def _y_nodes(k: int, trunc: ThetaTruncation) -> int:
     (32/15) (2N + 1) exp(2 pi k b^2) rho^(-2n) / (rho^2 - 1)
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over a fixed
     grid of log rho (:func:`_y_bound`).  The minimum count is the smallest n
-    whose bound is below tol (2k)^(-1/2), i.e. tol relative to the
-    closed-form squared norm.  The bound falls as n grows, so any longer
-    rule is certified too.
+    whose bound is below THETA_TOL (2k)^(-1/2), i.e. THETA_TOL relative to
+    the closed-form squared norm.  The bound falls as n grows, so any
+    longer rule is certified too.
     """
-    log_target = math.log(trunc.tol) - 0.5 * math.log(2.0 * k)
-    return max(1, int(np.ceil((_y_log_majorant(k, trunc) - log_target)
+    log_target = math.log(THETA_TOL) - 0.5 * math.log(2.0 * k)
+    return max(1, int(np.ceil((_y_log_majorant(k, n_max) - log_target)
                               / (2.0 * _LOG_RHO)).min()))
 
 
@@ -204,15 +196,15 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     the series tail and the y-rule are certified at ``THETA_TOL``.
     """
     k = model.k
-    trunc = theta_truncation(model, THETA_TOL, y_max=1.0)
-    n_y = rule_size(_y_nodes(k, trunc))
-    shifts = _shifts(model, trunc.n_max)
+    n_max, tail_bound = theta_truncation(model)
+    n_y = rule_size(_y_nodes(k, n_max))
+    shifts = _shifts(model, n_max)
     ys, weights, _, _ = gauss_legendre_01(n_y)
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights)
-    return TorusGramResult(gram=gram, truncation=trunc, n_y=n_y,
-                           y_bound=_y_bound(k, trunc, n_y))
+    return TorusGramResult(gram=gram, n_max=n_max, tail_bound=tail_bound,
+                           n_y=n_y, y_bound=_y_bound(k, n_max, n_y))
 
 
 @dataclass(frozen=True)
@@ -230,8 +222,7 @@ class TorusBasis:
 
     def values(self, z: complex) -> np.ndarray:
         """All phi_j(z), j = 1..k, with the theta tail below THETA_TOL."""
-        return (_theta_values(self.model, z, THETA_TOL)
-                / closed_form_norm(self.model))
+        return _theta_values(self.model, z) / closed_form_norm(self.model)
 
 
 def orthonormal_basis(model: TorusModel) -> TorusBasis:

@@ -625,7 +625,7 @@ def test_main_state_provenance_node_counts(capsys, argv, k):
     assert main(["state", "--format", "json"] + argv) == 0
     prov = json.loads(capsys.readouterr().out)["provenance"]
     if prov["model"] == "torus":
-        n_max = theta_truncation(TorusModel(k, mu=0.37)).n_max
+        n_max, _ = theta_truncation(TorusModel(k, mu=0.37))
         assert prov["n_max"] == n_max
         assert prov["m_x"] == 2 * k * (2 * n_max + 1)
         assert prov["n_y"] == RULE_FLOOR

@@ -120,7 +120,7 @@ def test_torus_antidiagonal_state():
     prov = shifted.provenance
     assert "theta_tol" not in prov
     assert prov["y_bound"] == basis.quadrature.y_bound
-    assert prov["tail_bound"] == basis.quadrature.truncation.tail_bound
+    assert prov["tail_bound"] == basis.quadrature.tail_bound
     assert prov["closed_form_defect"] == identity_defect(basis.normalized_gram)
 
 

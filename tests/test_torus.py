@@ -34,19 +34,23 @@ def test_model_validation():
 
 def test_truncation_certificate():
     for k in (3, 5, 9):
-        trunc = theta_truncation(TorusModel(k), 1e-12)
-        assert trunc.tail_bound <= 1e-12
-        assert trunc.n_max >= 1
-        # A tighter tolerance never shrinks the cutoff.
-        tighter = theta_truncation(TorusModel(k), 1e-15)
-        assert tighter.n_max >= trunc.n_max
+        n_max, tail_bound = theta_truncation(TorusModel(k))
+        assert tail_bound <= THETA_TOL == 1e-12
+        assert n_max >= 1
 
 
 def test_truncation_errors():
-    with pytest.raises(ValueError, match="positive"):
-        theta_truncation(TorusModel(3), 0.0)
     with pytest.raises(ValueError, match="not reachable"):
-        theta_truncation(TorusModel(3), 1e-12, y_max=80.0)
+        theta_truncation(TorusModel(3), y_max=80.0)
+
+
+def test_theta_functions_take_no_tolerance():
+    # The series is certified at THETA_TOL, so no function takes another.
+    model = TorusModel(3)
+    with pytest.raises(TypeError):
+        theta_truncation(model, 1e-15)
+    with pytest.raises(TypeError, match="tol"):
+        theta_eval(model, 1, 0.1j, tol=1e-13)
 
 
 def test_theta_matches_direct_series():
@@ -56,7 +60,7 @@ def test_theta_matches_direct_series():
         model = TorusModel(k, mu=mu)
         for j in (1, k):
             for z in SAMPLE_POINTS:
-                got = theta_eval(model, j, z, tol=1e-13)
+                got = theta_eval(model, j, z)
                 want = theta_reference(k, mu, j, z, n_max=12)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -143,7 +147,7 @@ def test_gram_matches_product_rule_oracle(k, mu):
     # The x-rule is applied in closed form; the full 2-D product rule at the
     # same resolution must agree, and off-diagonal entries are exact zeros.
     res = gram_quadrature(TorusModel(k, mu=mu))
-    m_x = 2 * k * (2 * res.truncation.n_max + 1)
+    m_x = 2 * k * (2 * res.n_max + 1)
     want = torus_gram_reference(k, mu, res.n_y, m_x)
     assert max_abs(res.gram - want) <= 1e-13 * max_abs(want)
     assert not (res.gram - np.diag(np.diag(res.gram))).any()
@@ -170,13 +174,12 @@ def test_gram_diag_matches_erf_closed_form(mu):
         assert res.y_bound <= target
         diag = np.diag(res.gram).real
         for j in range(1, k + 1):
-            want = torus_gram_diag_reference(k, model.reduced_q(j),
-                                             res.truncation.n_max)
+            want = torus_gram_diag_reference(k, model.reduced_q(j), res.n_max)
             assert abs(diag[j - 1] - want) <= target, (k, j)
-        assert res.n_y == rule_size(_y_nodes(k, res.truncation))
+        assert res.n_y == rule_size(_y_nodes(k, res.n_max))
         assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= RULE_FLOOR
         if res.n_y > RULE_FLOOR:
-            assert _y_bound(k, res.truncation, res.n_y // 2) > target
+            assert _y_bound(k, res.n_max, res.n_y // 2) > target
 
 
 def test_gram_y_node_override():
@@ -186,9 +189,9 @@ def test_gram_y_node_override():
     model = TorusModel(12, mu=0.37)
     target = THETA_TOL / math.sqrt(24.0)
     default = gram_quadrature(model)
-    trunc = default.truncation
-    assert _y_bound(12, trunc, 28) <= target < _y_bound(12, trunc, 27)
-    assert _y_bound(12, trunc, 40) > default.y_bound
+    n_max = default.n_max
+    assert _y_bound(12, n_max, 28) <= target < _y_bound(12, n_max, 27)
+    assert _y_bound(12, n_max, 40) > default.y_bound
     want = torus_gram_reference(12, 0.37, 28, default.m_x)
     assert max_abs(default.gram - want) <= 2.0 * target
 
@@ -241,7 +244,7 @@ def _closed_form_certificate(k, res, node_error, weight_error):
     rounding in the exponentials, both sums and the final scaling.
     """
     u = 2.0 ** -53
-    n_max, r = res.truncation.n_max, math.sqrt(2.0 * k)
+    n_max, r = res.n_max, math.sqrt(2.0 * k)
     # Besides the nearest one, the points y + n + q lie at distances of at
     # least 1/2, 3/2, ... on each side of 0, where g and |g'| decrease.
     far = np.arange(12) + 0.5
@@ -252,7 +255,7 @@ def _closed_form_certificate(k, res, node_error, weight_error):
     shift_error = node_error + (2 * n_max + 6) * u
     roundoff = (r * (sup_f * weight_error + sup_df * shift_error)
                 + (2 * n_max + res.n_y + 6) * u)
-    return r * res.y_bound + r * res.truncation.tail_bound ** 2 + roundoff
+    return r * res.y_bound + r * res.tail_bound ** 2 + roundoff
 
 
 @functools.cache
