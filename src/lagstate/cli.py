@@ -1,20 +1,22 @@
 """Command line front end: entropy sweeps, identity checks, state dumps.
 
 ``report`` sweeps k over a model, emitting one row per k with the entropy,
-its deviation from the maximal value ln d, the distance to the nearest
-product vector, and the state's closed-form residual.  ``verify`` runs a
-fixed list of cross-identity checks on the same rows (see
+its deviation from the closed-form entropy its state records (ln d on
+antidiagonal rows, the binomial entropy on circle rows), the distance to the
+nearest product vector, and the state's closed-form residual.  ``verify``
+runs a fixed list of cross-identity checks on the same rows (see
 :func:`verify_identities`).  Both gate the residuals in
 :func:`tolerance_breaches`, the one judge of the closed-form defect and of
-the entropy's gap to ln d.  ``state`` and ``gram`` dump a single state or
-Gram matrix and gate nothing; ``state``'s ``maximally_entangled`` verdict
-reads the model's entropy tolerance.  ``gram``'s ``normalized_residual`` is
-an antidiagonal row's ``gram_residual``, from :func:`linalg.identity_defect`.
-Each subcommand accepts only the flags it reads (``COMMAND_FLAGS``); any
-other flag is a usage error.
+the entropy's gap to its closed form.  ``state`` and ``gram`` dump a single
+state or Gram matrix and gate nothing; ``state``'s ``maximally_entangled``
+verdict reads the model's entropy tolerance.  ``gram``'s
+``normalized_residual`` is an antidiagonal row's ``gram_residual``, from
+:func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
+reads (``COMMAND_FLAGS``); any other flag is a usage error.
 
 Exit status: 0 on success, 1 when a residual or check exceeds its tolerance
-or a numerical check fails (reported as ``error:``), 2 for invalid usage.
+or a numerical check fails (reported as ``error:``), 2 for invalid usage,
+130 on an interrupt (``error: interrupted``); a closed stdout exits 1 silently.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -123,27 +126,24 @@ def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
 
 
 def run(config: RunConfig) -> list[ReportRow]:
-    """One ReportRow per k.  ``gram_residual`` is the state's defect from
-    its closed form, recorded by the state builder.  With ``reproducible``
-    set, timing is reported as zero so repeated runs serialize identically."""
+    """One ReportRow per k.  ``gram_residual`` and ``entropy_residual`` are
+    the state's defects from the closed form and entropy its builder records.
+    ``reproducible`` zeroes the timing, so repeated runs serialize identically."""
     rows = []
     for k in range(config.k_min, config.k_max + 1):
         t0 = time.perf_counter()
         state = _build_state(config, k)
         report = entanglement.analyze(state.normalized())
-        if config.submanifold == "circle":
-            target = states.circle_entropy_closed_form(k)
-        else:
-            target = report.max_entropy
+        prov = state.provenance
         rows.append(ReportRow(
             k=k,
             d_k=report.d,
             entropy=report.entropy,
             ln_d_k=report.max_entropy,
-            entropy_residual=abs(report.entropy - target),
+            entropy_residual=abs(report.entropy - prov["closed_form_entropy"]),
             separable_distance=report.separable_distance,
             corollary_rhs=report.corollary_distance,
-            gram_residual=state.provenance["closed_form_defect"],
+            gram_residual=prov["closed_form_defect"],
             raw_norm=state.raw_norm,
             wall_time_ms=(0.0 if config.reproducible
                           else (time.perf_counter() - t0) * 1e3),
@@ -281,7 +281,9 @@ def _gram_dump(config: RunConfig, k: int) -> Dump:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        # Flushed here, so a closed pipe raises inside main, not at exit.
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -389,4 +391,12 @@ def main(argv: list[str] | None = None) -> int:
         # A k too large for the memory at hand: a failed run, not bad usage.
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
               file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # flush at exit does not raise again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

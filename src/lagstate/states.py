@@ -72,14 +72,15 @@ def _frobenius_norm(coeffs: np.ndarray) -> float:
 
 
 def _antidiagonal(coeffs: np.ndarray, **provenance: Any) -> LagrangianState:
-    """Wrap the normalized Gram as the antidiagonal state,
-    recording, not gating, its largest entrywise defect from its closed
-    form, the identity."""
+    """Wrap the normalized Gram as the antidiagonal state, recording, not
+    gating, its largest entrywise defect from its closed form, the identity,
+    and the entropy ln d of that maximally entangled closed form."""
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=_frobenius_norm(coeffs),
         provenance={**provenance, "submanifold": "antidiagonal",
-                    "closed_form_defect": identity_defect(coeffs)},
+                    "closed_form_defect": identity_defect(coeffs),
+                    "closed_form_entropy": math.log(len(coeffs))},
     )
 
 
@@ -112,9 +113,9 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     The aliasing-free angle trapezoid rule is the Kronecker delta on every
     frequency here, so it is applied in closed form: the coefficients are
     exactly diagonal, with entries 2 pi (k+1) C(k,j) / 2^k, each rounded
-    once from exact integers.  The provenance records the largest entrywise
-    defect of the normalized state from :func:`circle_state_closed_form`,
-    read off the two diagonals, since both off-diagonals are exact zeros.
+    once from exact integers.  Provenance records the normalized state's
+    largest entrywise defect from :func:`circle_state_closed_form`, read off
+    the diagonals (off-diagonals are exact zeros), and the closed-form entropy.
     """
     k = model.k
     diagonal = 2.0 * math.pi * np.array([(k + 1) * c / 2**k
@@ -131,6 +132,7 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
             "angular_nodes": model.angular_nodes,
             "closed_form_defect": max_abs(diagonal / raw_norm
                                           - np.sqrt(_circle_spectrum(k))),
+            "closed_form_entropy": circle_entropy_closed_form(k),
         },
     )
 

@@ -305,7 +305,8 @@ def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys)
     def skewed(model):
         coeffs = np.diag([1.0, 2.0, 3.0]).astype(complex)
         return states.LagrangianState(coeffs, math.sqrt(14.0),
-                                      {"closed_form_defect": 0.0})
+                                      {"closed_form_defect": 0.0,
+                                       "closed_form_entropy": math.log(3.0)})
 
     monkeypatch.setattr(states, "antidiagonal_state", skewed)
     code = main(["verify", "--k-min", "2", "--k-max", "2"])
@@ -498,6 +499,37 @@ def test_main_memory_error_is_an_error_line(monkeypatch, capsys, exc, message):
     assert code == 1
     assert captured.err == message
     assert captured.out == ""
+
+
+def test_main_interrupt_is_an_error_line(monkeypatch, capsys):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run", interrupted)
+    code = main(["report", "--k-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 130
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k_max", ["3", "300"])
+def test_main_closed_stdout_exits_quietly(k_max):
+    # The read end of the child's stdout pipe is closed before the child
+    # starts, so its first write fails with EPIPE.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagstate", "report", "--k-max", k_max],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_main_verify_torus_skips_binomial(capsys):

@@ -124,6 +124,23 @@ def test_torus_antidiagonal_state():
     assert prov["closed_form_defect"] == identity_defect(basis.normalized_gram)
 
 
+def test_builders_record_the_closed_form_entropy():
+    # The entropy each row's entropy_residual is measured against: ln d for
+    # the maximally entangled antidiagonal state, the binomial entropy for
+    # the circle state.
+    for k in range(1, 201):
+        state = antidiagonal_state(SphereModel(k))
+        assert state.provenance["closed_form_entropy"] == math.log(k + 1)
+    for mu in (0.0, 0.37):
+        for k in range(3, 61):
+            state = antidiagonal_state(TorusModel(k, mu))
+            assert state.provenance["closed_form_entropy"] == math.log(k)
+    for k in range(1, 401):
+        state = circle_state_quadrature(SphereModel(k))
+        assert (state.provenance["closed_form_entropy"]
+                == circle_entropy_closed_form(k))
+
+
 @pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,
                                      gram_quadrature])
 def test_torus_builders_take_no_theta_tolerance(builder):
