@@ -7,29 +7,34 @@ nearest product vector, and the state's closed-form residual.  ``verify``
 runs a fixed list of cross-identity checks on the same rows (see
 :func:`verify_identities`).  Both gate the residuals in
 :func:`tolerance_breaches`, the one judge of the closed-form defect and of
-the entropy's gap to its closed form.  ``state`` and ``gram`` dump a single
-state or Gram matrix and gate nothing; ``state``'s ``maximally_entangled``
-verdict reads the model's entropy tolerance.  ``gram``'s
-``normalized_residual`` is an antidiagonal row's ``gram_residual``, from
-:func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
-reads (``COMMAND_FLAGS``); any other flag is a usage error.
+the entropy's gap to its closed form.  Each row is written and gated as it
+completes, so an error or an interrupt keeps the rows before it.  ``state``
+and ``gram`` dump a single state or Gram matrix and gate nothing; ``state``'s
+``maximally_entangled`` verdict reads the model's entropy tolerance.
+``gram``'s ``normalized_residual`` is an antidiagonal row's
+``gram_residual``, from :func:`linalg.identity_defect`.  Each subcommand
+accepts only the flags it reads (``COMMAND_FLAGS``); any other flag is a
+usage error.
 
-Exit status: 0 on success, 1 when a residual or check exceeds its tolerance
-or a numerical check fails (reported as ``error:``), 2 for invalid usage,
-130 on an interrupt (``error: interrupted``); a closed stdout exits 1 silently.
+Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
+a numerical check fails or stdout cannot be written (``error:``), or on a
+closed stdout (silently); 2 for invalid usage or an unwritable ``--out``;
+130 on an interrupt (``error: interrupted``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
+import textwrap
 import time
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -125,17 +130,16 @@ def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
     return states.antidiagonal_state(model)
 
 
-def run(config: RunConfig) -> list[ReportRow]:
-    """One ReportRow per k.  ``gram_residual`` and ``entropy_residual`` are
-    the state's defects from the closed form and entropy its builder records.
-    ``reproducible`` zeroes the timing, so repeated runs serialize identically."""
-    rows = []
+def run(config: RunConfig) -> Iterator[ReportRow]:
+    """Yields one ReportRow per k as it completes.  ``gram_residual`` and
+    ``entropy_residual`` are defects from the closed form and entropy the
+    state's builder records; ``reproducible`` zeroes the timing."""
     for k in range(config.k_min, config.k_max + 1):
         t0 = time.perf_counter()
         state = _build_state(config, k)
         report = entanglement.analyze(state.normalized())
         prov = state.provenance
-        rows.append(ReportRow(
+        yield ReportRow(
             k=k,
             d_k=report.d,
             entropy=report.entropy,
@@ -147,22 +151,20 @@ def run(config: RunConfig) -> list[ReportRow]:
             raw_norm=state.raw_norm,
             wall_time_ms=(0.0 if config.reproducible
                           else (time.perf_counter() - t0) * 1e3),
-        ))
-    return rows
+        )
 
 
-def tolerance_breaches(config: RunConfig, rows: list[ReportRow]) -> list[str]:
-    """Residuals exceeding the configured tolerances, one message per breach."""
+def tolerance_breaches(config: RunConfig, row: ReportRow) -> list[str]:
+    """The row's residuals over their tolerances, one message per breach."""
     messages = []
-    for row in rows:
-        if row.entropy_residual > config.max_entropy_residual:
-            messages.append(
-                f"k={row.k}: entropy_residual {row.entropy_residual:.3e} "
-                f"exceeds {config.max_entropy_residual:g}")
-        if row.gram_residual > config.max_gram_residual:
-            messages.append(
-                f"k={row.k}: gram_residual {row.gram_residual:.3e} "
-                f"exceeds {config.max_gram_residual:g}")
+    if row.entropy_residual > config.max_entropy_residual:
+        messages.append(
+            f"k={row.k}: entropy_residual {row.entropy_residual:.3e} "
+            f"exceeds {config.max_entropy_residual:g}")
+    if row.gram_residual > config.max_gram_residual:
+        messages.append(
+            f"k={row.k}: gram_residual {row.gram_residual:.3e} "
+            f"exceeds {config.max_gram_residual:g}")
     return messages
 
 
@@ -184,10 +186,9 @@ def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck
         detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")
 
 
-def verify_identities(config: RunConfig,
-                      rows: list[ReportRow]) -> list[IdentityCheck]:
-    """Cross-identities on the :func:`run` rows of ``config``, a fixed list
-    per row.  The rows' residuals, the circle state's closed-form defect
+def verify_identities(config: RunConfig, row: ReportRow) -> list[IdentityCheck]:
+    """Cross-identities on one :func:`run` row of ``config``, a fixed list
+    per row.  The row's residuals, the circle state's closed-form defect
     among them, are gated apart, by :func:`tolerance_breaches` alone.
 
     (a) On antidiagonal rows, the separable distance must equal
@@ -199,19 +200,17 @@ def verify_identities(config: RunConfig,
         max_j p_j = C(k, k//2)^2 / C(2k, k) from exact integers.
     """
     checks = []
-    for row in rows:
-        k = row.k
-        if config.submanifold == "antidiagonal":
-            gap = abs(row.separable_distance - row.corollary_rhs)
-            checks.append(IdentityCheck(
-                name="distance_vs_entropy", k=k,
-                passed=gap <= config.tol_identity,
-                detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
-        if config.model == "sphere":
-            checks.append(_binomial_square_sum_check(k))
-        if config.submanifold == "circle":
-            checks.append(_circle_distance_check(
-                k, row.separable_distance, config.tol_identity))
+    if config.submanifold == "antidiagonal":
+        gap = abs(row.separable_distance - row.corollary_rhs)
+        checks.append(IdentityCheck(
+            name="distance_vs_entropy", k=row.k,
+            passed=gap <= config.tol_identity,
+            detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
+    if config.model == "sphere":
+        checks.append(_binomial_square_sum_check(row.k))
+    if config.submanifold == "circle":
+        checks.append(_circle_distance_check(
+            row.k, row.separable_distance, config.tol_identity))
     return checks
 
 
@@ -219,16 +218,16 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def render_csv(rows: list[ReportRow]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        k, d_k, *floats = vars(row).values()
-        lines.append(",".join([str(k), str(d_k)] + [_fmt_float(x) for x in floats]))
-    return "\n".join(lines) + "\n"
-
-
-def render_json(rows: list[ReportRow]) -> str:
-    return json.dumps([vars(row) for row in rows], indent=2) + "\n"
+def render_row(fmt: str, row: ReportRow, first: bool) -> str:
+    """``report``'s text for one row.  The first row carries the CSV header
+    or opens the JSON list, which a ``]`` line closes; the list then reads
+    byte for byte as ``json.dumps`` of the rows with ``indent=2``."""
+    if fmt == "json":
+        return (("[\n" if first else ",\n")
+                + textwrap.indent(json.dumps(vars(row), indent=2), "  "))
+    k, d_k, *floats = vars(row).values()
+    line = ",".join([str(k), str(d_k)] + [_fmt_float(x) for x in floats])
+    return f"{CSV_HEADER}\n{line}\n" if first else f"{line}\n"
 
 
 def _complex_table(a: np.ndarray) -> list[str]:
@@ -277,20 +276,6 @@ def _gram_dump(config: RunConfig, k: int) -> Dump:
     meta = {"model": config.model, "k": k, "mu": config.mu,
             "normalized_residual": identity_defect(normalized)}
     return meta, "gram", gram, []
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        # Flushed here, so a closed pipe raises inside main, not at exit.
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            # An unwritable path is a bad flag value, so it exits 2.
-            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
 # Flag -> add_argument keywords.  Each dest is a RunConfig field, except
@@ -355,34 +340,42 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         config = _config_from_args(args)
-        if args.command in ("report", "verify"):
-            rows = run(config)
-            failed = False
-            if args.command == "report":
-                text = render_csv(rows) if config.fmt == "csv" else render_json(rows)
-            else:
-                checks = verify_identities(config, rows)
-                failed = not all(check.passed for check in checks)
-                text = "".join(
-                    f"{'PASS' if check.passed else 'FAIL'} {check.name} "
-                    f"k={check.k}: {check.detail}\n" for check in checks)
-            _emit(text, config.out)
-            breaches = tolerance_breaches(config, rows)
-            for message in breaches:
-                print(f"TOLERANCE BREACH {message}", file=sys.stderr)
-            return 1 if breaches or failed else 0
+        # Opened before any state is built; rows already written stay on error.
+        # Each write is flushed, so a failed one raises here, not at exit.
+        with (contextlib.nullcontext(sys.stdout) if out is None
+              else open(out, "w", encoding="utf-8")) as sink:
+            if args.command in ("report", "verify"):
+                failed = False
+                for i, row in enumerate(run(config)):
+                    if args.command == "report":
+                        text = render_row(config.fmt, row, first=i == 0)
+                    else:
+                        checks = verify_identities(config, row)
+                        failed |= not all(check.passed for check in checks)
+                        text = "".join(
+                            f"{'PASS' if check.passed else 'FAIL'} {check.name} "
+                            f"k={check.k}: {check.detail}\n" for check in checks)
+                    print(text, end="", file=sink, flush=True)
+                    for message in tolerance_breaches(config, row):
+                        failed = True
+                        print(f"TOLERANCE BREACH {message}", file=sys.stderr)
+                if config.fmt == "json":
+                    print("\n]", file=sink, flush=True)
+                return 1 if failed else 0
 
-        dump = _state_dump if args.command == "state" else _gram_dump
-        meta, name, matrix, trailer = dump(config, config.k_min)
-        if config.fmt == "json":
-            meta[f"{name}_real"] = matrix.real.tolist()
-            meta[f"{name}_imag"] = matrix.imag.tolist()
-            _emit(json.dumps(meta, indent=2) + "\n", config.out)
-        else:
-            _emit("\n".join(_complex_table(matrix) + trailer) + "\n", config.out)
-        return 0
+            dump = _state_dump if args.command == "state" else _gram_dump
+            meta, name, matrix, trailer = dump(config, config.k_min)
+            if config.fmt == "json":
+                meta[f"{name}_real"] = matrix.real.tolist()
+                meta[f"{name}_imag"] = matrix.imag.tolist()
+                text = json.dumps(meta, indent=2)
+            else:
+                text = "\n".join(_complex_table(matrix) + trailer)
+            print(text, file=sink, flush=True)
+            return 0
     except (ValueError, RuntimeError) as exc:
         # A ValueError is bad input; a RuntimeError is a failed numerical check.
         print(f"error: {exc}", file=sys.stderr)
@@ -395,8 +388,15 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so the interpreter's
-        # flush at exit does not raise again (Python docs, "Note on SIGPIPE").
+    except OSError as exc:
+        if out is not None:
+            # An unwritable path is a bad flag value, so it exits 2.
+            print(f"error: cannot write --out {out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+        # stdout failed.  Point it at devnull so the interpreter's flush at
+        # exit does not raise again (Python docs, "Note on SIGPIPE").
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
         return 1

@@ -10,17 +10,19 @@ for the error of the computed Gauss-Legendre rule, and alternating
 maximization (no SVD) for the distance to the separable set.  It also holds
 the small helpers that only tests call: the torus inner-product weight, the
 separable pair of two coherent vectors, the sphere fiber pairing, the
-reduced density matrix and the parser of ``report``'s CSV back into rows.
+reduced density matrix, and ``report``'s CSV for a list of rows with the
+parser of it back into rows.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
 
-from lagstate.cli import CSV_HEADER, ReportRow
+from lagstate.cli import CSV_HEADER, ReportRow, render_row
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -255,6 +257,12 @@ def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,
                 break
         best = max(best, value)
     return math.sqrt(max(0.0, total * total - best * best))
+
+
+def render_csv(rows: Iterable[ReportRow]) -> str:
+    """``report``'s CSV text for ``rows``, from the CLI's per-row renderer."""
+    return "".join(render_row("csv", row, first=i == 0)
+                   for i, row in enumerate(rows))
 
 
 def parse_csv(text: str) -> list[ReportRow]:

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import (beta_monomial_norm, circle_diag_coefficient,
                       circle_spectrum_exact, parse_csv, random_state, random_unitary,
-                      random_unit_vector, separable_distance_minimized)
-from lagstate.cli import RunConfig, main, render_csv, run
+                      random_unit_vector, render_csv, separable_distance_minimized)
+from lagstate.cli import RunConfig, main, run
 from lagstate.entanglement import analyze, closest_separable, entropy, schmidt
 from lagstate.linalg import frobenius_distance, max_abs
 from lagstate.sphere import (SphereModel, gram_residual, monomial_gram,
@@ -55,14 +55,14 @@ def _finish(name: str, detail: str, failures: list[str]) -> None:
 @pytest.fixture(scope="module")
 def sphere_sweep():
     t0 = time.perf_counter()
-    rows = run(RunConfig(model="sphere", k_min=1, k_max=40))
+    rows = list(run(RunConfig(model="sphere", k_min=1, k_max=40)))
     return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def torus_sweeps():
     t0 = time.perf_counter()
-    sweeps = {mu: run(RunConfig(model="torus", k_min=3, k_max=12, mu=mu))
+    sweeps = {mu: list(run(RunConfig(model="torus", k_min=3, k_max=12, mu=mu)))
               for mu in (0.0, 0.37)}
     return sweeps, time.perf_counter() - t0
 

@@ -3,20 +3,20 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import near_flat_state, parse_csv
+from conftest import near_flat_state, parse_csv, render_csv
 from lagstate import cli, entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
-from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, render_csv,
-                          render_json, run, tolerance_breaches,
-                          verify_identities)
+from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, run,
+                          tolerance_breaches, verify_identities)
 
 CIRCLE_K2_ENTROPY = 0.8675632284814612
 
@@ -47,7 +47,7 @@ def test_config_validation():
 
 def test_run_sphere_antidiagonal():
     config = RunConfig(model="sphere", k_min=1, k_max=10)
-    rows = run(config)
+    rows = list(run(config))
     assert [row.k for row in rows] == list(range(1, 11))
     for row in rows:
         assert row.d_k == row.k + 1
@@ -56,22 +56,22 @@ def test_run_sphere_antidiagonal():
         assert abs(row.raw_norm - math.sqrt(row.d_k)) <= 1e-10
         assert abs(row.separable_distance - row.corollary_rhs) <= 1e-9
         assert row.gram_residual <= 1e-12
-    assert not tolerance_breaches(config, rows)
+        assert not tolerance_breaches(config, row)
 
 
 def test_run_torus_antidiagonal():
     config = RunConfig(model="torus", k_min=3, k_max=8, mu=0.37)
-    rows = run(config)
+    rows = list(run(config))
     for row in rows:
         assert row.d_k == row.k
         assert row.entropy_residual <= 1e-6
         assert row.gram_residual <= 1e-7
-    assert not tolerance_breaches(config, rows)
+        assert not tolerance_breaches(config, row)
 
 
 def test_run_circle():
     config = RunConfig(model="sphere", k_min=1, k_max=6, submanifold="circle")
-    rows = run(config)
+    rows = list(run(config))
     for row in rows:
         assert row.entropy_residual <= 1e-10
     assert abs(rows[0].entropy - math.log(2.0)) <= 1e-12
@@ -81,15 +81,15 @@ def test_run_circle():
 def test_tolerance_breaches_reported():
     config = RunConfig(model="sphere", k_min=1, k_max=3, tol_entropy=1e-18,
                        tol_gram=1e-18)
-    rows = run(config)
-    messages = tolerance_breaches(config, rows)
+    messages = [message for row in run(config)
+                for message in tolerance_breaches(config, row)]
     assert messages
     assert any("entropy_residual" in m for m in messages)
 
 
 def test_csv_round_trip_is_exact():
     config = RunConfig(model="sphere", k_min=1, k_max=5, reproducible=True)
-    rows = run(config)
+    rows = list(run(config))
     text = render_csv(rows)
     assert text.splitlines()[0] == CSV_HEADER
     parsed = parse_csv(text)
@@ -102,9 +102,10 @@ def test_parse_csv_rejects_bad_header():
         parse_csv("k,entropy\n1,0.0\n")
 
 
-def test_render_json_keys():
-    config = RunConfig(model="sphere", k_min=1, k_max=2, reproducible=True)
-    payload = json.loads(render_json(run(config)))
+def test_render_json_keys(capsys):
+    assert main(["report", "--k-max", "2", "--reproducible",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 2
     assert set(payload[0]) == set(CSV_HEADER.split(","))
 
@@ -119,7 +120,10 @@ def test_reproducible_runs_are_identical():
 
 def test_verify_identities_sphere():
     config = RunConfig(model="sphere", k_min=1, k_max=5)
-    checks = verify_identities(config, run(config))
+    checks = [check for row in run(config)
+              for check in verify_identities(config, row)]
+    assert [check.k for check in checks] == [k for k in range(1, 6)
+                                             for _ in range(2)]
     assert all(check.passed for check in checks)
     names = {check.name for check in checks}
     assert names == {"distance_vs_entropy", "binomial_square_sum"}
@@ -127,7 +131,8 @@ def test_verify_identities_sphere():
 
 def test_verify_identities_circle():
     config = RunConfig(model="sphere", k_min=1, k_max=7, submanifold="circle")
-    checks = verify_identities(config, run(config))
+    checks = [check for row in run(config)
+              for check in verify_identities(config, row)]
     assert all(check.passed for check in checks)
     names = {check.name for check in checks}
     assert names == {"binomial_square_sum", "circle_distance_vs_closed_form"}
@@ -339,7 +344,7 @@ def test_circle_gram_residual_is_the_verify_defect(capsys):
     # A circle row reports its state's defect from the binomial closed form,
     # the number behind verify's TOLERANCE BREACH line at --tol-gram 0.
     config = RunConfig(submanifold="circle", k_min=1, k_max=12)
-    rows = run(config)
+    rows = list(run(config))
     for row in rows:
         state = states.circle_state_quadrature(sphere.SphereModel(row.k))
         defect = max_abs(state.normalized()
@@ -370,14 +375,18 @@ def test_main_circle_report_at_large_k(capsys, k):
                                   ["state", "--k", "3"]])
 @pytest.mark.parametrize("target, reason", [
     ("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
-def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, target,
-                                               reason):
+def test_main_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, capsys,
+                                               argv, target, reason):
+    # The file is opened before the sweep, so no state is built for nothing.
+    built = []
+    monkeypatch.setattr(cli, "_build_state", lambda config, k: built.append(k))
     out = str(tmp_path / target)
     code = main(argv + ["--out", out])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: cannot write --out {out}: {reason}\n"
     assert captured.out == ""
+    assert built == []
 
 
 def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
@@ -532,6 +541,88 @@ def test_main_closed_stdout_exits_quietly(k_max):
     assert proc.stderr == ""
 
 
+NO_SPACE = "No space left on device"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, code, err", [
+    (["report", "--k-max", "3"], 1, f"error: cannot write output: {NO_SPACE}\n"),
+    (["state", "--k", "3"], 1, f"error: cannot write output: {NO_SPACE}\n"),
+    (["report", "--k-max", "3", "--out", "/dev/full"], 2,
+     f"error: cannot write --out /dev/full: {NO_SPACE}\n")])
+def test_main_full_device_is_an_error_line(argv, code, err):
+    # Every write to /dev/full fails with ENOSPC: one error line, whether the
+    # device is stdout or --out, and no second error at the exit flush.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "lagstate", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=env, check=False)
+    assert proc.returncode == code
+    assert proc.stderr == err
+
+
+def test_main_interrupt_keeps_the_completed_rows():
+    # SIGINT once the first row is out: the rows written so far stay, each
+    # one whole.  The child's INT handler is reset to Python's default in
+    # case this process was started with the signal ignored.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagstate", "report", "--k-max", "1500"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        head = proc.stdout.readline() + proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    out = head + out
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n"
+    assert out.startswith(CSV_HEADER + "\n")
+    lines = out.splitlines()
+    assert len(lines) >= 2
+    assert all(len(line.split(",")) == 10 for line in lines)
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_main_memory_error_keeps_the_completed_rows(monkeypatch, capsys,
+                                                    command):
+    build = cli._build_state
+
+    def fail_last(config, k):
+        if k == 3:
+            raise MemoryError
+        return build(config, k)
+
+    monkeypatch.setattr(cli, "_build_state", fail_last)
+    code = main([command, "--k-min", "1", "--k-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: out of memory\n"
+    if command == "report":
+        assert [row.k for row in parse_csv(captured.out)] == [1, 2]
+    else:
+        assert [line.split()[:3:2] for line in captured.out.splitlines()] == [
+            ["PASS", "k=1:"], ["PASS", "k=1:"], ["PASS", "k=2:"], ["PASS", "k=2:"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k-min", "1", "--k-max", "1"], ["--k-min", "1", "--k-max", "5"],
+    ["--model", "torus", "--k-min", "3", "--k-max", "3"],
+    ["--model", "torus", "--mu", "0.37", "--k-min", "3", "--k-max", "6"]])
+def test_main_json_rows_stream_as_one_list(capsys, argv):
+    # The rows are written one at a time, and read as json.dumps of the list.
+    assert main(["report", "--format", "json", "--reproducible", *argv]) == 0
+    config = cli._config_from_args(_parser().parse_args(
+        ["report", "--reproducible", *argv]))
+    rows = [vars(row) for row in run(config)]
+    assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+
+
 def test_main_verify_torus_skips_binomial(capsys):
     code = main(["verify", "--model", "torus", "--k-min", "3", "--k-max", "4"])
     lines = capsys.readouterr().out.splitlines()
@@ -675,7 +766,7 @@ def test_sweeps_share_one_gauss_legendre_rule():
     for config in (RunConfig(k_min=1, k_max=120),
                    RunConfig(submanifold="circle", k_min=1, k_max=80),
                    RunConfig(model="torus", mu=0.37, k_min=3, k_max=24)):
-        assert not tolerance_breaches(config, run(config))
+        assert not any(tolerance_breaches(config, row) for row in run(config))
     built = gauss_legendre_01.cache_info()
     assert (built.misses, built.currsize) == (1, 1)
     # The one rule built is the RULE_FLOOR one: asking for it builds nothing.
