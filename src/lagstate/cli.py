@@ -19,7 +19,7 @@ usage error.
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
 closed stdout (silently); 2 for invalid usage or an unwritable ``--out``;
-130 on an interrupt (``error: interrupted``).
+130 on an interrupt.  Lines stderr cannot take are lost, not rows or status.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class RunConfig:
     k_max: int = 10
     mu: float = 0.0
     submanifold: str = "antidiagonal"
-    fmt: str = "csv"
-    out: str | None = None
     tol_entropy: float | None = None
     tol_gram: float | None = None
     tol_identity: float = DEFAULT_TOL_IDENTITY
@@ -78,12 +76,12 @@ class RunConfig:
                 f"got k_min = {self.k_min}")
         if self.k_max < self.k_min:
             raise ValueError(f"empty k range {self.k_min}..{self.k_max}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         for name in ("tol_entropy", "tol_gram", "tol_identity"):
             tol = getattr(self, name)
             if tol is not None and not 0.0 <= tol < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
 
     @property
     def max_entropy_residual(self) -> float:
@@ -279,7 +277,7 @@ def _gram_dump(config: RunConfig, k: int) -> Dump:
 
 
 # Flag -> add_argument keywords.  Each dest is a RunConfig field, except
-# --k, which sets both ends of the k range.
+# --k, which sets both ends of the k range, and main's --format and --out.
 FLAGS: dict[str, dict[str, Any]] = {
     "--k": {"type": int, "required": True},
     "--k-min": {"type": int},
@@ -311,8 +309,8 @@ COMMAND_FLAGS = {
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from the flags given; unset ones keep RunConfig's defaults,
     except the k range, which starts at the model's smallest k."""
-    given = vars(args).copy()
-    del given["command"]
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "fmt", "out")}
     if "k" in given:
         given["k_min"] = given["k_max"] = given.pop("k")
     else:
@@ -338,9 +336,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(line: str) -> None:
+    """Prints a line to the current stderr, or drops it as argparse does."""
+    if sys.stderr is not None:  # None when Python starts with fd 2 closed
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    out = getattr(args, "out", None)
+    fmt, out = getattr(args, "fmt", "csv"), getattr(args, "out", None)
     try:
         config = _config_from_args(args)
         # Opened before any state is built; rows already written stay on error.
@@ -351,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
                 failed = False
                 for i, row in enumerate(run(config)):
                     if args.command == "report":
-                        text = render_row(config.fmt, row, first=i == 0)
+                        text = render_row(fmt, row, first=i == 0)
                     else:
                         checks = verify_identities(config, row)
                         failed |= not all(check.passed for check in checks)
@@ -361,14 +366,14 @@ def main(argv: list[str] | None = None) -> int:
                     print(text, end="", file=sink, flush=True)
                     for message in tolerance_breaches(config, row):
                         failed = True
-                        print(f"TOLERANCE BREACH {message}", file=sys.stderr)
-                if config.fmt == "json":
+                        _stderr(f"TOLERANCE BREACH {message}")
+                if fmt == "json":
                     print("\n]", file=sink, flush=True)
                 return 1 if failed else 0
 
             dump = _state_dump if args.command == "state" else _gram_dump
             meta, name, matrix, trailer = dump(config, config.k_min)
-            if config.fmt == "json":
+            if fmt == "json":
                 meta[f"{name}_real"] = matrix.real.tolist()
                 meta[f"{name}_imag"] = matrix.imag.tolist()
                 text = json.dumps(meta, indent=2)
@@ -378,25 +383,23 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     except (ValueError, RuntimeError) as exc:
         # A ValueError is bad input; a RuntimeError is a failed numerical check.
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr(f"error: {exc}")
         return 2 if isinstance(exc, ValueError) else 1
     except MemoryError as exc:
         # A k too large for the memory at hand: a failed run, not bad usage.
-        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
-              file=sys.stderr)
+        _stderr(f"error: out of memory{f': {exc}' if str(exc) else ''}")
         return 1
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _stderr("error: interrupted")
         return 130
     except OSError as exc:
         if out is not None:
             # An unwritable path is a bad flag value, so it exits 2.
-            print(f"error: cannot write --out {out}: {exc.strerror}",
-                  file=sys.stderr)
+            _stderr(f"error: cannot write --out {out}: {exc.strerror}")
             return 2
         # stdout failed.  Point it at devnull so the interpreter's flush at
         # exit does not raise again (Python docs, "Note on SIGPIPE").
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+            _stderr(f"error: cannot write output: {exc.strerror}")
         return 1

@@ -10,13 +10,15 @@ for the error of the computed Gauss-Legendre rule, and alternating
 maximization (no SVD) for the distance to the separable set.  It also holds
 the small helpers that only tests call: the torus inner-product weight, the
 separable pair of two coherent vectors, the sphere fiber pairing, the
-reduced density matrix, and ``report``'s CSV for a list of rows with the
-parser of it back into rows.
+reduced density matrix, ``report``'s CSV for a list of rows with the
+parser of it back into rows, and the environment of a ``lagstate`` child
+process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -275,3 +277,10 @@ def parse_csv(text: str) -> list[ReportRow]:
         k, d_k, *floats = line.split(",")
         rows.append(ReportRow(int(k), int(d_k), *map(float, floats)))
     return rows
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment for a child that imports ``lagstate`` from
+    this checkout's ``src``, with ``extra`` variables added."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), **extra)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import near_flat_state, parse_csv, render_csv
+from conftest import child_env, near_flat_state, parse_csv, render_csv
 from lagstate import cli, entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
@@ -43,6 +43,13 @@ def test_config_validation():
         RunConfig(model="sphere", k_min=5, k_max=4)
     with pytest.raises(ValueError, match="mu is the torus character"):
         RunConfig(model="sphere", k_min=1, k_max=2, mu=0.37)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        RunConfig(model="torus", k_min=3, k_max=4, mu=math.nan)
+    # The output format and path are main's, not the sweep's.
+    with pytest.raises(TypeError):
+        RunConfig(fmt="csv")
+    with pytest.raises(TypeError):
+        RunConfig(out="x")
 
 
 def test_run_sphere_antidiagonal():
@@ -324,12 +331,10 @@ def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys)
 def test_report_is_independent_of_blas_threads():
     # raw_norm is summed without BLAS, whose summation order follows its
     # thread count; these torus rows differed in the last bits before.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "lagstate", "report", "--model", "torus",
              "--mu", "0.37", "--k-min", "150", "--k-max", "152",
@@ -387,6 +392,23 @@ def test_main_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, capsys,
     assert captured.err == f"error: cannot write --out {out}: {reason}\n"
     assert captured.out == ""
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--model", "torus", "--mu", "nan"],
+    ["report", "--model", "torus", "--mu", "inf", "--k-max", "3"],
+    ["state", "--model", "torus", "--mu=-inf", "--k", "3"],
+    ["state", "--model", "torus", "--mu", "nan", "--k", "4", "--format", "json"]])
+def test_main_non_finite_mu_leaves_out_intact(tmp_path, capsys, argv):
+    # Every bad flag value fails before --out is opened, mu included.
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"keep\n")
+    code = main(argv + ["--out", str(keep)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: mu must be finite\n"
+    assert captured.out == ""
+    assert keep.read_bytes() == b"keep\n"
 
 
 def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
@@ -526,8 +548,7 @@ def test_main_interrupt_is_an_error_line(monkeypatch, capsys):
 def test_main_closed_stdout_exits_quietly(k_max):
     # The read end of the child's stdout pipe is closed before the child
     # starts, so its first write fails with EPIPE.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -553,8 +574,7 @@ NO_SPACE = "No space left on device"
 def test_main_full_device_is_an_error_line(argv, code, err):
     # Every write to /dev/full fails with ENOSPC: one error line, whether the
     # device is stdout or --out, and no second error at the exit flush.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "lagstate", *argv],
                               stdout=full, stderr=subprocess.PIPE, text=True,
@@ -563,12 +583,42 @@ def test_main_full_device_is_an_error_line(argv, code, err):
     assert proc.stderr == err
 
 
+BROKEN_STDERR = [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    "closed"]
+
+
+@pytest.mark.parametrize("stderr", BROKEN_STDERR)
+@pytest.mark.parametrize("argv, code, lines", [
+    (["report", "--k-max", "3", "--tol-gram", "0", "--reproducible"], 1, 4),
+    (["verify", "--k-max", "3", "--tol-gram", "0"], 1, 6),
+    (["report", "--k-min", "0"], 2, 0)])
+def test_main_broken_stderr_keeps_the_rows_and_exit_code(stderr, argv, code,
+                                                         lines):
+    # With stderr on a full device, or fd 2 closed, the TOLERANCE BREACH and
+    # error: lines are lost; the rows and the exit code are as with a
+    # working stderr.
+    command = [sys.executable, "-m", "lagstate", *argv]
+    working = subprocess.run(command, capture_output=True, text=True,
+                             env=child_env(), check=False, timeout=120)
+    assert working.returncode == code
+    assert working.stderr
+    with open("/dev/full" if stderr == "full" else os.devnull, "w") as err:
+        broken = subprocess.run(
+            command, stdout=subprocess.PIPE, stderr=err, text=True,
+            env=child_env(), check=False, timeout=120,
+            preexec_fn=None if stderr == "full" else lambda: os.close(2))
+    assert broken.returncode == code
+    assert broken.stdout == working.stdout
+    assert len(broken.stdout.splitlines()) == lines
+
+
 def test_main_interrupt_keeps_the_completed_rows():
     # SIGINT once the first row is out: the rows written so far stay, each
     # one whole.  The child's INT handler is reset to Python's default in
     # case this process was started with the signal ignored.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "lagstate", "report", "--k-max", "1500"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
@@ -681,8 +731,7 @@ def test_one_factorization_per_state(monkeypatch, capsys, argv, rows, eigh, svd)
 
 
 def test_python_m_lagstate():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "lagstate", "report",
          "--k-min", "1", "--k-max", "2", "--reproducible"],
@@ -897,8 +946,7 @@ def test_report_rows_leave_numpy_polynomial_unloaded():
     # The Gauss-Legendre rule is built by Newton steps, so a process that runs
     # a sphere row and a torus row never imports numpy.polynomial (a 6 ms
     # import that numpy defers until first use).
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     script = (
         "import sys\n"
         "from lagstate.cli import main\n"
@@ -915,8 +963,7 @@ def test_report_rows_leave_numpy_polynomial_unloaded():
 def test_package_import_leaves_cli_unloaded():
     # The package re-exports the library API only, so running the CLI module
     # as a script does not find it imported already.
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c",
          "import sys, lagstate; assert 'lagstate.cli' not in sys.modules"],
