@@ -44,14 +44,15 @@ from .linalg import identity_defect
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
 DEFAULT_TOL_IDENTITY = 1e-9
-DEFAULT_K_MIN = {"sphere": sphere.SphereModel.K_MIN, "torus": torus.TorusModel.K_MIN}
+# Each model class holds its smallest k (K_MIN) and checks its own k and mu.
+MODELS = {"sphere": sphere.SphereModel, "torus": torus.TorusModel}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    k_min: int
+    k_max: int
     model: str = "sphere"
-    k_min: int = 1
-    k_max: int = 10
     mu: float = 0.0
     submanifold: str = "antidiagonal"
     tol_entropy: float | None = None
@@ -60,7 +61,7 @@ class RunConfig:
     reproducible: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ("sphere", "torus"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.submanifold not in ("antidiagonal", "circle"):
             raise ValueError(f"unknown submanifold {self.submanifold!r}")
@@ -70,18 +71,13 @@ class RunConfig:
         if self.mu != 0.0 and self.model != "torus":
             raise ValueError(f"mu is the torus character parameter; the "
                              f"{self.model} model takes none, got mu = {self.mu}")
-        if self.k_min < DEFAULT_K_MIN[self.model]:
-            raise ValueError(
-                f"{self.model} model needs k >= {DEFAULT_K_MIN[self.model]}, "
-                f"got k_min = {self.k_min}")
+        _model(self, self.k_min)  # the model's own k and mu checks
         if self.k_max < self.k_min:
             raise ValueError(f"empty k range {self.k_min}..{self.k_max}")
         for name in ("tol_entropy", "tol_gram", "tol_identity"):
             tol = getattr(self, name)
             if tol is not None and not 0.0 <= tol < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {tol}")
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
 
     @property
     def max_entropy_residual(self) -> float:
@@ -119,10 +115,15 @@ class IdentityCheck:
     detail: str
 
 
-def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
+def _model(config: RunConfig, k: int) -> sphere.SphereModel | torus.TorusModel:
+    """``config``'s model at level k; the model checks k and mu itself."""
     if config.model == "torus":
-        return states.antidiagonal_state(torus.TorusModel(k, config.mu))
-    model = sphere.SphereModel(k)
+        return torus.TorusModel(k, config.mu)
+    return sphere.SphereModel(k)
+
+
+def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
+    model = _model(config, k)
     if config.submanifold == "circle":
         return states.circle_state_quadrature(model)
     return states.antidiagonal_state(model)
@@ -266,11 +267,12 @@ def _state_dump(config: RunConfig, k: int) -> Dump:
 
 
 def _gram_dump(config: RunConfig, k: int) -> Dump:
+    model = _model(config, k)
     if config.model == "torus":
-        basis = torus.orthonormal_basis(torus.TorusModel(k, config.mu))
+        basis = torus.orthonormal_basis(model)
         gram, normalized = basis.quadrature.gram, basis.normalized_gram
     else:
-        gram = normalized = sphere.gram_matrix(sphere.SphereModel(k))
+        gram = normalized = sphere.gram_matrix(model)
     meta = {"model": config.model, "k": k, "mu": config.mu,
             "normalized_residual": identity_defect(normalized)}
     return meta, "gram", gram, []
@@ -282,7 +284,7 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--k": {"type": int, "required": True},
     "--k-min": {"type": int},
     "--k-max": {"type": int},
-    "--model": {"choices": ("sphere", "torus")},
+    "--model": {"choices": tuple(MODELS)},
     "--mu": {"type": float, "help": "torus character parameter"},
     "--submanifold": {"choices": ("antidiagonal", "circle")},
     "--format": {"dest": "fmt", "choices": ("csv", "json")},
@@ -307,14 +309,15 @@ COMMAND_FLAGS = {
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the flags given; unset ones keep RunConfig's defaults,
-    except the k range, which starts at the model's smallest k."""
+    """RunConfig from the flags given; unset ones keep RunConfig's defaults.
+    The k range starts at the model's smallest k and ends at
+    max(k_min, 10)."""
     given = {key: value for key, value in vars(args).items()
              if key not in ("command", "fmt", "out")}
     if "k" in given:
         given["k_min"] = given["k_max"] = given.pop("k")
     else:
-        given.setdefault("k_min", DEFAULT_K_MIN[given.get("model", RunConfig.model)])
+        given.setdefault("k_min", MODELS[given.get("model", RunConfig.model)].K_MIN)
         given.setdefault("k_max", max(given["k_min"], 10))
     return RunConfig(**given)
 

@@ -140,8 +140,7 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
 def _circle_spectrum(k: int) -> np.ndarray:
     """Circle Schmidt weights p_j = C(k,j)^2 / C(2k,k), j = 0..k, each an
     exact integer quotient rounded once."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    SphereModel(k)  # the sphere model's own k check
     central = math.comb(2 * k, k)
     return np.array([c * c / central for c in binomials(k)])
 

@@ -18,9 +18,9 @@ Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
 reindexes the sum without changing its value, so |q| <= 1/2 may be assumed.
 The y-integral of the Gram diagonal is certified the same way: its
-Gauss-Legendre node count is fixed in advance from a Bernstein-ellipse error
-bound, rounded up to the shared rule size of ``linalg.rule_size``, and one
-rule of that size is evaluated.
+Gauss-Legendre rule is the smallest shared rule size of ``linalg.rule_size``
+whose Bernstein-ellipse error bound (``_y_bound``) meets the target, and
+that one rule is evaluated.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ def theta_truncation(model: TorusModel, *,
     bounds decay by at least exp(-2 pi k (m - y_max)), so the two-sided tail
     is below 2 g(N+1) / (1 - exp(-2 pi k (N + 1 - y_max))).
     """
+    if not 0.0 <= y_max < math.inf:
+        raise ValueError(f"y_max must be finite and non-negative, got {y_max}")
     k = model.k
     for n_max in range(max(1, math.ceil(y_max)), MAX_TERMS + 1):
         m = n_max + 1
@@ -153,36 +155,21 @@ class TorusGramResult:
         return 2 * len(self.gram) * (2 * self.n_max + 1)
 
 
-def _y_log_majorant(k: int, n_max: int) -> np.ndarray:
-    """log of (32/15) (2N + 1) exp(2 pi k b^2) / (rho^2 - 1) on the log rho
-    grid: the y-rule error bound without its rho^(-2n) factor."""
-    s = _LOG_RHO
-    return (math.log(32.0 / 15.0 * (2 * n_max + 1))
-            + 0.5 * math.pi * k * np.sinh(s) ** 2 - np.log(np.expm1(2.0 * s)))
-
-
 def _y_bound(k: int, n_max: int, n: int) -> float:
-    """Error bound of the n-point Gauss-Legendre y-rule on the Gram diagonal."""
-    return float(np.exp((_y_log_majorant(k, n_max) - 2.0 * n * _LOG_RHO).min()))
-
-
-def _y_nodes(k: int, n_max: int) -> int:
-    """Certified minimum y-node count.
+    """Error bound of the n-point Gauss-Legendre y-rule on the Gram diagonal.
 
     The diagonal integrand f(y) = sum_{|n| <= N} exp(-2 pi k (y + n + q)^2)
     is entire.  On the Bernstein ellipse E_rho of [0, 1],
     |Im y| <= b = (rho - 1/rho)/4, so |f| <= (2N + 1) exp(2 pi k b^2), and
     the n-point Gauss-Legendre error is below
     (32/15) (2N + 1) exp(2 pi k b^2) rho^(-2n) / (rho^2 - 1)
-    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over a fixed
-    grid of log rho (:func:`_y_bound`).  The minimum count is the smallest n
-    whose bound is below THETA_TOL (2k)^(-1/2), i.e. THETA_TOL relative to
-    the closed-form squared norm.  The bound falls as n grows, so any
-    longer rule is certified too.
+    (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over the fixed
+    grid of log rho.  The bound falls as n grows.
     """
-    log_target = math.log(THETA_TOL) - 0.5 * math.log(2.0 * k)
-    return max(1, int(np.ceil((_y_log_majorant(k, n_max) - log_target)
-                              / (2.0 * _LOG_RHO)).min()))
+    s = _LOG_RHO
+    return float(np.exp((math.log(32.0 / 15.0 * (2 * n_max + 1))
+                         + 0.5 * math.pi * k * np.sinh(s) ** 2
+                         - np.log(np.expm1(2.0 * s)) - 2.0 * n * s).min()))
 
 
 def gram_quadrature(model: TorusModel) -> TorusGramResult:
@@ -191,20 +178,25 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
     is the Kronecker delta on all frequencies of the truncated products, so
     off-diagonal entries are exact zeros.  The diagonal is integrated once,
-    with the y-node count certified in advance by :func:`_y_nodes` and
-    rounded up to the shared rule size of :func:`linalg.rule_size`.  Both
-    the series tail and the y-rule are certified at ``THETA_TOL``.
+    by the smallest shared rule size of :func:`linalg.rule_size` whose
+    :func:`_y_bound` is at most THETA_TOL (2k)^(-1/2), i.e. THETA_TOL
+    relative to the closed-form squared norm; that bound is the one
+    reported.  Both the series tail and the y-rule are certified at
+    ``THETA_TOL``.
     """
     k = model.k
     n_max, tail_bound = theta_truncation(model)
-    n_y = rule_size(_y_nodes(k, n_max))
+    target = THETA_TOL / math.sqrt(2.0 * k)
+    n_y = rule_size(1)
+    while (y_bound := _y_bound(k, n_max, n_y)) > target:
+        n_y = rule_size(n_y + 1)
     shifts = _shifts(model, n_max)
     ys, weights, _, _ = gauss_legendre_01(n_y)
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights)
     return TorusGramResult(gram=gram, n_max=n_max, tail_bound=tail_bound,
-                           n_y=n_y, y_bound=_y_bound(k, n_max, n_y))
+                           n_y=n_y, y_bound=y_bound)
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,33 @@ def test_config_validation():
         RunConfig(model="sphere", k_min=1, k_max=2, mu=0.37)
     with pytest.raises(ValueError, match="mu must be finite"):
         RunConfig(model="torus", k_min=3, k_max=4, mu=math.nan)
+    # The k range has no default here: the CLI's starts at the model's K_MIN.
+    with pytest.raises(TypeError, match="k_min"):
+        RunConfig(model="torus")
     # The output format and path are main's, not the sweep's.
     with pytest.raises(TypeError):
-        RunConfig(fmt="csv")
+        RunConfig(k_min=1, k_max=2, fmt="csv")
     with pytest.raises(TypeError):
-        RunConfig(out="x")
+        RunConfig(k_min=1, k_max=2, out="x")
+    # The torus resolution is certified at THETA_TOL, so no field sets it.
+    with pytest.raises(TypeError, match="theta_tol"):
+        RunConfig(model="torus", k_min=3, k_max=3, theta_tol=1e-3)
+
+
+@pytest.mark.parametrize("model, k, mu", [
+    ("sphere", 0, 0.0), ("sphere", -4, 0.0), ("torus", 2, 0.0),
+    ("torus", 0, 0.37), ("torus", 3, math.nan), ("torus", 4, -math.inf),
+    ("torus", 2, math.nan)])
+def test_config_raises_the_models_own_message(model, k, mu):
+    # RunConfig checks k_min and mu by building the model at k_min.
+    with pytest.raises(ValueError) as want:
+        if model == "torus":
+            TorusModel(k, mu)
+        else:
+            sphere.SphereModel(k)
+    with pytest.raises(ValueError) as got:
+        RunConfig(model=model, k_min=k, k_max=k + 1, mu=mu)
+    assert str(got.value) == str(want.value)
 
 
 def test_run_sphere_antidiagonal():
@@ -199,47 +221,33 @@ def test_main_rejects_bad_tolerances(capsys, flag):
     assert captured.out == ""
 
 
-def test_main_rejects_seed_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--k-min", "1", "--k-max", "2", "--seed", "1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["report", "gram"])
-def test_main_rejects_quad_angular_flag(capsys, command):
+@pytest.mark.parametrize("argv", [
+    # Nothing is random, so no command takes a seed.
+    pytest.param(["report", "--k-min", "1", "--k-max", "2", "--seed", "1"],
+                 id="report-seed"),
     # The periodic rules have one aliasing-free size, so they take no count.
-    k_flags = ["--k-min", "1"] if command == "report" else ["--k", "3"]
-    with pytest.raises(SystemExit) as exc:
-        main([command, *k_flags, "--quad-angular", "12"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --quad-angular 12" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["report", "verify", "state", "gram"])
-def test_main_rejects_quad_radial_flag(capsys, command):
+    pytest.param(["report", "--k-min", "1", "--quad-angular", "12"],
+                 id="report-quad-angular"),
+    pytest.param(["gram", "--k", "3", "--quad-angular", "12"],
+                 id="gram-quad-angular"),
     # Both Gauss-Legendre rules run at their certified size, so no command
     # takes a node count.
-    k_flags = ["--k-max", "2"] if command in ("report", "verify") else ["--k", "3"]
-    with pytest.raises(SystemExit) as exc:
-        main([command, *k_flags, "--quad-radial", "64"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: lagstate")
-    assert "unrecognized arguments: --quad-radial 64" in err
-
-
-def test_main_rejects_theta_tol_flag(capsys):
+    *[pytest.param([command, *k_flags, "--quad-radial", "64"],
+                   id=f"{command}-quad-radial")
+      for command, k_flags in (("report", ["--k-max", "2"]),
+                               ("verify", ["--k-max", "2"]),
+                               ("state", ["--k", "3"]),
+                               ("gram", ["--k", "3"]))],
     # The torus resolution is certified at THETA_TOL, so no flag sets it.
+    pytest.param(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
+                  "--theta-tol", "1e-3"], id="report-theta-tol")])
+def test_main_rejects_unread_flag(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["report", "--model", "torus", "--k-min", "3", "--k-max", "3",
-              "--theta-tol", "1e-3"])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: lagstate")
-    assert "unrecognized arguments: --theta-tol 1e-3" in err
-    with pytest.raises(TypeError, match="theta_tol"):
-        RunConfig(model="torus", k_min=3, k_max=3, theta_tol=1e-3)
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 # Each subcommand's flags, the ones it reads and no other.
@@ -394,19 +402,26 @@ def test_main_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, capsys,
     assert built == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["report", "--model", "torus", "--mu", "nan"],
-    ["report", "--model", "torus", "--mu", "inf", "--k-max", "3"],
-    ["state", "--model", "torus", "--mu=-inf", "--k", "3"],
-    ["state", "--model", "torus", "--mu", "nan", "--k", "4", "--format", "json"]])
-def test_main_non_finite_mu_leaves_out_intact(tmp_path, capsys, argv):
-    # Every bad flag value fails before --out is opened, mu included.
+@pytest.mark.parametrize("argv, err", [
+    pytest.param(argv, err, id=f"argv{i}") for i, (argv, err) in enumerate([
+        (["report", "--model", "torus", "--mu", "nan"], "mu must be finite"),
+        (["report", "--model", "torus", "--mu", "inf", "--k-max", "3"],
+         "mu must be finite"),
+        (["state", "--model", "torus", "--mu=-inf", "--k", "3"],
+         "mu must be finite"),
+        (["state", "--model", "torus", "--mu", "nan", "--k", "4", "--format",
+          "json"], "mu must be finite"),
+        (["report", "--k-min", "0"], "sphere model needs k >= 1, got 0"),
+        (["state", "--model", "torus", "--k", "2"],
+         "torus model needs k >= 3, got 2")])])
+def test_main_non_finite_mu_leaves_out_intact(tmp_path, capsys, argv, err):
+    # Every bad flag value fails before --out is opened, mu and k included.
     keep = tmp_path / "keep.txt"
     keep.write_bytes(b"keep\n")
     code = main(argv + ["--out", str(keep)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: mu must be finite\n"
+    assert captured.err == f"error: {err}\n"
     assert captured.out == ""
     assert keep.read_bytes() == b"keep\n"
 

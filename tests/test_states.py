@@ -255,7 +255,7 @@ def test_circle_entropy_closed_form_against_mpmath(k):
 
 
 def test_circle_entropy_validation():
-    with pytest.raises(ValueError):
-        circle_entropy_closed_form(0)
-    with pytest.raises(ValueError):
-        circle_state_closed_form(0)
+    # The circle closed forms take the sphere model's k domain and message.
+    for closed_form in (circle_entropy_closed_form, circle_state_closed_form):
+        with pytest.raises(ValueError, match=r"^sphere model needs k >= 1, got 0$"):
+            closed_form(0)

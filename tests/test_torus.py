@@ -9,10 +9,10 @@ from conftest import (gauss_legendre_01_defects, gaussian_weight,
                       torus_gram_reference, torus_norm_reference)
 from lagstate.cli import DEFAULT_TOL_GRAM
 from lagstate.linalg import (RULE_FLOOR, gauss_legendre_01, identity_defect,
-                             max_abs, rule_size)
+                             max_abs)
 from lagstate.sphere import sphere_quadrature
-from lagstate.torus import (THETA_TOL, TorusModel, _y_bound, _y_nodes,
-                            closed_form_norm, gram_quadrature, orthonormal_basis,
+from lagstate.torus import (THETA_TOL, TorusModel, _y_bound, closed_form_norm,
+                            gram_quadrature, orthonormal_basis,
                             quasi_periodicity_factor, theta_eval,
                             theta_truncation)
 
@@ -42,6 +42,13 @@ def test_truncation_certificate():
 def test_truncation_errors():
     with pytest.raises(ValueError, match="not reachable"):
         theta_truncation(TorusModel(3), y_max=80.0)
+
+
+@pytest.mark.parametrize("y_max", [-5.0, math.inf, math.nan])
+def test_truncation_rejects_bad_y_max(y_max):
+    # A negative strip certifies nothing, and a non-finite one has no cutoff.
+    with pytest.raises(ValueError, match="y_max must be finite and non-negative"):
+        theta_truncation(TorusModel(3), y_max=y_max)
 
 
 def test_theta_functions_take_no_tolerance():
@@ -176,7 +183,6 @@ def test_gram_diag_matches_erf_closed_form(mu):
         for j in range(1, k + 1):
             want = torus_gram_diag_reference(k, model.reduced_q(j), res.n_max)
             assert abs(diag[j - 1] - want) <= target, (k, j)
-        assert res.n_y == rule_size(_y_nodes(k, res.n_max))
         assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= RULE_FLOOR
         if res.n_y > RULE_FLOOR:
             assert _y_bound(k, res.n_max, res.n_y // 2) > target
