@@ -12,9 +12,9 @@ completes, so an error or an interrupt keeps the rows before it.  ``state``
 and ``gram`` dump a single state or Gram matrix and gate nothing; ``state``'s
 ``maximally_entangled`` verdict reads the model's entropy tolerance.
 ``gram``'s ``normalized_residual`` is an antidiagonal row's
-``gram_residual``, from :func:`linalg.identity_defect`.  Each subcommand
-accepts only the flags it reads (``COMMAND_FLAGS``); any other flag is a
-usage error.
+``gram_residual``: both put the model's ``antidiagonal_gram`` through
+:func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
+reads (``COMMAND_FLAGS``); any other flag is a usage error.
 
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
@@ -136,8 +136,10 @@ def run(config: RunConfig) -> Iterator[ReportRow]:
     for k in range(config.k_min, config.k_max + 1):
         t0 = time.perf_counter()
         state = _build_state(config, k)
-        report = entanglement.analyze(state.normalized())
-        prov = state.provenance
+        raw_norm, prov, v = state.raw_norm, state.provenance, state.normalized()
+        del state  # a row holds one d x d array through its analysis
+        report = entanglement.analyze(v)
+        del v  # and none through the next row's build
         yield ReportRow(
             k=k,
             d_k=report.d,
@@ -147,7 +149,7 @@ def run(config: RunConfig) -> Iterator[ReportRow]:
             separable_distance=report.separable_distance,
             corollary_rhs=report.corollary_distance,
             gram_residual=prov["closed_form_defect"],
-            raw_norm=state.raw_norm,
+            raw_norm=raw_norm,
             wall_time_ms=(0.0 if config.reproducible
                           else (time.perf_counter() - t0) * 1e3),
         )
@@ -267,12 +269,7 @@ def _state_dump(config: RunConfig, k: int) -> Dump:
 
 
 def _gram_dump(config: RunConfig, k: int) -> Dump:
-    model = _model(config, k)
-    if config.model == "torus":
-        basis = torus.orthonormal_basis(model)
-        gram, normalized = basis.quadrature.gram, basis.normalized_gram
-    else:
-        gram = normalized = sphere.gram_matrix(model)
+    gram, normalized, _ = _model(config, k).antidiagonal_gram()
     meta = {"model": config.model, "k": k, "mu": config.mu,
             "normalized_residual": identity_defect(normalized)}
     return meta, "gram", gram, []

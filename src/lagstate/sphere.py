@@ -24,7 +24,9 @@ radial integrals are computed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -50,6 +52,7 @@ class SphereModel:
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", operator.index(self.k))  # an int, or TypeError
         if self.k < self.K_MIN:
             raise ValueError(f"sphere model needs k >= {self.K_MIN}, got {self.k}")
 
@@ -67,6 +70,14 @@ class SphereModel:
         """log of the squared basis amplitudes (k+1) C(k, j)."""
         k = self.k
         return np.array([math.log((k + 1) * c) for c in binomials(k)])
+
+    def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+        """(raw, normalized, resolution): the orthonormal basis Gram is both."""
+        gram = gram_matrix(self)
+        return gram, gram, {
+            "model": "sphere", "k": self.k,
+            "radial_nodes": len(sphere_quadrature(self.k).nodes),
+            "angular_nodes": self.angular_nodes}
 
 
 def exact_radial_count(k: int) -> int:

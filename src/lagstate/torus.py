@@ -26,7 +26,9 @@ that one rule is evaluated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -51,6 +53,7 @@ class TorusModel:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", operator.index(self.k))  # an int, or TypeError
         if self.k < self.K_MIN:
             raise ValueError(f"torus model needs k >= {self.K_MIN}, got {self.k}")
         if not math.isfinite(self.mu):
@@ -70,6 +73,15 @@ class TorusModel:
         # swamping j / k in the division.
         q = (math.fmod(self.mu, self.k) + j) / self.k
         return q - round(q)
+
+    def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
+        """(raw Gram, normalized Gram, resolution) of the theta basis."""
+        basis = orthonormal_basis(self)
+        quad = basis.quadrature
+        return quad.gram, basis.normalized_gram, {
+            "model": "torus", "k": self.k, "mu": self.mu,
+            "n_max": quad.n_max, "tail_bound": quad.tail_bound,
+            "m_x": quad.m_x, "n_y": quad.n_y, "y_bound": quad.y_bound}
 
 
 def theta_truncation(model: TorusModel, *,

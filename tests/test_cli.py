@@ -444,7 +444,7 @@ def test_main_numerical_failure_is_an_error_line(monkeypatch, capsys):
 
 def _sphere_gram_defect(monkeypatch, k, defect):
     """Shift one diagonal entry of the sphere Gram by ``defect`` at ``k``."""
-    exact = states.gram_matrix
+    exact = sphere.gram_matrix
 
     def shifted(model):
         gram = exact(model).copy()
@@ -452,7 +452,21 @@ def _sphere_gram_defect(monkeypatch, k, defect):
             gram[0, 0] += defect
         return gram
 
-    monkeypatch.setattr(states, "gram_matrix", shifted)
+    monkeypatch.setattr(sphere, "gram_matrix", shifted)
+
+
+def _torus_gram_defect(monkeypatch, defect):
+    """Shift the first raw torus Gram diagonal entry by ``defect`` relative
+    to the closed-form squared norm 1/sqrt(2k), at every k."""
+    exact = torus.gram_quadrature
+
+    def shifted(model):
+        quad = exact(model)
+        gram = quad.gram.copy()
+        gram[0, 0] += defect / math.sqrt(2.0 * model.k)
+        return dataclasses.replace(quad, gram=gram)
+
+    monkeypatch.setattr(torus, "gram_quadrature", shifted)
 
 
 def test_main_report_gates_a_sphere_gram_defect_in_its_row(monkeypatch, capsys):
@@ -478,15 +492,7 @@ def test_main_report_gates_a_sphere_gram_defect_in_its_row(monkeypatch, capsys):
 
 
 def test_main_report_gates_a_torus_gram_defect(monkeypatch, capsys):
-    exact = torus.gram_quadrature
-
-    def shifted(model):
-        quad = exact(model)
-        gram = quad.gram.copy()
-        gram[0, 0] += 1e-6 / math.sqrt(2.0 * model.k)
-        return dataclasses.replace(quad, gram=gram)
-
-    monkeypatch.setattr(torus, "gram_quadrature", shifted)
+    _torus_gram_defect(monkeypatch, 1e-6)
     argv = ["report", "--model", "torus", "--k-min", "3", "--k-max", "4",
             "--reproducible"]
     code = main(argv)
@@ -745,6 +751,43 @@ def test_one_factorization_per_state(monkeypatch, capsys, argv, rows, eigh, svd)
     assert calls == {"eigh": eigh * rows, "svd": svd * rows}
 
 
+@pytest.mark.parametrize("model_argv, ks", [
+    ([], (1, 2, 3)), (["--model", "torus", "--mu", "0.37"], (3, 4, 5))])
+def test_one_model_gram_per_row_and_per_gram_dump(monkeypatch, capsys,
+                                                  model_argv, ks):
+    # antidiagonal_state and the gram dump both take the Gram from the
+    # model's own method, once per k.
+    called = []
+    for cls in (sphere.SphereModel, torus.TorusModel):
+        def counted(model, exact=cls.antidiagonal_gram):
+            called.append(model.k)
+            return exact(model)
+        monkeypatch.setattr(cls, "antidiagonal_gram", counted)
+    assert main(["report", "--k-min", str(ks[0]), "--k-max", str(ks[-1])]
+                + model_argv) == 0
+    assert called == list(ks)
+    called.clear()
+    for k in ks:
+        assert main(["gram", "--k", str(k)] + model_argv) == 0
+    assert called == list(ks)
+    capsys.readouterr()
+
+
+def test_a_sweep_row_holds_one_copy_of_its_state():
+    # A row builds its state, keeps only the normalized copy, and drops that
+    # after the analysis, whose three d x d arrays set the peak with it.
+    import tracemalloc
+    d = 301
+    tracemalloc.start()
+    try:
+        rows = list(run(RunConfig(k_min=d - 2, k_max=d - 1, reproducible=True)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row.d_k for row in rows] == [d - 1, d]
+    assert peak <= 4.2 * 8 * d * d
+
+
 def test_python_m_lagstate():
     env = child_env()
     proc = subprocess.run(
@@ -895,15 +938,7 @@ def test_gram_dump_residual_is_the_report_gram_residual(capsys, model_argv, k):
 
 def test_gram_dump_residual_is_the_report_gram_residual_off_its_closed_form(
         monkeypatch, capsys):
-    exact = torus.gram_quadrature
-
-    def shifted(model):
-        quad = exact(model)
-        gram = quad.gram.copy()
-        gram[0, 0] += 1e-6 / math.sqrt(2.0 * model.k)
-        return dataclasses.replace(quad, gram=gram)
-
-    monkeypatch.setattr(torus, "gram_quadrature", shifted)
+    _torus_gram_defect(monkeypatch, 1e-6)
     dumped, reported = _dump_and_row(capsys, ["--model", "torus"], 5)
     assert dumped == reported == pytest.approx(1e-6, rel=1e-6)
 

@@ -149,8 +149,19 @@ def test_torus_builders_take_no_theta_tolerance(builder):
         builder(TorusModel(3), theta_tol=1e-3)
 
 
+@pytest.mark.parametrize("model_class", [SphereModel, TorusModel])
+def test_models_take_k_as_an_integer(model_class):
+    # A numpy integer is an int; a non-integer fails when the model is built.
+    model = model_class(np.int64(3))
+    assert type(model.k) is int
+    assert antidiagonal_state(model).coeffs.shape == (model.dim, model.dim)
+    with pytest.raises(TypeError):
+        model_class(3.5)
+
+
 def test_antidiagonal_dispatch_errors():
-    with pytest.raises(TypeError, match="unsupported"):
+    # Each model builds its own Gram; anything else has no antidiagonal_gram.
+    with pytest.raises(AttributeError, match="antidiagonal_gram"):
         antidiagonal_state(object())
 
 
