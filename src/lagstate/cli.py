@@ -1,17 +1,17 @@
 """Command line front end: entropy sweeps, identity checks, state dumps.
 
-``report`` sweeps k over a model, emitting one row per k with the entropy,
-its deviation from the closed-form entropy its state records (ln d on
-antidiagonal rows, the binomial entropy on circle rows), the distance to the
-nearest product vector, and the state's closed-form residual.  ``verify``
-runs a fixed list of cross-identity checks on the same rows (see
-:func:`verify_identities`).  Both gate the residuals in
-:func:`tolerance_breaches`, the one judge of the closed-form defect and of
-the entropy's gap to its closed form.  Each row is written and gated as it
-completes, so an error or an interrupt keeps the rows before it.  ``state``
-and ``gram`` dump a single state or Gram matrix and gate nothing; ``state``'s
-``maximally_entangled`` verdict reads the model's entropy tolerance.
-``gram``'s ``normalized_residual`` is an antidiagonal row's
+``report`` sweeps k over a model and a submanifold (``MODELS``,
+``SUBMANIFOLDS``), one row per k with the entropy, its deviation from the
+closed-form entropy the state's builder records, the distance to the nearest
+product vector, and the state's closed-form residual.  ``verify`` runs a
+fixed list of cross-identity checks on the same rows, one against the
+builder's closed-form distance (:func:`verify_identities`).  Both gate the
+residuals in :func:`tolerance_breaches`, the one judge of the closed-form
+defect and of the entropy's gap to its closed form.  Each row is written and
+gated as it completes, so an error or an interrupt keeps the rows before it.
+``state`` and ``gram`` dump a single state or Gram matrix and gate nothing;
+``state``'s ``maximally_entangled`` verdict reads the model's entropy
+tolerance.  ``gram``'s ``normalized_residual`` is an antidiagonal row's
 ``gram_residual``: both put the model's ``antidiagonal_gram`` through
 :func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
 reads (``COMMAND_FLAGS``); any other flag is a usage error.
@@ -33,7 +33,7 @@ import os
 import sys
 import textwrap
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Iterator
 
 import numpy as np
@@ -46,6 +46,10 @@ DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
 DEFAULT_TOL_IDENTITY = 1e-9
 # Each model class holds its smallest k (K_MIN) and checks its own k and mu.
 MODELS = {"sphere": sphere.SphereModel, "torus": torus.TorusModel}
+# Submanifold -> (its builder's name in states, the models it is defined on).
+# Names, not functions: the benchmark's tracer rebinds the builders in states.
+SUBMANIFOLDS = {"antidiagonal": ("antidiagonal_state", ("sphere", "torus")),
+                "circle": ("circle_state_quadrature", ("sphere",))}
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.submanifold not in ("antidiagonal", "circle"):
+        if self.submanifold not in SUBMANIFOLDS:
             raise ValueError(f"unknown submanifold {self.submanifold!r}")
-        if self.submanifold == "circle" and self.model != "sphere":
-            raise ValueError("the circle submanifold is only defined on the "
-                             "sphere model")
+        if self.model not in (on := SUBMANIFOLDS[self.submanifold][1]):
+            raise ValueError(f"the {self.submanifold} submanifold is only "
+                             f"defined on the {' and '.join(on)} model")
         if self.mu != 0.0 and self.model != "torus":
             raise ValueError(f"mu is the torus character parameter; the "
                              f"{self.model} model takes none, got mu = {self.mu}")
@@ -102,9 +106,11 @@ class ReportRow:
     gram_residual: float
     raw_norm: float
     wall_time_ms: float
+    closed_form_distance: float = field(default=math.nan, compare=False)
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ReportRow))
+# Every field but the last, which verify reads and report does not print.
+CSV_HEADER = ",".join(f.name for f in fields(ReportRow)[:-1])
 
 
 @dataclass(frozen=True)
@@ -123,10 +129,7 @@ def _model(config: RunConfig, k: int) -> sphere.SphereModel | torus.TorusModel:
 
 
 def _build_state(config: RunConfig, k: int) -> states.LagrangianState:
-    model = _model(config, k)
-    if config.submanifold == "circle":
-        return states.circle_state_quadrature(model)
-    return states.antidiagonal_state(model)
+    return getattr(states, SUBMANIFOLDS[config.submanifold][0])(_model(config, k))
 
 
 def run(config: RunConfig) -> Iterator[ReportRow]:
@@ -152,6 +155,7 @@ def run(config: RunConfig) -> Iterator[ReportRow]:
             raw_norm=raw_norm,
             wall_time_ms=(0.0 if config.reproducible
                           else (time.perf_counter() - t0) * 1e3),
+            closed_form_distance=prov["closed_form_distance"],
         )
 
 
@@ -177,16 +181,6 @@ def _binomial_square_sum_check(k: int) -> IdentityCheck:
         detail=f"sum C(k,j)^2 {'=' if passed else '!='} C(2k,k) (exact integers)")
 
 
-def _circle_distance_check(k: int, distance: float, tol: float) -> IdentityCheck:
-    central = math.comb(2 * k, k)
-    # Exact integers, one correctly rounded division.
-    rest = (central - math.comb(k, k // 2) ** 2) / central
-    gap = abs(distance - math.sqrt(rest))
-    return IdentityCheck(
-        name="circle_distance_vs_closed_form", k=k, passed=gap <= tol,
-        detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")
-
-
 def verify_identities(config: RunConfig, row: ReportRow) -> list[IdentityCheck]:
     """Cross-identities on one :func:`run` row of ``config``, a fixed list
     per row.  The row's residuals, the circle state's closed-form defect
@@ -196,12 +190,13 @@ def verify_identities(config: RunConfig, row: ReportRow) -> list[IdentityCheck]:
         sqrt(1 - e^-entropy) within ``tol_identity``.
     (b) On the sphere, the binomial identity behind the circle state norm,
         sum_j C(k,j)^2 = C(2k,k), in exact integers.
-    (c) On circle rows, the separable distance must equal
-        sqrt(1 - max_j p_j), with the largest Schmidt weight
-        max_j p_j = C(k, k//2)^2 / C(2k, k) from exact integers.
+    (c) On the other rows, the separable distance must equal the
+        ``closed_form_distance`` the state's builder records: on circle rows
+        sqrt(1 - max_j p_j), max_j p_j = C(k, k//2)^2 / C(2k, k).
     """
     checks = []
-    if config.submanifold == "antidiagonal":
+    antidiagonal = config.submanifold == "antidiagonal"
+    if antidiagonal:
         gap = abs(row.separable_distance - row.corollary_rhs)
         checks.append(IdentityCheck(
             name="distance_vs_entropy", k=row.k,
@@ -209,9 +204,12 @@ def verify_identities(config: RunConfig, row: ReportRow) -> list[IdentityCheck]:
             detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
     if config.model == "sphere":
         checks.append(_binomial_square_sum_check(row.k))
-    if config.submanifold == "circle":
-        checks.append(_circle_distance_check(
-            row.k, row.separable_distance, config.tol_identity))
+    if not antidiagonal:
+        gap = abs(row.separable_distance - row.closed_form_distance)
+        checks.append(IdentityCheck(
+            name="circle_distance_vs_closed_form", k=row.k,
+            passed=gap <= config.tol_identity,
+            detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}"))
     return checks
 
 
@@ -223,10 +221,11 @@ def render_row(fmt: str, row: ReportRow, first: bool) -> str:
     """``report``'s text for one row.  The first row carries the CSV header
     or opens the JSON list, which a ``]`` line closes; the list then reads
     byte for byte as ``json.dumps`` of the rows with ``indent=2``."""
+    columns = dict(zip(CSV_HEADER.split(","), vars(row).values()))
     if fmt == "json":
         return (("[\n" if first else ",\n")
-                + textwrap.indent(json.dumps(vars(row), indent=2), "  "))
-    k, d_k, *floats = vars(row).values()
+                + textwrap.indent(json.dumps(columns, indent=2), "  "))
+    k, d_k, *floats = columns.values()
     line = ",".join([str(k), str(d_k)] + [_fmt_float(x) for x in floats])
     return f"{CSV_HEADER}\n{line}\n" if first else f"{line}\n"
 
@@ -283,7 +282,7 @@ FLAGS: dict[str, dict[str, Any]] = {
     "--k-max": {"type": int},
     "--model": {"choices": tuple(MODELS)},
     "--mu": {"type": float, "help": "torus character parameter"},
-    "--submanifold": {"choices": ("antidiagonal", "circle")},
+    "--submanifold": {"choices": tuple(SUBMANIFOLDS)},
     "--format": {"dest": "fmt", "choices": ("csv", "json")},
     "--out": {"help": "output path (default stdout)"},
     "--tol-entropy": {"type": float},

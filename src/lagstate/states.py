@@ -74,14 +74,16 @@ def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     """State from the antidiagonal submanifold: the conjugated fiber pairing
     integrates to the model's normalized basis Gram, real and so its own
     conjugate, and the identity up to quadrature defect.  Provenance adds to
-    the model's resolution that defect, recorded, not gated, and ln d."""
+    the model's resolution that defect (not gated), ln d and sqrt((d-1)/d)."""
     _, coeffs, resolution = model.antidiagonal_gram()
+    d = len(coeffs)
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=_frobenius_norm(coeffs),
         provenance={**resolution, "submanifold": "antidiagonal",
                     "closed_form_defect": identity_defect(coeffs),
-                    "closed_form_entropy": math.log(len(coeffs))},
+                    "closed_form_entropy": math.log(d),
+                    "closed_form_distance": math.sqrt((d - 1) / d)},
     )
 
 
@@ -93,9 +95,11 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     exactly diagonal, with entries 2 pi (k+1) C(k,j) / 2^k, each rounded
     once from exact integers.  Provenance records the normalized state's
     largest entrywise defect from :func:`circle_state_closed_form`, read off
-    the diagonals (off-diagonals are exact zeros), and the closed-form entropy.
+    the diagonals (off-diagonals are exact zeros), and the closed-form entropy
+    and distance sqrt(1 - C(k,k//2)^2/C(2k,k)), one rounded exact quotient.
     """
     k = model.k
+    central = math.comb(2 * k, k)
     diagonal = 2.0 * math.pi * np.array([(k + 1) * c / 2**k
                                          for c in binomials(k)])
     coeffs = np.diag(diagonal)
@@ -111,6 +115,8 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
             "closed_form_defect": max_abs(diagonal / raw_norm
                                           - np.sqrt(_circle_spectrum(k))),
             "closed_form_entropy": circle_entropy_closed_form(k),
+            "closed_form_distance": math.sqrt(
+                (central - math.comb(k, k // 2) ** 2) / central),
         },
     )
 

@@ -35,7 +35,8 @@ def test_config_defaults_and_overrides():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown model"):
         RunConfig(model="plane", k_min=1, k_max=2)
-    with pytest.raises(ValueError, match="circle"):
+    with pytest.raises(ValueError, match="^the circle submanifold is only "
+                                         "defined on the sphere model$"):
         RunConfig(model="torus", k_min=3, k_max=4, submanifold="circle")
     with pytest.raises(ValueError, match="k >= 3"):
         RunConfig(model="torus", k_min=2, k_max=4)
@@ -270,6 +271,9 @@ def test_subcommand_flag_sets():
         options = {opt for action in parser._actions
                    for opt in action.option_strings} - {"-h", "--help"}
         assert options == COMMAND_FLAGS[command], command
+        # The submanifold choices are the table's names, in its order.
+        assert all(action.choices == tuple(cli.SUBMANIFOLDS)
+                   for action in parser._actions if action.dest == "submanifold")
     assert set(sub.choices) == set(COMMAND_FLAGS)
 
 
@@ -326,7 +330,8 @@ def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys)
         coeffs = np.diag([1.0, 2.0, 3.0]).astype(complex)
         return states.LagrangianState(coeffs, math.sqrt(14.0),
                                       {"closed_form_defect": 0.0,
-                                       "closed_form_entropy": math.log(3.0)})
+                                       "closed_form_entropy": math.log(3.0),
+                                       "closed_form_distance": math.sqrt(2 / 3)})
 
     monkeypatch.setattr(states, "antidiagonal_state", skewed)
     code = main(["verify", "--k-min", "2", "--k-max", "2"])
@@ -334,6 +339,68 @@ def test_main_verify_fails_a_non_maximal_antidiagonal_state(monkeypatch, capsys)
     assert code == 1
     assert lines[0].startswith("FAIL distance_vs_entropy k=2:")
     assert lines[1].startswith("PASS binomial_square_sum k=2:")
+
+
+@pytest.mark.parametrize("model", cli.MODELS)
+@pytest.mark.parametrize("submanifold", cli.SUBMANIFOLDS)
+def test_submanifold_table_decides_each_pair(monkeypatch, capsys,
+                                             submanifold, model):
+    # SUBMANIFOLDS is the one list of submanifolds: which models each runs
+    # on, and which builder in states builds its rows, looked up at each
+    # call and called once per k.
+    builder, defined_on = cli.SUBMANIFOLDS[submanifold]
+    calls = []
+    build = getattr(states, builder)
+    monkeypatch.setattr(states, builder,
+                        lambda m: calls.append(m.k) or build(m))
+    k_min = cli.MODELS[model].K_MIN
+    code = main(["verify", "--model", model, "--submanifold", submanifold,
+                 "--k-min", str(k_min), "--k-max", str(k_min + 1)])
+    captured = capsys.readouterr()
+    if model in defined_on:
+        assert code == 0, captured.err
+        assert calls == [k_min, k_min + 1]
+    else:
+        assert code == 2
+        assert captured.err == (f"error: the {submanifold} submanifold is only "
+                                f"defined on the {' and '.join(defined_on)} "
+                                f"model\n")
+        assert captured.out == "" and calls == []
+
+
+def test_main_verify_reads_the_distance_the_builder_records(monkeypatch,
+                                                            capsys):
+    # Check (c) compares each row's distance with the closed_form_distance
+    # its builder records, not with a value recomputed from k.
+    build = states.circle_state_quadrature
+
+    def misrecorded(model):
+        state = build(model)
+        distance = state.provenance["closed_form_distance"] + 1e-6
+        return dataclasses.replace(state, provenance={
+            **state.provenance, "closed_form_distance": distance})
+
+    monkeypatch.setattr(states, "circle_state_quadrature", misrecorded)
+    code = main(["verify", "--submanifold", "circle", "--k-min", "2",
+                 "--k-max", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("PASS binomial_square_sum k=2:")
+    assert lines[1].startswith("FAIL circle_distance_vs_closed_form k=2: "
+                               "|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = 1.0")
+
+
+@pytest.mark.parametrize("submanifold, model", [
+    (submanifold, model) for submanifold, (_, on) in cli.SUBMANIFOLDS.items()
+    for model in on])
+def test_report_rows_meet_their_recorded_distance(submanifold, model):
+    k_min = cli.MODELS[model].K_MIN
+    config = RunConfig(k_min=k_min, k_max=k_min + 30, model=model,
+                       mu=0.37 if model == "torus" else 0.0,
+                       submanifold=submanifold)
+    for row in run(config):
+        gap = abs(row.separable_distance - row.closed_form_distance)
+        assert gap <= config.tol_identity, (row.k, gap)
 
 
 def test_report_is_independent_of_blas_threads():
@@ -686,11 +753,13 @@ def test_main_memory_error_keeps_the_completed_rows(monkeypatch, capsys,
     ["--model", "torus", "--k-min", "3", "--k-max", "3"],
     ["--model", "torus", "--mu", "0.37", "--k-min", "3", "--k-max", "6"]])
 def test_main_json_rows_stream_as_one_list(capsys, argv):
-    # The rows are written one at a time, and read as json.dumps of the list.
+    # The rows are written one at a time, and read as json.dumps of the list
+    # of their CSV columns.
     assert main(["report", "--format", "json", "--reproducible", *argv]) == 0
     config = cli._config_from_args(_parser().parse_args(
         ["report", "--reproducible", *argv]))
-    rows = [vars(row) for row in run(config)]
+    rows = [{name: getattr(row, name) for name in CSV_HEADER.split(",")}
+            for row in run(config)]
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (circle_diag_coefficient, circle_entropy_reference,
-                      circle_raw_norm, pair_coherent, random_unit_vector)
+                      circle_raw_norm, circle_spectrum_exact, pair_coherent,
+                      random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
 from lagstate.linalg import identity_defect, max_abs, svd
 from lagstate.sphere import (SphereModel, basis_values,
@@ -139,6 +140,28 @@ def test_builders_record_the_closed_form_entropy():
         state = circle_state_quadrature(SphereModel(k))
         assert (state.provenance["closed_form_entropy"]
                 == circle_entropy_closed_form(k))
+
+
+def test_antidiagonal_records_the_maximally_entangled_distance():
+    # sqrt((d-1)/d) is the corollary's sqrt(1 - e^-nu) at nu = ln d.
+    models = ([SphereModel(k) for k in range(1, 201)]
+              + [TorusModel(k, mu) for mu in (0.0, 0.37) for k in range(3, 61)])
+    for model in models:
+        prov = antidiagonal_state(model).provenance
+        expected = math.sqrt(1.0 - math.exp(-prov["closed_form_entropy"]))
+        gap = abs(prov["closed_form_distance"] - expected)
+        assert gap <= 4 * math.ulp(expected), (model, gap)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 80, 1500])
+def test_circle_records_its_closed_form_distance(k):
+    # The distance to the nearest product vector is sqrt(1 - max_j p_j),
+    # the root of the summed weights other than the largest.
+    rest = sorted(circle_spectrum_exact(k))[:-1]
+    expected = math.sqrt(math.fsum(float(p) for p in rest))
+    recorded = circle_state_quadrature(SphereModel(k)).provenance[
+        "closed_form_distance"]
+    assert abs(recorded - expected) <= 2 * math.ulp(expected)
 
 
 @pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,
