@@ -98,10 +98,32 @@ def max_abs(a: np.ndarray) -> float:
     return 0.0 if np.size(a) == 0 else float(np.max(np.abs(a)))
 
 
+def _real_max_abs(x: np.ndarray) -> float:
+    """Largest |x| of real x from its extremes, with no modulus array; zero
+    for empty x."""
+    return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+
+
 def identity_defect(a: np.ndarray) -> float:
-    """Largest entrywise |a - I|: the defect of a basis Gram matrix, and of
-    the antidiagonal state built from it, from its closed form."""
-    return max_abs(a - np.eye(len(a)))
+    """Largest entrywise |a - I| of a square matrix: the defect of a basis
+    Gram matrix, and of the antidiagonal state built from it, from its closed
+    form.  Taken as the larger of the diagonal's gap to 1 and the largest
+    off-diagonal modulus, so no d x d array is formed for real C- or
+    F-contiguous input (other layouts are copied once; complex input forms
+    its off-diagonal modulus)."""
+    a = np.asarray(a)
+    n = len(a)
+    if a.shape != (n, n):
+        raise ValueError(f"identity_defect input must be square, got {a.shape}")
+    # The transpose has the same diagonal and off-diagonal entries.  In the
+    # row-major flat array the diagonal sits every n + 1 entries, so the
+    # entries between two of them are the rows of an (n - 1, n + 1) view
+    # (for n = 0, reshape(-1, 1) of nothing: empty too).
+    flat = (a.T if a.flags.f_contiguous else a).ravel()
+    off = flat[1:].reshape(n - 1, n + 1)[:, :n]
+    gap = np.abs(a.diagonal() - 1.0).max(initial=0.0)
+    off_max = max_abs(off) if np.iscomplexobj(off) else _real_max_abs(off)
+    return max(float(gap), off_max)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -242,8 +264,10 @@ def svd(a: np.ndarray) -> SvdResult:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError(f"svd input must be square, got shape {a.shape}")
-    # Row j is column j of U; the first rotating sweep appends column j of V.
-    w = a.T.copy()
+    # Row j is column j of U; the first rotating sweep copies the input into
+    # w and appends column j of V, so a matrix that passes the first test is
+    # read in place.
+    w = a.T
     del a
     sweeps = 0
     while (worst := _worst_ratio(w[:, :n])) > JACOBI_TOL:
@@ -257,13 +281,16 @@ def svd(a: np.ndarray) -> SvdResult:
             _rotate_round(w, p, q)
         sweeps += 1
     v_rows = w[:, n:].copy() if sweeps else None
-    scaled = w[:, :n].T.copy()  # U in column layout again
+    u = w[:, :n].T  # U in column layout again: the input if nothing rotated
     del w
     # Each column is scaled by a power of two near its largest modulus: exact,
     # so squares of moduli below 1e-154 cannot underflow to a zero norm, and
     # U is the scaled column over its scaled norm, never over a subnormal.
-    e = np.maximum(np.frexp(np.abs(scaled).max(axis=0, initial=0.0))[1], -1021)
-    scaled *= np.ldexp(1.0, -e)
+    # The product is a new row-major array, so the column norms sum in the
+    # same order whatever the input's layout, and no factor aliases it.
+    e = np.maximum(np.frexp(np.abs(u).max(axis=0, initial=0.0))[1], -1021)
+    scaled = np.multiply(u, np.ldexp(1.0, -e), order="C")
+    del u
     norms = np.linalg.norm(scaled, axis=0)
     sigma = np.ldexp(norms, e)
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
@@ -277,13 +304,25 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
 
     Thin wrapper over LAPACK's eigenvalue-only Hermitian solver; serves as
     the spectral cross-check for :func:`svd`.  Rejects input whose
-    Hermitian defect exceeds ``HERMITIAN_TOL`` relative to its largest entry.
+    Hermitian defect max |h - h^*| exceeds ``HERMITIAN_TOL`` relative to its
+    largest entry; both are read from one d x d work array, h^* - h and
+    then, for complex input, |h|.
     """
     h = as_matrix(h, "hermitian_eigen input")
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"hermitian_eigen input must be square, got {h.shape}")
-    defect = max_abs(h - h.conj().T)
-    scale = max_abs(h)
+    # h^T in h's row-major layout, so the in-place steps run unbuffered.
+    work = h.T.copy()
+    if np.iscomplexobj(h):
+        np.conjugate(work, out=work)
+        work -= h
+        # Each modulus is written over the work array, as its real part.
+        defect = float(np.abs(work, out=work).real.max(initial=0.0))
+        scale = float(np.abs(h, out=work).real.max(initial=0.0))
+    else:
+        work -= h
+        defect, scale = _real_max_abs(work), _real_max_abs(h)
+    del work
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"input is not Hermitian: max |h - h^*| = {defect:.3e} "

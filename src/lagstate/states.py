@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -96,12 +96,13 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     once from exact integers.  Provenance records the normalized state's
     largest entrywise defect from :func:`circle_state_closed_form`, read off
     the diagonals (off-diagonals are exact zeros), and the closed-form entropy
-    and distance sqrt(1 - C(k,k//2)^2/C(2k,k)), one rounded exact quotient.
+    and distance; all of them come from one :func:`_circle_law`.
     """
     k = model.k
-    central = math.comb(2 * k, k)
-    diagonal = 2.0 * math.pi * np.array([(k + 1) * c / 2**k
-                                         for c in binomials(k)])
+    law = _circle_law(model)
+    power = 2**k
+    diagonal = 2.0 * math.pi * np.array([(k + 1) * c / power
+                                         for c in law.binomials])
     coeffs = np.diag(diagonal)
     raw_norm = _frobenius_norm(coeffs)
     return LagrangianState(
@@ -113,31 +114,46 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
             "submanifold": "circle",
             "angular_nodes": model.angular_nodes,
             "closed_form_defect": max_abs(diagonal / raw_norm
-                                          - np.sqrt(_circle_spectrum(k))),
-            "closed_form_entropy": circle_entropy_closed_form(k),
-            "closed_form_distance": math.sqrt(
-                (central - math.comb(k, k // 2) ** 2) / central),
+                                          - np.sqrt(law.weights)),
+            "closed_form_entropy": law.entropy,
+            "closed_form_distance": law.distance,
         },
     )
 
 
-def _circle_spectrum(k: int) -> np.ndarray:
-    """Circle Schmidt weights p_j = C(k,j)^2 / C(2k,k), j = 0..k, each an
-    exact integer quotient rounded once."""
-    SphereModel(k)  # the sphere model's own k check
+class _CircleLaw(NamedTuple):
+    binomials: list[int]  # C(k, j), j = 0..k
+    weights: list[float]  # the Schmidt weights p_j
+    entropy: float
+    distance: float
+
+
+def _circle_law(model: SphereModel) -> _CircleLaw:
+    """The circle state's binomial Schmidt law at the model's k, from one
+    row C(k, j) and one C(2k, k): the weights p_j = C(k,j)^2 / C(2k,k), which
+    sum to one by the Vandermonde identity sum_j C(k,j)^2 = C(2k,k), each an
+    exact integer quotient rounded once; the entropy -sum p_j ln p_j by
+    compensated summation over the weights above zero (weights that
+    underflow contribute below 1e-300); and the distance to the nearest
+    product state sqrt(1 - C(k,k//2)^2 / C(2k,k)), one rounded exact
+    quotient."""
+    k = model.k
+    row = binomials(k)
     central = math.comb(2 * k, k)
-    return np.array([c * c / central for c in binomials(k)])
+    weights = [c * c / central for c in row]
+    return _CircleLaw(
+        binomials=row, weights=weights,
+        entropy=-math.fsum([p * math.log(p) for p in weights if p > 0.0]),
+        distance=math.sqrt((central - row[k // 2] ** 2) / central))
 
 
 def circle_state_closed_form(k: int) -> np.ndarray:
     """Normalized circle state: diagonal entries sqrt(p_j) = C(k,j) /
     sqrt(C(2k,k)), that is C(k,j) k! / sqrt((2k)!)."""
-    return np.diag(np.sqrt(_circle_spectrum(k)))
+    return np.diag(np.sqrt(_circle_law(SphereModel(k)).weights))
 
 
 def circle_entropy_closed_form(k: int) -> float:
     """Entropy -sum p_j ln p_j of the circle state's binomial Schmidt
-    spectrum p_j = C(k,j)^2 / C(2k,k), which sums to one by the Vandermonde
-    identity sum_j C(k,j)^2 = C(2k,k).  Compensated summation over the
-    weights above zero; weights that underflow contribute below 1e-300."""
-    return -math.fsum(p * math.log(p) for p in _circle_spectrum(k) if p > 0.0)
+    spectrum p_j = C(k,j)^2 / C(2k,k); see :func:`_circle_law`."""
+    return _circle_law(SphereModel(k)).entropy

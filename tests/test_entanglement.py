@@ -278,13 +278,15 @@ def test_analyze_keeps_its_own_copy():
     assert abs(report.separable_distance - math.sqrt(3.0) / 2.0) <= 1e-15
 
 
-def test_analyze_holds_three_state_sized_arrays_at_most():
-    # The Schmidt analysis of a row needs at most three d x d arrays at
-    # once: c c^T and its Hermitian defect with that defect's modulus during
-    # the eigensolve, then the Jacobi work array and its transposed U half.
-    # The caller's c is not counted.  Everything else is O(d): the spectrum,
-    # column norms and exponents, and the entropy terms as Python floats,
-    # so 64 bytes per row bound the rest.
+def test_analyze_holds_two_state_sized_arrays_at_most():
+    # The Schmidt analysis of a row needs at most two d x d arrays at once:
+    # c c^T and the one work array of its Hermitian check in the eigensolve;
+    # then, in the SVD, which reads c in place when its columns pass the
+    # first Gram test as every CLI state's do, that test's Gram, and later
+    # the scaled columns with the squares of their entries for the column
+    # norms.  The caller's c is not counted.  Everything else is O(d): the
+    # spectrum, column norms and exponents, and the entropy terms as Python
+    # floats, so 64 bytes per row bound the rest.
     import tracemalloc
     from lagstate.sphere import SphereModel
     from lagstate.states import antidiagonal_state
@@ -297,7 +299,7 @@ def test_analyze_holds_three_state_sized_arrays_at_most():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * block + 64 * d
+    assert peak <= 2 * block + 64 * d
     assert all(np.ndim(v) < 2 for v in vars(report).values())
 
 

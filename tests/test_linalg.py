@@ -5,9 +5,9 @@ import pytest
 
 from conftest import circle_schmidt_values_exact, column_graded_matrix
 from lagstate import linalg
-from lagstate.linalg import (JACOBI_TOL, SvdResult, as_matrix,
-                             frobenius_distance, hermitian_eigen, max_abs,
-                             round_robin, svd)
+from lagstate.linalg import (HERMITIAN_TOL, JACOBI_TOL, SvdResult, as_matrix,
+                             frobenius_distance, hermitian_eigen,
+                             identity_defect, max_abs, round_robin, svd)
 from lagstate.sphere import SphereModel
 from lagstate.states import antidiagonal_state, circle_state_quadrature
 
@@ -423,3 +423,107 @@ def test_svd_singular_vectors_formed_on_first_read(kind, rotates):
     assert frobenius_distance(res.reconstruct(), a) <= 1e-12 * np.linalg.norm(a.ravel())
     assert max_abs(res.left.conj().T @ res.left - np.eye(r)) <= 1e-12
     assert max_abs(res.right.conj().T @ res.right - np.eye(r)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [
+    "sphere state", "complex diagonal, rank 3", "real dense", "complex dense",
+    "empty", "all zero"])
+def test_svd_leaves_its_input_alone(kind):
+    # A matrix that passes the first Gram test is read in place, yet no
+    # factor aliases it: the caller may change it before or after U and V
+    # are first read.
+    rng = np.random.default_rng(13)
+    if kind == "complex dense":
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    elif kind == "empty":
+        a = np.zeros((0, 0))
+    elif kind == "all zero":
+        a = np.zeros((4, 4))
+    else:
+        a = _lazy_vector_input(kind)
+    before = a.copy()
+    expected = svd(before.copy())
+    res = svd(a)
+    assert np.array_equal(a, before)
+    assert (res.sweeps > 0) == kind.endswith("dense")
+    a += 1.0
+    for factor in (res.left, res.right):
+        assert not np.shares_memory(factor, a)
+    assert np.array_equal(res.left, expected.left)
+    assert np.array_equal(res.right, expected.right)
+    a *= -3.0
+    assert np.array_equal(res.singular_values, expected.singular_values)
+    assert np.array_equal(res.left, expected.left)
+    assert np.array_equal(res.right, expected.right)
+
+
+def _in_layout(b, layout):
+    """A matrix equal to b, stored in the given memory layout."""
+    if layout == "row-major":
+        return b.copy()
+    if layout == "transpose":
+        return b.T.copy().T
+    if layout == "reversed rows":
+        return b[::-1].copy()[::-1]
+    if layout == "reversed":
+        return b[::-1, ::-1].copy()[::-1, ::-1]
+    n = len(b)
+    big = np.zeros((2 * n + 3, 2 * n + 3), dtype=b.dtype)
+    view = big[1:n + 1, 2:n + 2] if layout == "slice" else big[1::2, ::2][:n, :n]
+    view[...] = b
+    return view
+
+
+@pytest.mark.parametrize("layout", ["row-major", "transpose", "reversed rows",
+                                    "reversed", "slice", "strided slice"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_identity_defect_is_the_largest_entry_of_a_minus_identity(layout,
+                                                                   dtype):
+    # The diagonal's gap to 1 and the off-diagonal maximum, taken apart,
+    # give exactly the largest |a - I| in every layout.  A dominant entry
+    # put at each position in turn reads differently on the diagonal (|x - 1|)
+    # and off it (|x|), so a misplaced diagonal shows.
+    rng = np.random.default_rng(17)
+    big = -3.0j if dtype is complex else -3.0
+    for n in (0, 1, 2, 5):
+        base = np.eye(n, dtype=dtype) + 1e-3 * rng.standard_normal((n, n))
+        if dtype is complex:
+            base += 1e-3j * rng.standard_normal((n, n))
+        cases = [base]
+        for i, j in np.ndindex(n, n):
+            cases.append(base.copy())
+            cases[-1][i, j] = big
+        for b in cases:
+            a = _in_layout(b, layout)
+            assert np.array_equal(a, b)
+            assert identity_defect(a) == max_abs(b - np.eye(n))
+
+
+def test_identity_defect_rejects_non_square_input():
+    for a in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(ValueError, match="square"):
+            identity_defect(a)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 20])
+def test_hermitian_eigen_tolerance_is_relative_to_the_largest_entry(dtype,
+                                                                    scale):
+    # A Hermitian matrix whose largest entry is its unit diagonal, with the
+    # defect delta placed where it reads back exactly as max |h - h^*|.
+    h = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]],
+                 dtype=dtype)
+    if dtype is complex:
+        h[0, 1], h[1, 0] = 0.5j, -0.5j
+    tol = HERMITIAN_TOL * scale
+    for delta, accepted in ((tol * (1.0 - 1e-6), True),
+                            (tol * (1.0 + 1e-6), False)):
+        a = scale * h
+        a[0, 2] = delta * (1j if dtype is complex else 1.0)
+        assert max_abs(a - a.conj().T) == delta
+        assert max_abs(a) == scale
+        if accepted:
+            assert hermitian_eigen(a).shape == (3,)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eigen(a)

@@ -2,7 +2,9 @@
 CLI sweeps, a near-identity sphere state and the diagonal circle state,
 and on a column-graded matrix that makes it rotate.  ``svd`` computes the
 singular values only, as the separable distance reads them; the sphere
-state is timed once more with the singular vectors read as well.
+state is timed once more with the singular vectors read as well.  The
+whole Schmidt analysis of a row, ``analyze`` with its separable distance,
+is timed on both states, and the circle builder on its own.
 
 Timings are recorded by pytest-benchmark (skipped when it is not
 installed) and printed in its table; nothing asserts on them.  Compare
@@ -15,6 +17,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from conftest import column_graded_matrix  # noqa: E402
+from lagstate.entanglement import analyze  # noqa: E402
 from lagstate.linalg import svd  # noqa: E402
 from lagstate.sphere import SphereModel  # noqa: E402
 from lagstate.states import antidiagonal_state, circle_state_quadrature  # noqa: E402
@@ -46,3 +49,24 @@ def test_svd_vectors_microbench(benchmark):
 
     res = benchmark.pedantic(svd_with_vectors, rounds=3, iterations=1)
     assert res.sweeps == 0
+
+
+@pytest.mark.parametrize("kind, k", [("sphere", 120), ("circle", 80)])
+def test_analyze_microbench(benchmark, kind, k):
+    build = antidiagonal_state if kind == "sphere" else circle_state_quadrature
+    coeffs = build(SphereModel(k)).normalized()
+
+    def analyze_row():
+        report = analyze(coeffs)
+        report.separable_distance
+        return report
+
+    report = benchmark.pedantic(analyze_row, rounds=3, iterations=1)
+    assert report.d == k + 1
+
+
+def test_circle_state_quadrature_microbench(benchmark):
+    model = SphereModel(80)
+    state = benchmark.pedantic(circle_state_quadrature, args=(model,),
+                               rounds=3, iterations=1)
+    assert state.coeffs.shape == (81, 81)

@@ -7,6 +7,7 @@ from conftest import (circle_diag_coefficient, circle_entropy_reference,
                       circle_raw_norm, circle_spectrum_exact, pair_coherent,
                       random_unit_vector)
 from lagstate.entanglement import closest_separable, entropy
+from lagstate import states
 from lagstate.linalg import identity_defect, max_abs, svd
 from lagstate.sphere import (SphereModel, basis_values,
                              weighted_basis_values)
@@ -162,6 +163,30 @@ def test_circle_records_its_closed_form_distance(k):
     recorded = circle_state_quadrature(SphereModel(k)).provenance[
         "closed_form_distance"]
     assert abs(recorded - expected) <= 2 * math.ulp(expected)
+
+
+def test_circle_row_takes_its_closed_forms_from_one_binomial_row(monkeypatch):
+    # The diagonal and every closed form the builder records come from one
+    # row C(k, .) and equal, bit for bit, the standalone closed forms: the
+    # normalized state's defect from circle_state_closed_form and the exact
+    # integer quotient of the distance.
+    rows = []
+
+    def counted(k, exact=states.binomials):
+        rows.append(k)
+        return exact(k)
+
+    monkeypatch.setattr(states, "binomials", counted)
+    for k in range(1, 401):
+        rows.clear()
+        state = circle_state_quadrature(SphereModel(k))
+        assert rows == [k]
+        prov = state.provenance
+        assert prov["closed_form_defect"] == max_abs(
+            state.normalized() - circle_state_closed_form(k))
+        central = math.comb(2 * k, k)
+        assert prov["closed_form_distance"] == math.sqrt(
+            (central - math.comb(k, k // 2) ** 2) / central)
 
 
 @pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,
