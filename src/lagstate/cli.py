@@ -161,16 +161,10 @@ def run(config: RunConfig) -> Iterator[ReportRow]:
 
 def tolerance_breaches(config: RunConfig, row: ReportRow) -> list[str]:
     """The row's residuals over their tolerances, one message per breach."""
-    messages = []
-    if row.entropy_residual > config.max_entropy_residual:
-        messages.append(
-            f"k={row.k}: entropy_residual {row.entropy_residual:.3e} "
-            f"exceeds {config.max_entropy_residual:g}")
-    if row.gram_residual > config.max_gram_residual:
-        messages.append(
-            f"k={row.k}: gram_residual {row.gram_residual:.3e} "
-            f"exceeds {config.max_gram_residual:g}")
-    return messages
+    gates = (("entropy_residual", row.entropy_residual, config.max_entropy_residual),
+             ("gram_residual", row.gram_residual, config.max_gram_residual))
+    return [f"k={row.k}: {name} {value:.3e} exceeds {tol:g}"
+            for name, value, tol in gates if value > tol]
 
 
 def _binomial_square_sum_check(k: int) -> IdentityCheck:

@@ -94,14 +94,13 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
-    """Largest entry magnitude; zero for empty input."""
-    return 0.0 if np.size(a) == 0 else float(np.max(np.abs(a)))
-
-
-def _real_max_abs(x: np.ndarray) -> float:
-    """Largest |x| of real x from its extremes, with no modulus array; zero
-    for empty x."""
-    return max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))
+    """Largest entry magnitude; zero for empty input.  Real input is read
+    from its two extremes, with no modulus array."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return float(np.abs(a).max(initial=0.0))
+    # abs maps an extreme of -0.0 to 0.0, as np.abs does.
+    return abs(max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))))
 
 
 def identity_defect(a: np.ndarray) -> float:
@@ -121,9 +120,7 @@ def identity_defect(a: np.ndarray) -> float:
     # (for n = 0, reshape(-1, 1) of nothing: empty too).
     flat = (a.T if a.flags.f_contiguous else a).ravel()
     off = flat[1:].reshape(n - 1, n + 1)[:, :n]
-    gap = np.abs(a.diagonal() - 1.0).max(initial=0.0)
-    off_max = max_abs(off) if np.iscomplexobj(off) else _real_max_abs(off)
-    return max(float(gap), off_max)
+    return max(max_abs(a.diagonal() - 1.0), max_abs(off))
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -321,7 +318,7 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
         scale = float(np.abs(h, out=work).real.max(initial=0.0))
     else:
         work -= h
-        defect, scale = _real_max_abs(work), _real_max_abs(h)
+        defect, scale = max_abs(work), max_abs(h)
     del work
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(

@@ -66,8 +66,11 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
 
 def _frobenius_norm(coeffs: np.ndarray) -> float:
     """Frobenius norm by numpy's pairwise sum rather than a BLAS dot, whose
-    summation order, and so its last bits, follow the BLAS thread count."""
-    return math.sqrt(float(np.sum(np.square(np.abs(coeffs)))))
+    summation order, and so its last bits, follow the BLAS thread count.
+    Real entries are squared directly: x^2 = |x|^2 exactly."""
+    if np.iscomplexobj(coeffs):
+        coeffs = np.abs(coeffs)
+    return math.sqrt(float(np.sum(np.square(coeffs))))
 
 
 def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:

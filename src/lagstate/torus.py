@@ -11,8 +11,9 @@ aliasing-free size 2k(2 n_max + 1) (``TorusGramResult.m_x``), applied in
 closed form; it makes the theta basis orthogonal, and the squared norm
 1/sqrt(2k) (the n-sum unfolds the y-integral to a Gaussian on the line) is
 independent of j and mu.  The orthonormal basis divides by that closed-form
-norm, so the normalized Gram's defect from the identity measures the
-quadrature against the closed form.
+norm and only evaluates; :meth:`TorusModel.antidiagonal_gram` divides the
+Gram of :func:`gram_quadrature` by its square, so the normalized Gram's
+defect from the identity measures the quadrature against the closed form.
 
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
@@ -75,10 +76,10 @@ class TorusModel:
         return q - round(q)
 
     def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
-        """(raw Gram, normalized Gram, resolution) of the theta basis."""
-        basis = orthonormal_basis(self)
-        quad = basis.quadrature
-        return quad.gram, basis.normalized_gram, {
+        """(raw Gram, normalized Gram, resolution) of the theta basis; the
+        normalized Gram is the raw one over the closed-form squared norm."""
+        quad = gram_quadrature(self)
+        return quad.gram, quad.gram * math.sqrt(2.0 * self.k), {
             "model": "torus", "k": self.k, "mu": self.mu,
             "n_max": quad.n_max, "tail_bound": quad.tail_bound,
             "m_x": quad.m_x, "n_y": quad.n_y, "y_bound": quad.y_bound}
@@ -214,15 +215,9 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
 @dataclass(frozen=True)
 class TorusBasis:
     """Orthonormal theta basis phi_j = theta_j / |theta_j| with the closed-form
-    norm, and the Gram quadrature that checks it."""
+    norm; it only evaluates (the Gram that checks it is the model's)."""
 
     model: TorusModel
-    quadrature: TorusGramResult
-
-    @property
-    def normalized_gram(self) -> np.ndarray:
-        """Raw Gram divided by the closed-form squared norm 1/sqrt(2k)."""
-        return self.quadrature.gram * math.sqrt(2.0 * self.model.k)
 
     def values(self, z: complex) -> np.ndarray:
         """All phi_j(z), j = 1..k, with the theta tail below THETA_TOL."""
@@ -230,9 +225,9 @@ class TorusBasis:
 
 
 def orthonormal_basis(model: TorusModel) -> TorusBasis:
-    """Normalize the theta basis by the closed-form norm (2k)^(-1/4),
-    keeping the Gram quadrature whose defect from it is the residual."""
-    return TorusBasis(model=model, quadrature=gram_quadrature(model))
+    """The theta basis normalized by the closed-form norm (2k)^(-1/4); no
+    Gram is computed."""
+    return TorusBasis(model=model)
 
 
 def closed_form_norm(model: TorusModel) -> float:

@@ -842,11 +842,26 @@ def test_one_model_gram_per_row_and_per_gram_dump(monkeypatch, capsys,
     capsys.readouterr()
 
 
+def test_a_torus_row_runs_one_gram_quadrature(monkeypatch):
+    # The row's Gram is the model's one quadrature; the basis that the
+    # quadrature checks computes none of its own.
+    calls = []
+
+    def counted(model, exact=torus.gram_quadrature):
+        calls.append(model.k)
+        return exact(model)
+
+    monkeypatch.setattr(torus, "gram_quadrature", counted)
+    rows = list(run(RunConfig(k_min=3, k_max=5, model="torus", mu=0.37,
+                              reproducible=True)))
+    assert [row.k for row in rows] == calls == [3, 4, 5]
+
+
 @pytest.mark.parametrize("submanifold", ["antidiagonal", "circle"])
 def test_a_sweep_row_holds_one_copy_of_its_state(submanifold):
     # A row builds its state, keeps only the normalized copy, and drops that
     # after the analysis, whose two d x d arrays set the peak with it; the
-    # builder's own peak, the state and two temporaries of its norm, is no
+    # builder's own peak, the state and one temporary of its norm, is no
     # higher.
     import tracemalloc
     d = 301

@@ -499,6 +499,49 @@ def test_identity_defect_is_the_largest_entry_of_a_minus_identity(layout,
             assert identity_defect(a) == max_abs(b - np.eye(n))
 
 
+def _max_abs_cases():
+    """Named real and complex inputs of max_abs."""
+    real = np.random.default_rng(29).standard_normal((7, 6))
+    cases = {
+        "empty": np.zeros((0, 3)),
+        "all negative": -np.abs(real) - 0.5,
+        "+0.0": np.zeros((2, 3)),
+        "-0.0": np.full((2, 3), -0.0),
+        "mixed zeros": np.array([0.0, -0.0, -0.0]),
+        "scalar": np.array(-2.5),
+        "random": real,
+        "transposed": real.T,
+        "strided": real[::2, ::-3],
+    }
+    return {**cases, **{f"{name}, complex": a * (0.6 - 0.8j)
+                        for name, a in cases.items()}}
+
+
+MAX_ABS_CASES = _max_abs_cases()
+
+
+@pytest.mark.parametrize("a", MAX_ABS_CASES.values(), ids=MAX_ABS_CASES)
+def test_max_abs_is_the_largest_modulus(a):
+    # Exactly np.abs(a).max(), zero for empty input, and never -0.0.
+    want = float(np.abs(a).max()) if a.size else 0.0
+    got = max_abs(a)
+    assert got == want
+    assert math.copysign(1.0, got) == 1.0
+
+
+def test_max_abs_of_real_input_forms_no_modulus_array():
+    import tracemalloc
+    a = np.random.default_rng(31).standard_normal((300, 300))
+    tracemalloc.start()
+    try:
+        for view in (a, a.T, a[::2, ::-3]):
+            max_abs(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 4
+
+
 def test_identity_defect_rejects_non_square_input():
     for a in (np.ones((2, 3)), np.ones(4)):
         with pytest.raises(ValueError, match="square"):

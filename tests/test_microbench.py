@@ -4,7 +4,9 @@ and on a column-graded matrix that makes it rotate.  ``svd`` computes the
 singular values only, as the separable distance reads them; the sphere
 state is timed once more with the singular vectors read as well.  The
 whole Schmidt analysis of a row, ``analyze`` with its separable distance,
-is timed on both states, and the circle builder on its own.
+is timed on both states, and the circle builder on its own.  On the torus,
+the model's Gram (one quadrature) is timed apart from a point evaluation of
+its orthonormal basis, which computes no Gram.
 
 Timings are recorded by pytest-benchmark (skipped when it is not
 installed) and printed in its table; nothing asserts on them.  Compare
@@ -21,6 +23,7 @@ from lagstate.entanglement import analyze  # noqa: E402
 from lagstate.linalg import svd  # noqa: E402
 from lagstate.sphere import SphereModel  # noqa: E402
 from lagstate.states import antidiagonal_state, circle_state_quadrature  # noqa: E402
+from lagstate.torus import TorusModel, orthonormal_basis  # noqa: E402
 
 
 @pytest.mark.parametrize("kind, k", [("sphere", 120), ("circle", 80),
@@ -70,3 +73,20 @@ def test_circle_state_quadrature_microbench(benchmark):
     state = benchmark.pedantic(circle_state_quadrature, args=(model,),
                                rounds=3, iterations=1)
     assert state.coeffs.shape == (81, 81)
+
+
+def test_torus_gram_microbench(benchmark):
+    model = TorusModel(24, mu=0.37)
+    _, normalized, _ = benchmark.pedantic(model.antidiagonal_gram,
+                                             rounds=3, iterations=1)
+    assert normalized.shape == (24, 24)
+
+
+def test_torus_basis_values_microbench(benchmark):
+    model = TorusModel(24, mu=0.37)
+
+    def point_values():
+        return orthonormal_basis(model).values(0.3 + 0.2j)
+
+    values = benchmark.pedantic(point_values, rounds=3, iterations=1)
+    assert values.shape == (24,)

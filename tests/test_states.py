@@ -118,12 +118,14 @@ def test_torus_antidiagonal_state():
     assert shifted.provenance["mu"] == 0.37
     # The resolution is certified, so provenance reports its bounds, and the
     # residual is the quadrature's defect from the closed-form norm.
-    basis = orthonormal_basis(TorusModel(5, mu=0.37))
+    model = TorusModel(5, mu=0.37)
+    quad = gram_quadrature(model)
     prov = shifted.provenance
     assert "theta_tol" not in prov
-    assert prov["y_bound"] == basis.quadrature.y_bound
-    assert prov["tail_bound"] == basis.quadrature.tail_bound
-    assert prov["closed_form_defect"] == identity_defect(basis.normalized_gram)
+    assert prov["y_bound"] == quad.y_bound
+    assert prov["tail_bound"] == quad.tail_bound
+    assert prov["closed_form_defect"] == identity_defect(
+        model.antidiagonal_gram()[1])
 
 
 def test_builders_record_the_closed_form_entropy():
@@ -187,6 +189,23 @@ def test_circle_row_takes_its_closed_forms_from_one_binomial_row(monkeypatch):
         central = math.comb(2 * k, k)
         assert prov["closed_form_distance"] == math.sqrt(
             (central - math.comb(k, k // 2) ** 2) / central)
+
+
+@pytest.mark.parametrize("builder", [antidiagonal_state,
+                                     circle_state_quadrature])
+def test_a_sphere_builder_holds_its_state_and_one_temporary(builder):
+    # The coefficients and the square of their norm are the only d x d
+    # arrays: real entries are squared directly, with no modulus array.
+    import tracemalloc
+    d = 301
+    tracemalloc.start()
+    try:
+        state = builder(SphereModel(d - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.coeffs.shape == (d, d)
+    assert peak <= 2.1 * 8 * d * d
 
 
 @pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,

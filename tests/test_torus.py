@@ -7,6 +7,7 @@ import pytest
 from conftest import (gauss_legendre_01_defects, gaussian_weight,
                       theta_reference, torus_gram_diag_reference,
                       torus_gram_reference, torus_norm_reference)
+from lagstate import torus
 from lagstate.cli import DEFAULT_TOL_GRAM
 from lagstate.linalg import (RULE_FLOOR, gauss_legendre_01, identity_defect,
                              max_abs)
@@ -223,19 +224,38 @@ def test_norm_oracle_matches_closed_form():
 def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
     basis = orthonormal_basis(model)
-    assert identity_defect(basis.normalized_gram) <= 1e-7
-    # The basis keeps the quadrature that checks its norms, y-rule bound
+    quad = gram_quadrature(model)
+    gram, normalized, _ = model.antidiagonal_gram()
+    assert np.array_equal(gram, quad.gram)
+    assert identity_defect(normalized) <= 1e-7
+    # The model's Gram quadrature checks the basis norms, y-rule bound
     # included, and the quadrature norms agree with the closed form.
-    assert basis.quadrature.y_bound <= THETA_TOL / math.sqrt(10.0)
+    assert quad.y_bound <= THETA_TOL / math.sqrt(10.0)
     want = closed_form_norm(model)
     assert want == 10.0 ** -0.25
-    assert max_abs(np.sqrt(np.diag(basis.quadrature.gram).real) - want) <= 1e-8 * want
+    assert max_abs(np.sqrt(np.diag(quad.gram).real) - want) <= 1e-8 * want
     # Normalized values are the raw series over the closed-form norm.
     z = 0.31 + 0.24j
     vals = basis.values(z)
     for j in range(1, 6):
         direct = theta_eval(model, j, z) / want
         assert abs(vals[j - 1] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def test_point_evaluation_runs_no_gram_quadrature(monkeypatch):
+    # The basis only evaluates: its values are the theta series over the
+    # closed-form norm, and the Gram is computed by the model alone.
+    def no_gram(model):
+        raise AssertionError("point evaluation ran the Gram quadrature")
+
+    monkeypatch.setattr(torus, "gram_quadrature", no_gram)
+    model = TorusModel(5, mu=0.37)
+    z = 0.31 + 0.24j
+    thetas = np.array([theta_eval(model, j, z) for j in range(1, 6)])
+    assert np.array_equal(orthonormal_basis(model).values(z),
+                          thetas / closed_form_norm(model))
+    with pytest.raises(AssertionError, match="Gram quadrature"):
+        model.antidiagonal_gram()
 
 
 def _closed_form_certificate(k, res, node_error, weight_error):
@@ -273,9 +293,9 @@ def _rule_defects(n):
 def test_gram_residual_is_closed_form_defect_within_certificate(mu):
     pytest.importorskip("mpmath")
     for k in range(3, 201):
-        basis = orthonormal_basis(TorusModel(k, mu=mu))
-        res = basis.quadrature
-        residual = identity_defect(basis.normalized_gram)
+        model = TorusModel(k, mu=mu)
+        res = gram_quadrature(model)
+        residual = identity_defect(model.antidiagonal_gram()[1])
         diag = np.diag(res.gram).real
         assert residual == max_abs(diag * math.sqrt(2.0 * k) - 1.0)
         # The residual measures the quadrature, so it is nonzero at every
