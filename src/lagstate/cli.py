@@ -188,23 +188,16 @@ def verify_identities(config: RunConfig, row: ReportRow) -> list[IdentityCheck]:
         ``closed_form_distance`` the state's builder records: on circle rows
         sqrt(1 - max_j p_j), max_j p_j = C(k, k//2)^2 / C(2k, k).
     """
-    checks = []
     antidiagonal = config.submanifold == "antidiagonal"
-    if antidiagonal:
-        gap = abs(row.separable_distance - row.corollary_rhs)
-        checks.append(IdentityCheck(
-            name="distance_vs_entropy", k=row.k,
-            passed=gap <= config.tol_identity,
-            detail=f"|D - sqrt(1-e^-nu)| = {gap:.3e}"))
-    if config.model == "sphere":
-        checks.append(_binomial_square_sum_check(row.k))
-    if not antidiagonal:
-        gap = abs(row.separable_distance - row.closed_form_distance)
-        checks.append(IdentityCheck(
-            name="circle_distance_vs_closed_form", k=row.k,
-            passed=gap <= config.tol_identity,
-            detail=f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}"))
-    return checks
+    name, reference, formula = (
+        ("distance_vs_entropy", row.corollary_rhs, "sqrt(1-e^-nu)") if antidiagonal
+        else ("circle_distance_vs_closed_form", row.closed_form_distance,
+              "sqrt(1 - C(k,k//2)^2/C(2k,k))"))
+    gap = abs(row.separable_distance - reference)
+    distance = IdentityCheck(name=name, k=row.k, passed=gap <= config.tol_identity,
+                             detail=f"|D - {formula}| = {gap:.3e}")
+    binomial = [_binomial_square_sum_check(row.k)] if config.model == "sphere" else []
+    return [distance, *binomial] if antidiagonal else [*binomial, distance]
 
 
 def _fmt_float(x: float) -> str:

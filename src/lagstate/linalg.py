@@ -262,8 +262,8 @@ def svd(a: np.ndarray) -> SvdResult:
     if a.shape[1] != n:
         raise ValueError(f"svd input must be square, got shape {a.shape}")
     # Row j is column j of U; the first rotating sweep copies the input into
-    # w and appends column j of V, so a matrix that passes the first test is
-    # read in place.
+    # w, appends column j of V and builds the pair schedule, so a matrix that
+    # passes the first test is read in place and builds none.
     w = a.T
     del a
     sweeps = 0
@@ -274,7 +274,8 @@ def svd(a: np.ndarray) -> SvdResult:
                 f"worst off-diagonal ratio {worst:.3e}")
         if sweeps == 0:
             w = np.concatenate((w, np.eye(n, dtype=w.dtype)), axis=1)
-        for p, q in round_robin(n):
+            schedule = round_robin(n)
+        for p, q in schedule:
             _rotate_round(w, p, q)
         sweeps += 1
     v_rows = w[:, n:].copy() if sweeps else None

@@ -7,13 +7,15 @@ The Hilbert space for level k >= 3 is spanned by the k theta series
 j = 1..k, which are holomorphic and quasi-periodic for the lattice Z + iZ.
 The inner product integrates f conj(g) exp(-2 pi k y^2) over the fundamental
 square [0,1] x [0,1].  The x-integral is the trapezoid rule at its
-aliasing-free size 2k(2 n_max + 1) (``TorusGramResult.m_x``), applied in
-closed form; it makes the theta basis orthogonal, and the squared norm
-1/sqrt(2k) (the n-sum unfolds the y-integral to a Gaussian on the line) is
-independent of j and mu.  The orthonormal basis divides by that closed-form
-norm and only evaluates; :meth:`TorusModel.antidiagonal_gram` divides the
-Gram of :func:`gram_quadrature` by its square, so the normalized Gram's
-defect from the identity measures the quadrature against the closed form.
+aliasing-free size m_x = 2k(2 n_max + 1), applied in closed form; it makes
+the theta basis orthogonal, and the squared norm 1/sqrt(2k) (the n-sum
+unfolds the y-integral to a Gaussian on the line) is independent of j and
+mu.  The orthonormal basis divides by that closed-form norm and only
+evaluates.  :func:`gram_quadrature` returns the Gram with its resolution
+dict; :meth:`TorusModel.antidiagonal_gram` divides the Gram by the
+closed-form squared norm, so the normalized Gram's defect from the identity
+measures the quadrature against the closed form, and reports the resolution
+as the state's provenance.
 
 Truncation of the n-sum is certified: the returned tail bound dominates the
 dropped terms uniformly over |Im z| <= y_max.  Replacing q by q - round(q)
@@ -78,11 +80,9 @@ class TorusModel:
     def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
         """(raw Gram, normalized Gram, resolution) of the theta basis; the
         normalized Gram is the raw one over the closed-form squared norm."""
-        quad = gram_quadrature(self)
-        return quad.gram, quad.gram * math.sqrt(2.0 * self.k), {
-            "model": "torus", "k": self.k, "mu": self.mu,
-            "n_max": quad.n_max, "tail_bound": quad.tail_bound,
-            "m_x": quad.m_x, "n_y": quad.n_y, "y_bound": quad.y_bound}
+        gram, resolution = gram_quadrature(self)
+        return gram, gram * math.sqrt(2.0 * self.k), {
+            "model": "torus", "k": self.k, "mu": self.mu, **resolution}
 
 
 def theta_truncation(model: TorusModel, *,
@@ -149,25 +149,6 @@ def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> c
                                           + m * model.mu)))
 
 
-@dataclass(frozen=True)
-class TorusGramResult:
-    """Raw theta-basis Gram matrix, its resolution and its two certified
-    bounds: the series is cut at |n| <= n_max with a tail below tail_bound
-    on |Im z| <= 1, and the n_y-node y-rule errs below y_bound."""
-
-    gram: np.ndarray
-    n_max: int
-    tail_bound: float
-    n_y: int
-    y_bound: float
-
-    @property
-    def m_x(self) -> int:
-        """Size of the x-trapezoid that aliases no frequency of the truncated
-        theta products; the x-rule is applied in closed form at this size."""
-        return 2 * len(self.gram) * (2 * self.n_max + 1)
-
-
 def _y_bound(k: int, n_max: int, n: int) -> float:
     """Error bound of the n-point Gauss-Legendre y-rule on the Gram diagonal.
 
@@ -185,17 +166,21 @@ def _y_bound(k: int, n_max: int, n: int) -> float:
                          - np.log(np.expm1(2.0 * s)) - 2.0 * n * s).min()))
 
 
-def gram_quadrature(model: TorusModel) -> TorusGramResult:
-    """Theta-basis Gram matrix: x-rule in closed form, y by Gauss-Legendre.
+def gram_quadrature(model: TorusModel) -> tuple[np.ndarray, dict[str, Any]]:
+    """Theta-basis Gram matrix and its resolution, as (gram, resolution):
+    x-rule in closed form, y by Gauss-Legendre.
 
-    The x-trapezoid at its aliasing-free size (:attr:`TorusGramResult.m_x`)
-    is the Kronecker delta on all frequencies of the truncated products, so
-    off-diagonal entries are exact zeros.  The diagonal is integrated once,
-    by the smallest shared rule size of :func:`linalg.rule_size` whose
-    :func:`_y_bound` is at most THETA_TOL (2k)^(-1/2), i.e. THETA_TOL
-    relative to the closed-form squared norm; that bound is the one
-    reported.  Both the series tail and the y-rule are certified at
-    ``THETA_TOL``.
+    ``resolution`` is {"n_max", "tail_bound", "m_x", "n_y", "y_bound"}, in
+    that order.  The series is cut at |n| <= n_max with a tail below
+    tail_bound on |Im z| <= 1.  m_x = 2k(2 n_max + 1) is the size of the
+    x-trapezoid that aliases no frequency of the truncated theta products;
+    at that size the rule is the Kronecker delta on all of them, so it is
+    applied in closed form and off-diagonal entries are exact zeros.  The
+    diagonal is integrated once, by the n_y-node rule: the smallest shared
+    rule size of :func:`linalg.rule_size` whose :func:`_y_bound`, the
+    reported y_bound, is at most THETA_TOL (2k)^(-1/2), i.e. THETA_TOL
+    relative to the closed-form squared norm.  Both the series tail and the
+    y-rule are certified at ``THETA_TOL``.
     """
     k = model.k
     n_max, tail_bound = theta_truncation(model)
@@ -208,8 +193,8 @@ def gram_quadrature(model: TorusModel) -> TorusGramResult:
     # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
     terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
     gram = np.diag(terms.sum(axis=1) @ weights)
-    return TorusGramResult(gram=gram, n_max=n_max, tail_bound=tail_bound,
-                           n_y=n_y, y_bound=y_bound)
+    return gram, {"n_max": n_max, "tail_bound": tail_bound,
+                  "m_x": 2 * k * (2 * n_max + 1), "n_y": n_y, "y_bound": y_bound}
 
 
 @dataclass(frozen=True)

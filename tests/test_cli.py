@@ -15,8 +15,8 @@ from lagstate import cli, entanglement, sphere, states, torus
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
 from lagstate.sphere import exact_radial_count
 from lagstate.torus import TorusModel, theta_truncation
-from lagstate.cli import (CSV_HEADER, RunConfig, _parser, main, run,
-                          tolerance_breaches, verify_identities)
+from lagstate.cli import (CSV_HEADER, DEFAULT_TOL_IDENTITY, RunConfig, _parser,
+                          main, run, tolerance_breaches, verify_identities)
 
 CIRCLE_K2_ENTROPY = 0.8675632284814612
 
@@ -177,6 +177,37 @@ def test_verify_identities_binomial_exact():
         check = _binomial_square_sum_check(k)
         assert check.passed
         assert check.detail == "sum C(k,j)^2 = C(2k,k) (exact integers)"
+
+
+@pytest.mark.parametrize("tol_identity", [DEFAULT_TOL_IDENTITY, 0.0])
+@pytest.mark.parametrize("kwargs", [
+    dict(model="sphere", k_min=1, k_max=6),
+    dict(model="sphere", k_min=1, k_max=6, submanifold="circle"),
+    dict(model="torus", mu=0.37, k_min=3, k_max=6),
+])
+def test_verify_identities_line_order(kwargs, tol_identity):
+    # verify prints these lines in this order: on antidiagonal rows the
+    # distance check first, then the sphere's binomial check; on circle rows
+    # the binomial check first.  At tol_identity = 0 a nonzero gap fails.
+    config = RunConfig(tol_identity=tol_identity, **kwargs)
+    got, want = [], []
+    for row in run(config):
+        got += [(c.k, c.passed, c.name, c.detail)
+                for c in verify_identities(config, row)]
+        binomial = ([(row.k, True, "binomial_square_sum",
+                      "sum C(k,j)^2 = C(2k,k) (exact integers)")]
+                    if config.model == "sphere" else [])
+        if config.submanifold == "antidiagonal":
+            gap = abs(row.separable_distance - row.corollary_rhs)
+            want += [(row.k, gap <= tol_identity, "distance_vs_entropy",
+                      f"|D - sqrt(1-e^-nu)| = {gap:.3e}"), *binomial]
+        else:
+            gap = abs(row.separable_distance - row.closed_form_distance)
+            want += [*binomial, (row.k, gap <= tol_identity,
+                                 "circle_distance_vs_closed_form",
+                                 f"|D - sqrt(1 - C(k,k//2)^2/C(2k,k))| = {gap:.3e}")]
+    assert got == want
+    assert any(not passed for _, passed, _, _ in got) == (tol_identity == 0.0)
 
 
 def test_main_report_ok(capsys):
@@ -528,10 +559,10 @@ def _torus_gram_defect(monkeypatch, defect):
     exact = torus.gram_quadrature
 
     def shifted(model):
-        quad = exact(model)
-        gram = quad.gram.copy()
+        gram, resolution = exact(model)
+        gram = gram.copy()
         gram[0, 0] += defect / math.sqrt(2.0 * model.k)
-        return dataclasses.replace(quad, gram=gram)
+        return gram, resolution
 
     monkeypatch.setattr(torus, "gram_quadrature", shifted)
 

@@ -224,6 +224,26 @@ def test_svd_reports_sweeps_and_worst_ratio():
     assert (res.sweeps, res.worst_ratio) == (0, 0.0)
 
 
+def test_svd_builds_its_rotation_schedule_once(monkeypatch):
+    # The pair schedule depends on n alone: the first rotating sweep builds
+    # it and the later sweeps reuse it, and a matrix that passes the first
+    # Gram test builds none.
+    calls = []
+
+    def counted(n, exact=linalg.round_robin):
+        calls.append(n)
+        return exact(n)
+
+    monkeypatch.setattr(linalg, "round_robin", counted)
+    assert svd(column_graded_matrix(np.random.default_rng(80), 80)).sweeps > 1
+    assert calls == [81]
+    calls.clear()
+    diagonal = circle_state_quadrature(SphereModel(40)).normalized()
+    assert not (diagonal - np.diag(np.diag(diagonal))).any()
+    assert svd(diagonal).sweeps == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("k", [20, 40])
 def test_svd_column_graded_relative_accuracy(k):
     # Demmel-Veselic: on B D with D diagonal, one-sided Jacobi gets every

@@ -119,13 +119,27 @@ def test_torus_antidiagonal_state():
     # The resolution is certified, so provenance reports its bounds, and the
     # residual is the quadrature's defect from the closed-form norm.
     model = TorusModel(5, mu=0.37)
-    quad = gram_quadrature(model)
+    _, quad = gram_quadrature(model)
     prov = shifted.provenance
     assert "theta_tol" not in prov
-    assert prov["y_bound"] == quad.y_bound
-    assert prov["tail_bound"] == quad.tail_bound
+    assert prov["y_bound"] == quad["y_bound"]
+    assert prov["tail_bound"] == quad["tail_bound"]
     assert prov["closed_form_defect"] == identity_defect(
         model.antidiagonal_gram()[1])
+
+
+def test_torus_provenance_schema():
+    # The provenance keys, in order, that the CLI's JSON state dump and the
+    # benchmark read; the Gram quadrature's resolution is their slice after
+    # the model's own keys.
+    model = TorusModel(5, mu=0.37)
+    prov = antidiagonal_state(model).provenance
+    assert list(prov) == [
+        "model", "k", "mu", "n_max", "tail_bound", "m_x", "n_y", "y_bound",
+        "submanifold", "closed_form_defect", "closed_form_entropy",
+        "closed_form_distance"]
+    _, resolution = gram_quadrature(model)
+    assert list(prov.items())[3:8] == list(resolution.items())
 
 
 def test_builders_record_the_closed_form_entropy():
@@ -278,7 +292,7 @@ def test_builders_return_real_coefficients():
         assert svd(state.normalized()).left.dtype == np.float64
     assert circle_state_closed_form(4).dtype == np.float64
     assert gram_matrix(SphereModel(4)).dtype == np.float64
-    assert gram_quadrature(TorusModel(4)).gram.dtype == np.float64
+    assert gram_quadrature(TorusModel(4))[0].dtype == np.float64
 
 
 def test_circle_closed_form_matches_quadrature():

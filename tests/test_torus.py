@@ -130,8 +130,7 @@ def test_gaussian_weight_identity():
 def test_gram_structure():
     for k, mu in ((3, 0.0), (6, 0.37)):
         model = TorusModel(k, mu=mu)
-        res = gram_quadrature(model)
-        gram = res.gram
+        gram, _ = gram_quadrature(model)
         assert gram.shape == (k, k)
         assert max_abs(gram - gram.conj().T) <= 1e-12
         off = gram - np.diag(np.diag(gram))
@@ -144,8 +143,8 @@ def test_gram_structure():
 
 
 def test_gram_diag_is_mu_independent():
-    d0 = np.diag(gram_quadrature(TorusModel(5, mu=0.0)).gram).real
-    d1 = np.diag(gram_quadrature(TorusModel(5, mu=0.37)).gram).real
+    d0 = np.diag(gram_quadrature(TorusModel(5, mu=0.0))[0]).real
+    d1 = np.diag(gram_quadrature(TorusModel(5, mu=0.37))[0]).real
     assert max_abs(np.sort(d0) - np.sort(d1)) <= 1e-9
 
 
@@ -154,20 +153,21 @@ def test_gram_diag_is_mu_independent():
 def test_gram_matches_product_rule_oracle(k, mu):
     # The x-rule is applied in closed form; the full 2-D product rule at the
     # same resolution must agree, and off-diagonal entries are exact zeros.
-    res = gram_quadrature(TorusModel(k, mu=mu))
-    m_x = 2 * k * (2 * res.n_max + 1)
-    want = torus_gram_reference(k, mu, res.n_y, m_x)
-    assert max_abs(res.gram - want) <= 1e-13 * max_abs(want)
-    assert not (res.gram - np.diag(np.diag(res.gram))).any()
+    gram, res = gram_quadrature(TorusModel(k, mu=mu))
+    m_x = 2 * k * (2 * res["n_max"] + 1)
+    assert res["m_x"] == m_x
+    want = torus_gram_reference(k, mu, res["n_y"], m_x)
+    assert max_abs(gram - want) <= 1e-13 * max_abs(want)
+    assert not (gram - np.diag(np.diag(gram))).any()
 
 
 def test_gram_y_levels():
     # One y-level per Gram, sized in advance by the Bernstein-ellipse bound.
     for k, n_y in ((3, 64), (12, 64), (24, 64), (60, 64), (74, 64), (75, 128),
                    (200, 128), (1000, 256)):
-        res = gram_quadrature(TorusModel(k, mu=0.37))
-        assert res.n_y == n_y, k
-        assert res.y_bound <= THETA_TOL / math.sqrt(2.0 * k)
+        _, res = gram_quadrature(TorusModel(k, mu=0.37))
+        assert res["n_y"] == n_y, k
+        assert res["y_bound"] <= THETA_TOL / math.sqrt(2.0 * k)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.37, -1.2])
@@ -177,16 +177,17 @@ def test_gram_diag_matches_erf_closed_form(mu):
     # the bound certifies: at half of it the bound misses the target.
     for k in range(3, 201):
         model = TorusModel(k, mu=mu)
-        res = gram_quadrature(model)
+        gram, res = gram_quadrature(model)
+        n_max, n_y = res["n_max"], res["n_y"]
         target = THETA_TOL / math.sqrt(2.0 * k)
-        assert res.y_bound <= target
-        diag = np.diag(res.gram).real
+        assert res["y_bound"] <= target
+        diag = np.diag(gram).real
         for j in range(1, k + 1):
-            want = torus_gram_diag_reference(k, model.reduced_q(j), res.n_max)
+            want = torus_gram_diag_reference(k, model.reduced_q(j), n_max)
             assert abs(diag[j - 1] - want) <= target, (k, j)
-        assert res.n_y & (res.n_y - 1) == 0 and res.n_y >= RULE_FLOOR
-        if res.n_y > RULE_FLOOR:
-            assert _y_bound(k, res.n_max, res.n_y // 2) > target
+        assert n_y & (n_y - 1) == 0 and n_y >= RULE_FLOOR
+        if n_y > RULE_FLOOR:
+            assert _y_bound(k, n_max, n_y // 2) > target
 
 
 def test_gram_y_node_override():
@@ -195,17 +196,17 @@ def test_gram_y_node_override():
     # default Gram within the bound of each.
     model = TorusModel(12, mu=0.37)
     target = THETA_TOL / math.sqrt(24.0)
-    default = gram_quadrature(model)
-    n_max = default.n_max
+    gram, default = gram_quadrature(model)
+    n_max = default["n_max"]
     assert _y_bound(12, n_max, 28) <= target < _y_bound(12, n_max, 27)
-    assert _y_bound(12, n_max, 40) > default.y_bound
-    want = torus_gram_reference(12, 0.37, 28, default.m_x)
-    assert max_abs(default.gram - want) <= 2.0 * target
+    assert _y_bound(12, n_max, 40) > default["y_bound"]
+    want = torus_gram_reference(12, 0.37, 28, default["m_x"])
+    assert max_abs(gram - want) <= 2.0 * target
 
 
 def test_gram_large_k_is_finite():
     k = 200
-    diag = np.diag(gram_quadrature(TorusModel(k, mu=0.37)).gram).real
+    diag = np.diag(gram_quadrature(TorusModel(k, mu=0.37))[0]).real
     want = 1.0 / math.sqrt(2.0 * k)
     assert np.isfinite(diag).all()
     assert max_abs(diag - want) <= 1e-8 * want
@@ -224,16 +225,16 @@ def test_norm_oracle_matches_closed_form():
 def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
     basis = orthonormal_basis(model)
-    quad = gram_quadrature(model)
+    quad_gram, quad = gram_quadrature(model)
     gram, normalized, _ = model.antidiagonal_gram()
-    assert np.array_equal(gram, quad.gram)
+    assert np.array_equal(gram, quad_gram)
     assert identity_defect(normalized) <= 1e-7
     # The model's Gram quadrature checks the basis norms, y-rule bound
     # included, and the quadrature norms agree with the closed form.
-    assert quad.y_bound <= THETA_TOL / math.sqrt(10.0)
+    assert quad["y_bound"] <= THETA_TOL / math.sqrt(10.0)
     want = closed_form_norm(model)
     assert want == 10.0 ** -0.25
-    assert max_abs(np.sqrt(np.diag(quad.gram).real) - want) <= 1e-8 * want
+    assert max_abs(np.sqrt(np.diag(quad_gram).real) - want) <= 1e-8 * want
     # Normalized values are the raw series over the closed-form norm.
     z = 0.31 + 0.24j
     vals = basis.values(z)
@@ -270,7 +271,7 @@ def _closed_form_certificate(k, res, node_error, weight_error):
     rounding in the exponentials, both sums and the final scaling.
     """
     u = 2.0 ** -53
-    n_max, r = res.n_max, math.sqrt(2.0 * k)
+    n_max, r = res["n_max"], math.sqrt(2.0 * k)
     # Besides the nearest one, the points y + n + q lie at distances of at
     # least 1/2, 3/2, ... on each side of 0, where g and |g'| decrease.
     far = np.arange(12) + 0.5
@@ -280,8 +281,8 @@ def _closed_form_certificate(k, res, node_error, weight_error):
               + 2.0 * (4.0 * math.pi * k * far * g_far).sum())
     shift_error = node_error + (2 * n_max + 6) * u
     roundoff = (r * (sup_f * weight_error + sup_df * shift_error)
-                + (2 * n_max + res.n_y + 6) * u)
-    return r * res.y_bound + r * res.tail_bound ** 2 + roundoff
+                + (2 * n_max + res["n_y"] + 6) * u)
+    return r * res["y_bound"] + r * res["tail_bound"] ** 2 + roundoff
 
 
 @functools.cache
@@ -294,16 +295,16 @@ def test_gram_residual_is_closed_form_defect_within_certificate(mu):
     pytest.importorskip("mpmath")
     for k in range(3, 201):
         model = TorusModel(k, mu=mu)
-        res = gram_quadrature(model)
+        gram, res = gram_quadrature(model)
         residual = identity_defect(model.antidiagonal_gram()[1])
-        diag = np.diag(res.gram).real
+        diag = np.diag(gram).real
         assert residual == max_abs(diag * math.sqrt(2.0 * k) - 1.0)
         # The residual measures the quadrature, so it is nonzero at every
         # row but k = 4, mu = 0, where every diagonal entry rounds to the
         # closed form.
         assert residual > 0.0 or (k, mu) == (4, 0.0), (k, mu)
-        assert math.sqrt(2.0 * k) * res.y_bound <= THETA_TOL
-        bound = _closed_form_certificate(k, res, *_rule_defects(res.n_y))
+        assert math.sqrt(2.0 * k) * res["y_bound"] <= THETA_TOL
+        bound = _closed_form_certificate(k, res, *_rule_defects(res["n_y"]))
         assert residual <= bound < DEFAULT_TOL_GRAM["torus"], (k, residual, bound)
 
 
@@ -323,7 +324,7 @@ def test_y_rule_is_cached_read_only_gauss_legendre():
     # The sphere radial rule at k = 125 reads the same cached arrays, and
     # the torus default at k = 3 uses this size.
     assert sphere_quadrature(125)[0] is ys
-    assert gram_quadrature(TorusModel(3)).n_y == 64
+    assert gram_quadrature(TorusModel(3))[1]["n_y"] == 64
     assert not ys.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         ys[0] = 0.0
