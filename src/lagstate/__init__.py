@@ -10,13 +10,11 @@ and the identities tying the two together.
 from .linalg import SvdResult, frobenius_distance, hermitian_eigen, svd
 from .entanglement import (
     EntanglementReport,
-    SchmidtDecomposition,
     analyze,
     closest_separable,
     corollary_distance_identity,
     entropy,
     is_maximally_entangled,
-    schmidt,
 )
 from .sphere import (
     SphereModel,
@@ -27,7 +25,6 @@ from .sphere import (
     weighted_basis_values,
 )
 from .torus import (
-    TorusBasis,
     TorusModel,
     closed_form_norm,
     gram_quadrature,
@@ -50,14 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SvdResult", "svd", "hermitian_eigen", "frobenius_distance",
-    "SchmidtDecomposition", "EntanglementReport", "schmidt", "entropy",
-    "closest_separable",
+    "EntanglementReport", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
     "SphereModel", "sphere_quadrature", "basis_values",
     "weighted_basis_values", "gram_matrix", "monomial_gram",
-    "TorusModel", "TorusBasis", "theta_truncation", "theta_eval",
-    "gram_quadrature", "orthonormal_basis", "quasi_periodicity_factor",
-    "closed_form_norm",
+    "TorusModel", "theta_truncation", "theta_eval", "gram_quadrature",
+    "orthonormal_basis", "quasi_periodicity_factor", "closed_form_norm",
     "LagrangianState", "coherent_vector",
     "section_frame_value", "antidiagonal_state",
     "circle_state_quadrature", "circle_state_closed_form",

@@ -22,33 +22,6 @@ NORM_TOL = 1e-9
 MAX_ENTROPY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """v = sum_j alphas[j] * basis_left[:, j] (x) basis_right[:, j], one
-    term per nonzero Schmidt coefficient: for d x d coefficients of Schmidt
-    rank r, alphas is (r,) and both bases are (d, r)."""
-
-    alphas: np.ndarray
-    basis_left: np.ndarray
-    basis_right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis_left * self.alphas) @ self.basis_right.T
-
-
-def schmidt(coeffs: np.ndarray) -> SchmidtDecomposition:
-    """Schmidt decomposition of a (not necessarily normalized) state.
-
-    The coefficients are the nonzero singular values of the coefficient
-    matrix in descending order, so their count is the Schmidt rank r, and
-    the left/right bases are their r orthonormal singular vectors.  With
-    c = U S V^* the right basis holds the conjugated columns of V, so that
-    ``reconstruct`` resumes c without further conjugation.
-    """
-    res = svd(coeffs)
-    return SchmidtDecomposition(res.singular_values, res.left, res.right.conj())
-
-
 def _tail_norm(alphas: np.ndarray) -> float:
     return math.sqrt(math.fsum([a ** 2 for a in alphas[1:].tolist()]))
 
@@ -104,9 +77,9 @@ def closest_separable(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
     state; the distance is the Euclidean norm of the remaining Schmidt
     coefficients.
     """
-    dec = schmidt(coeffs)
-    u_s = (dec.basis_left[:, :1] * dec.alphas[:1]) @ dec.basis_right[:, :1].T
-    return u_s, _tail_norm(dec.alphas)
+    res = svd(coeffs)
+    s = res.singular_values
+    return (res.left[:, :1] * s[:1]) @ res.right[:, :1].conj().T, _tail_norm(s)
 
 
 def is_maximally_entangled(coeffs: np.ndarray) -> bool:

@@ -47,11 +47,11 @@ NEWTON_STEPS = 4
 @dataclass(frozen=True)
 class SvdResult:
     """Compact factorization a = left @ diag(singular_values) @ right.conj().T
-    of an n x n matrix of rank r: singular_values is (r,) and positive, left
-    and right are (n, r) with orthonormal columns.  The singular values are
-    computed by :func:`svd`; left and right are formed on first read and then
-    cached, so a caller that reads only the singular values never builds
-    them."""
+    of an n x n matrix of rank r, singular_values (r,) and positive, left and
+    right (n, r) with orthonormal columns: of a state's coefficients c, the
+    Schmidt decomposition c = sum_j s_j left[:, j] (x) conj(right[:, j]),
+    which ``reconstruct`` resumes.  Left and right are formed on first read
+    and cached, so reading only the singular values never builds them."""
 
     singular_values: np.ndarray
     sweeps: int          # rotating sweeps performed
@@ -91,6 +91,14 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def as_point(z: complex) -> complex:
+    """Validate an evaluation point as a finite complex number."""
+    z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError("evaluation point must be finite")
+    return z
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -30,8 +30,8 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import (GaussLegendreRule, gauss_legendre_01, identity_defect,
-                     rule_size)
+from .linalg import (GaussLegendreRule, as_point, gauss_legendre_01,
+                     identity_defect, rule_size)
 
 
 def binomials(k: int) -> list[int]:
@@ -98,9 +98,7 @@ def sphere_quadrature(k: int) -> GaussLegendreRule:
 def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
     """phi_j(z), j = 0..k, divided by (1 + |z|^2)^(k/2) when weighted;
     assembled in log space so large k stays finite."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("evaluation point must be finite")
+    z = as_point(z)
     k, r = model.k, abs(z)
     log_mag = 0.5 * model.log_amplitudes()
     shift = 0  # power of r taken out of the weight

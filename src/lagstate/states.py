@@ -36,6 +36,14 @@ class LagrangianState:
         return self.coeffs / self.raw_norm
 
 
+def _frame_scale(frame_scale: complex) -> complex:
+    """frame_scale as a complex number; ValueError unless finite, nonzero."""
+    alpha = complex(frame_scale)
+    if alpha == 0 or not np.isfinite(alpha):
+        raise ValueError(f"frame_scale must be finite and nonzero, got {alpha}")
+    return alpha
+
+
 def coherent_vector(model: SphereModel, z: complex,
                     frame_scale: complex = 1.0 + 0.0j) -> np.ndarray:
     """Coefficients of the coherent vector for the frame covector scaled by
@@ -45,7 +53,7 @@ def coherent_vector(model: SphereModel, z: complex,
     conj(phi_j(z)) / (1 + |z|^2)^(k/2); rescaling the frame by alpha
     multiplies all coefficients by conj(alpha)^k.
     """
-    scale = np.conj(complex(frame_scale)) ** model.k
+    scale = np.conj(_frame_scale(frame_scale)) ** model.k
     return scale * weighted_basis_values(model, z).conj()
 
 
@@ -60,7 +68,7 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
     if section.shape != (model.dim,):
         raise ValueError(
             f"section needs {model.dim} coefficients, got shape {section.shape}")
-    scale = complex(frame_scale) ** model.k
+    scale = _frame_scale(frame_scale) ** model.k
     return complex(scale * (section * weighted_basis_values(model, z)).sum())
 
 

@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import gauss_legendre_01, rule_size
+from .linalg import as_point, gauss_legendre_01, rule_size
 
 THETA_TOL = 1e-12
 MAX_TERMS = 64
@@ -122,9 +122,7 @@ def _theta_values(model: TorusModel, z: complex) -> np.ndarray:
     """All theta_j(z), j = 1..k, with a certified tail below THETA_TOL.  The
     largest term is about exp(pi k (Im z)^2): past k (Im z)^2 ~ 226 it is a
     ValueError."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("evaluation point must be finite")
+    z = as_point(z)
     k = model.k
     nq = _shifts(model, theta_truncation(model, y_max=max(1.0, abs(z.imag)))[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -143,8 +141,8 @@ def theta_eval(model: TorusModel, j: int, z: complex) -> complex:
 
 
 def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> complex:
-    """Multiplier relating theta(z + m + i n) to theta(z)."""
-    k = model.k
+    """Multiplier relating theta(z + m + i n) to theta(z); m, n integers."""
+    m, n, z, k = operator.index(m), operator.index(n), as_point(z), model.k
     return complex(np.exp(2j * math.pi * (-(k / 2.0) * (1j * n * n + 2.0 * n * z)
                                           + m * model.mu)))
 
@@ -197,22 +195,11 @@ def gram_quadrature(model: TorusModel) -> tuple[np.ndarray, dict[str, Any]]:
                   "m_x": 2 * k * (2 * n_max + 1), "n_y": n_y, "y_bound": y_bound}
 
 
-@dataclass(frozen=True)
-class TorusBasis:
-    """Orthonormal theta basis phi_j = theta_j / |theta_j| with the closed-form
-    norm; it only evaluates (the Gram that checks it is the model's)."""
-
-    model: TorusModel
-
-    def values(self, z: complex) -> np.ndarray:
-        """All phi_j(z), j = 1..k, with the theta tail below THETA_TOL."""
-        return _theta_values(self.model, z) / closed_form_norm(self.model)
-
-
-def orthonormal_basis(model: TorusModel) -> TorusBasis:
-    """The theta basis normalized by the closed-form norm (2k)^(-1/4); no
-    Gram is computed."""
-    return TorusBasis(model=model)
+def orthonormal_basis(model: TorusModel, z: complex) -> np.ndarray:
+    """All phi_j(z) = theta_j(z) / |theta_j|, j = 1..k, with the closed-form
+    norm (2k)^(-1/4) and the theta tail below THETA_TOL; no Gram is
+    computed."""
+    return _theta_values(model, z) / closed_form_norm(model)
 
 
 def closed_form_norm(model: TorusModel) -> float:

@@ -15,8 +15,8 @@ from conftest import (beta_monomial_norm, circle_diag_coefficient,
                       circle_spectrum_exact, parse_csv, random_state, random_unitary,
                       random_unit_vector, render_csv, separable_distance_minimized)
 from lagstate.cli import RunConfig, main, run
-from lagstate.entanglement import analyze, closest_separable, entropy, schmidt
-from lagstate.linalg import frobenius_distance, max_abs
+from lagstate.entanglement import analyze, closest_separable, entropy
+from lagstate.linalg import frobenius_distance, max_abs, svd
 from lagstate.sphere import (SphereModel, gram_residual, monomial_gram,
                              sphere_quadrature)
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
@@ -284,8 +284,7 @@ def test_c8_decomposition_and_serialization(tmp_path):
     for d in (2, 3, 5, 8, 13):
         for _ in range(4):
             c = random_state(rng, d)
-            dec = schmidt(c)
-            rec = max_abs(dec.reconstruct() - c)
+            rec = max_abs(svd(c).reconstruct() - c)
             worst_rec = max(worst_rec, rec)
             if rec > TOL_RECONSTRUCT:
                 failures.append(f"d={d}: reconstruction {rec:.3e}")

@@ -8,8 +8,8 @@ from conftest import (near_flat_state, partial_trace_2, random_state,
                       separable_distance_minimized)
 from lagstate.entanglement import (analyze, closest_separable,
                                    corollary_distance_identity, entropy,
-                                   is_maximally_entangled, schmidt)
-from lagstate.linalg import frobenius_distance, max_abs
+                                   is_maximally_entangled)
+from lagstate.linalg import frobenius_distance, max_abs, svd
 
 # Entropy of the circle state at k = 2, from the exact Schmidt spectrum
 # (1/6, 2/3, 1/6): (1/3) ln 6 + (2/3) ln(3/2).
@@ -19,24 +19,24 @@ CIRCLE_K2_ENTROPY = 0.8675632284814612
 def test_schmidt_flat_spectrum():
     for d in (2, 3, 4, 7):
         v = np.eye(d, dtype=complex) / math.sqrt(d)
-        dec = schmidt(v)
-        assert np.allclose(dec.alphas, np.full(d, 1.0 / math.sqrt(d)),
-                           atol=1e-14)
+        dec = svd(v)
+        assert np.allclose(dec.singular_values,
+                           np.full(d, 1.0 / math.sqrt(d)), atol=1e-14)
 
 
 def test_schmidt_product_state():
     rng = np.random.default_rng(0)
     a = random_unit_vector(rng, 5)
     b = random_unit_vector(rng, 5)
-    dec = schmidt(np.outer(a, b))
-    assert abs(dec.alphas[0] - 1.0) <= 1e-13
-    assert max_abs(dec.alphas[1:]) <= 1e-13
+    dec = svd(np.outer(a, b))
+    assert abs(dec.singular_values[0] - 1.0) <= 1e-13
+    assert max_abs(dec.singular_values[1:]) <= 1e-13
 
 
 def test_schmidt_diagonal_example():
     c = np.diag([1.0, 4.0, 1.0]) / math.sqrt(18.0)
-    dec = schmidt(c)
-    assert np.allclose(dec.alphas,
+    dec = svd(c)
+    assert np.allclose(dec.singular_values,
                        np.array([4.0, 1.0, 1.0]) / math.sqrt(18.0),
                        rtol=1e-14)
 
@@ -45,9 +45,9 @@ def test_schmidt_reconstruction():
     rng = np.random.default_rng(21)
     for d in (2, 3, 5, 9, 16):
         c = random_state(rng, d)
-        dec = schmidt(c)
+        dec = svd(c)
         assert max_abs(dec.reconstruct() - c) <= 1e-10
-        assert max_abs(dec.basis_left.conj().T @ dec.basis_left - np.eye(d)) <= 1e-12
+        assert max_abs(dec.left.conj().T @ dec.left - np.eye(d)) <= 1e-12
 
 
 def test_partial_trace_examples():
@@ -110,9 +110,9 @@ def test_closest_separable_maximally_entangled():
     u_s, dist = closest_separable(v)
     assert abs(dist - math.sqrt(3.0) / 2.0) <= 1e-12
     # The minimizer is a product state at the top Schmidt term.
-    dec = schmidt(u_s)
-    assert abs(dec.alphas[0] - 0.5) <= 1e-12
-    assert max_abs(dec.alphas[1:]) <= 1e-12
+    dec = svd(u_s)
+    assert abs(dec.singular_values[0] - 0.5) <= 1e-12
+    assert max_abs(dec.singular_values[1:]) <= 1e-12
 
 
 def test_closest_separable_of_product_state_is_itself():
@@ -124,10 +124,11 @@ def test_closest_separable_of_product_state_is_itself():
 
 
 def test_schmidt_rank_deficient_states():
-    # Schmidt terms exist only for nonzero coefficients: len(alphas) is the
-    # Schmidt rank.  The product state's two nonzero columns are equal bit
-    # for bit, so one rotation cancels one of them exactly; the diagonal
-    # state has 100 nonzero entries scattered among 300 exact zeros.
+    # Schmidt terms exist only for nonzero coefficients: the number of
+    # singular values is the Schmidt rank.  The product state's two nonzero
+    # columns are equal bit for bit, so one rotation cancels one of them
+    # exactly; the diagonal state has 100 nonzero entries scattered among 300
+    # exact zeros.
     rng = np.random.default_rng(16)
     a = random_unit_vector(rng, 5)
     b = np.zeros(5)
@@ -139,11 +140,12 @@ def test_schmidt_rank_deficient_states():
                               (np.outer(a, b), 1, 0.0),
                               (np.diag(values), 100,
                                math.sqrt(math.fsum(tail ** 2)))):
-        dec = schmidt(c)
-        assert len(dec.alphas) == rank
+        dec = svd(c)
+        s = dec.singular_values
+        assert len(s) == rank
         assert max_abs(dec.reconstruct() - c) <= 1e-12
         u_s, dist = closest_separable(c)
-        assert dist == math.sqrt(math.fsum(dec.alphas[1:] ** 2)) == distance
+        assert dist == math.sqrt(math.fsum(s[1:] ** 2)) == distance
         assert frobenius_distance(c, u_s) <= distance + 1e-12
     # The zero state is its own nearest product vector.
     u_s, _ = closest_separable(np.zeros((4, 4)))
@@ -162,9 +164,10 @@ def test_closest_separable_matches_minimization_oracle():
 def test_closest_separable_not_unique_for_flat_spectrum():
     # Any Schmidt pair of a maximally entangled state is equally close.
     v = np.eye(4, dtype=complex) / 2.0
-    dec = schmidt(v)
+    dec = svd(v)
     u_s, dist = closest_separable(v)
-    alt = dec.alphas[0] * np.outer(dec.basis_left[:, 1], dec.basis_right[:, 1])
+    alt = dec.singular_values[0] * np.outer(dec.left[:, 1],
+                                            dec.right[:, 1].conj())
     assert abs(frobenius_distance(v, alt) - dist) <= 1e-12
 
 
@@ -190,7 +193,7 @@ def test_separability_iff_zero_entropy_at_tolerance():
         near /= np.linalg.norm(near)
         generic = random_state(rng, d)
         for c in (near, generic):
-            alphas = schmidt(c).alphas
+            alphas = svd(c).singular_values
             assert (alphas[1] <= 1e-6) == (entropy(c) <= 1e-9)
 
 

@@ -86,7 +86,7 @@ def test_torus_basis_values_microbench(benchmark):
     model = TorusModel(24, mu=0.37)
 
     def point_values():
-        return orthonormal_basis(model).values(0.3 + 0.2j)
+        return orthonormal_basis(model, 0.3 + 0.2j)
 
     values = benchmark.pedantic(point_values, rounds=3, iterations=1)
     assert values.shape == (24,)

@@ -16,12 +16,14 @@ from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
                              circle_state_quadrature, coherent_vector,
                              section_frame_value)
 from lagstate.torus import (TorusModel, gram_quadrature, orthonormal_basis,
-                            theta_eval)
+                            quasi_periodicity_factor, theta_eval)
 
 # Every point evaluator of both models, as a function of the point alone.
 POINT_EVALUATORS = {
     "theta_eval": lambda z: theta_eval(TorusModel(3), 1, z),
-    "TorusBasis.values": lambda z: orthonormal_basis(TorusModel(3)).values(z),
+    "orthonormal_basis": lambda z: orthonormal_basis(TorusModel(3), z),
+    "quasi_periodicity_factor":
+        lambda z: quasi_periodicity_factor(TorusModel(3), z, 1, 1),
     "basis_values": lambda z: basis_values(SphereModel(3), z),
     "weighted_basis_values": lambda z: weighted_basis_values(SphereModel(3), z),
     "section_frame_value":
@@ -61,6 +63,25 @@ def test_coherent_vector_frame_scaling():
         got = coherent_vector(model, z, frame_scale=alpha)
         want = np.conj(alpha) ** k * coherent_vector(model, z)
         assert max_abs(got - want) <= 1e-14 * max(1.0, abs(alpha) ** k)
+
+
+FRAME_USERS = {
+    "coherent_vector": lambda alpha: coherent_vector(
+        SphereModel(3), 0.5, frame_scale=alpha),
+    "section_frame_value": lambda alpha: section_frame_value(
+        SphereModel(3), np.ones(4), 0.5, frame_scale=alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan),
+                                   0.0, 0j], ids=["nan", "inf", "nan_i", "zero",
+                                                  "complex_zero"])
+@pytest.mark.parametrize("user", FRAME_USERS)
+def test_frame_scale_must_be_finite_and_nonzero(user, alpha):
+    # A NaN scale would give an all-NaN vector and zero a zero vector;
+    # neither scales a frame.
+    with pytest.raises(ValueError, match="frame_scale must be finite and nonzero"):
+        FRAME_USERS[user](alpha)
 
 
 def test_reproducing_property():
@@ -222,12 +243,14 @@ def test_a_sphere_builder_holds_its_state_and_one_temporary(builder):
     assert peak <= 2.1 * 8 * d * d
 
 
-@pytest.mark.parametrize("builder", [antidiagonal_state, orthonormal_basis,
-                                     gram_quadrature])
-def test_torus_builders_take_no_theta_tolerance(builder):
+@pytest.mark.parametrize("builder,point", [
+    (antidiagonal_state, ()), (orthonormal_basis, (0.3 + 0.2j,)),
+    (gram_quadrature, ())],
+    ids=["antidiagonal_state", "orthonormal_basis", "gram_quadrature"])
+def test_torus_builders_take_no_theta_tolerance(builder, point):
     # The resolution is certified at THETA_TOL, so it is not a parameter.
     with pytest.raises(TypeError, match="theta_tol"):
-        builder(TorusModel(3), theta_tol=1e-3)
+        builder(TorusModel(3), *point, theta_tol=1e-3)
 
 
 @pytest.mark.parametrize("model_class", [SphereModel, TorusModel])

@@ -86,7 +86,7 @@ def test_theta_overflow_is_an_error(k, z):
     with pytest.raises(ValueError, match=f"k = {k}, Im z = {z.imag:g}"):
         theta_eval(model, 1, z)
     with pytest.raises(ValueError, match="overflows"):
-        orthonormal_basis(model).values(z)
+        orthonormal_basis(model, z)
 
 
 def test_theta_large_but_finite_value():
@@ -114,6 +114,14 @@ def test_quasi_periodicity():
                     factor = quasi_periodicity_factor(model, z, m, n)
                     scale = max(abs(shifted), abs(factor * base))
                     assert abs(shifted - factor * base) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("m,n", [(1.5, 0), (0, 1.5), (1.0, 0)])
+def test_quasi_periodicity_shift_is_a_lattice_point(m, n):
+    # Only a lattice shift m + i n has a multiplier; the integers are taken
+    # as the models take k, so an integral float is refused too.
+    with pytest.raises(TypeError):
+        quasi_periodicity_factor(TorusModel(3), 0.3 + 0.1j, m, n)
 
 
 def test_gaussian_weight_identity():
@@ -224,7 +232,6 @@ def test_norm_oracle_matches_closed_form():
 
 def test_orthonormal_basis():
     model = TorusModel(5, mu=0.37)
-    basis = orthonormal_basis(model)
     quad_gram, quad = gram_quadrature(model)
     gram, normalized, _ = model.antidiagonal_gram()
     assert np.array_equal(gram, quad_gram)
@@ -237,7 +244,7 @@ def test_orthonormal_basis():
     assert max_abs(np.sqrt(np.diag(quad_gram).real) - want) <= 1e-8 * want
     # Normalized values are the raw series over the closed-form norm.
     z = 0.31 + 0.24j
-    vals = basis.values(z)
+    vals = orthonormal_basis(model, z)
     for j in range(1, 6):
         direct = theta_eval(model, j, z) / want
         assert abs(vals[j - 1] - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -253,7 +260,7 @@ def test_point_evaluation_runs_no_gram_quadrature(monkeypatch):
     model = TorusModel(5, mu=0.37)
     z = 0.31 + 0.24j
     thetas = np.array([theta_eval(model, j, z) for j in range(1, 6)])
-    assert np.array_equal(orthonormal_basis(model).values(z),
+    assert np.array_equal(orthonormal_basis(model, z),
                           thetas / closed_form_norm(model))
     with pytest.raises(AssertionError, match="Gram quadrature"):
         model.antidiagonal_gram()
