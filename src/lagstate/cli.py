@@ -14,7 +14,8 @@ gated as it completes, so an error or an interrupt keeps the rows before it.
 tolerance.  ``gram``'s ``normalized_residual`` is an antidiagonal row's
 ``gram_residual``: both put the model's ``antidiagonal_gram`` through
 :func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
-reads (``COMMAND_FLAGS``); any other flag is a usage error.
+reads (``COMMAND_FLAGS``); any other flag is a usage error.  A call builds
+and runs only the parser of the subcommand it names (:func:`_parser`).
 
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
@@ -306,19 +307,27 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused: parse_args returns
-    a fresh namespace on every call."""
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, holding only its ``COMMAND_FLAGS``, or
+    with no command the top-level parser.  Each is built on first use and
+    reused: parse_args returns a fresh namespace on every call.  The top
+    level holds no flag of its own; its entries are the subcommands' parsers,
+    so an argv that reaches a command through it parses as that command's."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"lagstate {command}",
+                                         allow_abbrev=False,
+                                         argument_default=argparse.SUPPRESS)
+        for flag in COMMAND_FLAGS[command][1].split():
+            parser.add_argument(flag, **FLAGS[flag])
+        return parser
     parser = argparse.ArgumentParser(
         prog="lagstate", allow_abbrev=False,
         description="Entanglement sweeps for states built from Lagrangian "
                     "submanifolds of the sphere and torus models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
-                           argument_default=argparse.SUPPRESS)
-        for flag in flags.split():
-            p.add_argument(flag, **FLAGS[flag])
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=lambda command, **_: _parser(command))
+    for name, (help_text, _) in COMMAND_FLAGS.items():
+        sub.add_parser(name, help=help_text, command=name)
     return parser
 
 
@@ -330,7 +339,17 @@ def _stderr(line: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMAND_FLAGS:
+        # Only the named command's parser is built and run.  Leftovers are
+        # reported under the top-level usage line, as the full tree does.
+        command = argv[0]
+        args, extras = _parser(command).parse_known_args(argv[1:])
+        if extras:
+            _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:  # -h, no command or an unknown one
+        args = _parser().parse_args(argv)
+        command = args.command
     fmt, out = getattr(args, "fmt", "csv"), getattr(args, "out", None)
     try:
         config = _config_from_args(args)
@@ -338,10 +357,10 @@ def main(argv: list[str] | None = None) -> int:
         # Each write is flushed, so a failed one raises here, not at exit.
         with (contextlib.nullcontext(sys.stdout) if out is None
               else open(out, "w", encoding="utf-8")) as sink:
-            if args.command in ("report", "verify"):
+            if command in ("report", "verify"):
                 failed = False
                 for i, row in enumerate(run(config)):
-                    if args.command == "report":
+                    if command == "report":
                         text = render_row(fmt, row, first=i == 0)
                     else:
                         checks = verify_identities(config, row)
@@ -357,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
                     print("\n]", file=sink, flush=True)
                 return 1 if failed else 0
 
-            dump = _state_dump if args.command == "state" else _gram_dump
+            dump = _state_dump if command == "state" else _gram_dump
             meta, name, matrix, trailer = dump(config, config.k_min)
             if fmt == "json":
                 meta[f"{name}_real"] = matrix.real.tolist()

@@ -12,6 +12,7 @@ form in binomial coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -36,11 +37,18 @@ class LagrangianState:
         return self.coeffs / self.raw_norm
 
 
-def _frame_scale(frame_scale: complex) -> complex:
-    """frame_scale as a complex number; ValueError unless finite, nonzero."""
+# Natural logs of the smallest and the largest normal float.
+_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def _frame_scale(frame_scale: complex, k: int) -> complex:
+    """frame_scale as a complex number; ValueError unless it is finite and
+    nonzero and its k-th power, which scales the frame, is a normal float."""
     alpha = complex(frame_scale)
-    if alpha == 0 or not np.isfinite(alpha):
-        raise ValueError(f"frame_scale must be finite and nonzero, got {alpha}")
+    if (alpha == 0 or not np.isfinite(alpha)
+            or not _LOG_NORMAL[0] <= k * math.log(abs(alpha)) <= _LOG_NORMAL[1]):
+        raise ValueError(f"frame_scale must be finite and nonzero, with a k-th "
+                         f"power in the normal float range; got {alpha} at k = {k}")
     return alpha
 
 
@@ -53,7 +61,7 @@ def coherent_vector(model: SphereModel, z: complex,
     conj(phi_j(z)) / (1 + |z|^2)^(k/2); rescaling the frame by alpha
     multiplies all coefficients by conj(alpha)^k.
     """
-    scale = np.conj(_frame_scale(frame_scale)) ** model.k
+    scale = np.conj(_frame_scale(frame_scale, model.k)) ** model.k
     return scale * weighted_basis_values(model, z).conj()
 
 
@@ -68,7 +76,7 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
     if section.shape != (model.dim,):
         raise ValueError(
             f"section needs {model.dim} coefficients, got shape {section.shape}")
-    scale = _frame_scale(frame_scale) ** model.k
+    scale = _frame_scale(frame_scale, model.k) ** model.k
     return complex(scale * (section * weighted_basis_values(model, z)).sum())
 
 

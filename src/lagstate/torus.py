@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,6 +39,7 @@ import numpy as np
 from .linalg import as_point, gauss_legendre_01, rule_size
 
 THETA_TOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past it
 MAX_TERMS = 64
 # log rho over which the y-rule error bound is minimized.  Every rho gives a
 # valid bound, so the grid sets only its tightness; it brackets the optimum
@@ -141,10 +143,14 @@ def theta_eval(model: TorusModel, j: int, z: complex) -> complex:
 
 
 def quasi_periodicity_factor(model: TorusModel, z: complex, m: int, n: int) -> complex:
-    """Multiplier relating theta(z + m + i n) to theta(z); m, n integers."""
+    """Multiplier relating theta(z + m + i n) to theta(z); m, n integers.  Its
+    modulus is exp(pi k n (n + 2 Im z)): past the float range a ValueError."""
     m, n, z, k = operator.index(m), operator.index(n), as_point(z), model.k
-    return complex(np.exp(2j * math.pi * (-(k / 2.0) * (1j * n * n + 2.0 * n * z)
-                                          + m * model.mu)))
+    exponent = 2j * math.pi * (-(k / 2.0) * (1j * n * n + 2.0 * n * z) + m * model.mu)
+    if exponent.real > _LOG_FLOAT_MAX:
+        raise ValueError(f"quasi-periodicity multiplier overflows at k = {k}, "
+                         f"n = {n}, Im z = {z.imag:g}")
+    return complex(np.exp(exponent))
 
 
 def _y_bound(k: int, n_max: int, n: int) -> float:

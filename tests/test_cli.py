@@ -296,16 +296,127 @@ ALL_FLAGS = set().union(*COMMAND_FLAGS.values())
 
 
 def test_subcommand_flag_sets():
-    sub = next(a for a in _parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for command, parser in sub.choices.items():
+    for command in cli.COMMAND_FLAGS:
+        parser = _parser(command)
         options = {opt for action in parser._actions
                    for opt in action.option_strings} - {"-h", "--help"}
         assert options == COMMAND_FLAGS[command], command
         # The submanifold choices are the table's names, in its order.
         assert all(action.choices == tuple(cli.SUBMANIFOLDS)
                    for action in parser._actions if action.dest == "submanifold")
+    # The top level names each command, and its entry is the command's parser.
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(COMMAND_FLAGS)
+    assert all(parser is _parser(command) for command, parser in sub.choices.items())
+
+
+def _oracle_parser() -> argparse.ArgumentParser:
+    """The full tree: a top-level parser with one subparser per command,
+    each holding that command's flags, as the CLI built on every call."""
+    parser = argparse.ArgumentParser(
+        prog="lagstate", allow_abbrev=False,
+        description="Entanglement sweeps for states built from Lagrangian "
+                    "submanifolds of the sphere and torus models.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags) in cli.COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **cli.FLAGS[flag])
+    return parser
+
+
+class _Parsed(Exception):
+    pass
+
+
+def _config_or_error(args):
+    try:
+        return cli._config_from_args(args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["--help", "report"],
+    *[[command, "-h"] for command in cli.COMMAND_FLAGS],
+    ["plane"], ["plane", "--k", "3"], ["--k", "3", "report"],
+    ["--bogus", "report", "--k-max", "1"], ["--bogus", "report", "-h"],
+    ["report", "--k-max", "1", "--bogus", "-h"],
+    # Each flag of another subcommand.
+    *[[command, flag, *([] if flag == "--reproducible" else ["3"])]
+      for command, (_, flags) in cli.COMMAND_FLAGS.items()
+      for flag in sorted(ALL_FLAGS - set(flags.split()))],
+    ["report", "--repro"], ["report", "--form", "json"],
+    ["state", "--k", "3", "--mod", "torus"],
+    ["report", "--k-max"], ["state"], ["state", "--k"], ["gram", "--model", "torus"],
+    ["report", "--k-max", "x"], ["state", "--k", "2.5"], ["report", "--tol-gram", "abc"],
+    ["verify", "--mu", "1e"], ["report", "--model", "plane"],
+    ["state", "--k", "3", "--format", "xml"], ["report", "--submanifold", "line"],
+    ["report", "--model", "torus", "--mu=-1e-3", "--k-max", "3"],
+    ["report", "--model", "torus", "--mu", "-1.2"], ["report", "--mu", "-1.2"],
+    ["--", "report", "--k-max", "1"], ["--", "-h"], ["report", "--", "--k-max", "1"],
+    ["report", "--k-max", "1", "--"], ["report", "--k-max", "1", "--", "extra"],
+    ["report", "--k-max", "1", "--k-max", "2"], ["state", "--k", "3", "--k", "4"],
+    ["report", "--k-max=2", "--format=json", "--reproducible", "--out", "x.csv"],
+    ["verify", "--k-min", "2", "--tol-identity", "1e-3", "--submanifold", "circle"],
+    ["gram", "--k", "4", "--model", "torus", "--mu", "0.37", "--format", "json"],
+    ["state", "--k", "0"], ["report", "--model", "torus", "--submanifold", "circle"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "-")
+def test_main_parses_argv_as_the_full_tree(monkeypatch, capsys, argv):
+    # The same exit code, stdout and stderr as the full tree, and for an
+    # accepted argv the same flags and so the same RunConfig.
+    def stop(args):
+        raise _Parsed(args)
+
+    def outcome(parse):
+        try:
+            args, code = parse(), None
+        except _Parsed as parsed:
+            args, code = parsed.args[0], None
+        except SystemExit as exc:
+            args, code = None, exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, args
+
+    want = outcome(lambda: _oracle_parser().parse_args(list(argv)))
+    monkeypatch.setattr(cli, "_config_from_args", stop)
+    got = outcome(lambda: main(list(argv)))
+    monkeypatch.undo()
+    assert got[:3] == want[:3]
+    assert (got[3] is None) == (want[3] is None)
+    if want[3] is not None:
+        # A command's own parser does not record the command.
+        flags = [{key: value for key, value in vars(args).items() if key != "command"}
+                 for args in (got[3], want[3])]
+        assert flags[0] == flags[1]
+        assert _config_or_error(got[3]) == _config_or_error(want[3])
+
+
+def test_a_report_call_builds_only_the_report_parser(monkeypatch):
+    # Its -h and its 10 flags: no top-level parser, no other command's.
+    built = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *names, **kwargs):
+        built.append((self.prog, names))
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["report", "--k-max", "1", "--reproducible"]) == 0
+        assert cli._parser.cache_info().currsize == 1
+    finally:
+        cli._parser.cache_clear()
+    report_flags = cli.COMMAND_FLAGS["report"][1].split()
+    assert len(report_flags) == 10
+    assert built == [("lagstate report", ("-h", "--help")),
+                     *[("lagstate report", (flag,)) for flag in report_flags]]
 
 
 @pytest.mark.parametrize("command, flag", sorted(
@@ -787,8 +898,8 @@ def test_main_json_rows_stream_as_one_list(capsys, argv):
     # The rows are written one at a time, and read as json.dumps of the list
     # of their CSV columns.
     assert main(["report", "--format", "json", "--reproducible", *argv]) == 0
-    config = cli._config_from_args(_parser().parse_args(
-        ["report", "--reproducible", *argv]))
+    config = cli._config_from_args(_parser("report").parse_args(
+        ["--reproducible", *argv]))
     rows = [{name: getattr(row, name) for name in CSV_HEADER.split(",")}
             for row in run(config)]
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
@@ -1093,7 +1204,7 @@ def test_dump_formats_carry_the_same_matrix(capsys, argv, name, d):
 
 def test_main_calls_share_parser_not_state(capsys):
     from lagstate.cli import _parser
-    assert _parser() is _parser()
+    assert _parser("report") is _parser("report")
     assert main(["report", "--model", "torus", "--mu", "0.37", "--k-min", "3",
                  "--k-max", "4", "--reproducible"]) == 0
     torus_out = capsys.readouterr().out

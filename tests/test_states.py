@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,22 +67,38 @@ def test_coherent_vector_frame_scaling():
 
 
 FRAME_USERS = {
-    "coherent_vector": lambda alpha: coherent_vector(
-        SphereModel(3), 0.5, frame_scale=alpha),
-    "section_frame_value": lambda alpha: section_frame_value(
-        SphereModel(3), np.ones(4), 0.5, frame_scale=alpha),
+    "coherent_vector": lambda alpha, k=3: coherent_vector(
+        SphereModel(k), 0.5, frame_scale=alpha),
+    "section_frame_value": lambda alpha, k=3: section_frame_value(
+        SphereModel(k), np.ones(k + 1), 0.5, frame_scale=alpha),
 }
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan),
-                                   0.0, 0j], ids=["nan", "inf", "nan_i", "zero",
-                                                  "complex_zero"])
+@pytest.mark.parametrize("alpha, k", [
+    (math.nan, 3), (math.inf, 3), (complex(1.0, math.nan), 3), (0.0, 3), (0j, 3),
+    (1e10, 40), (1e-10, 40)], ids=["nan", "inf", "nan_i", "zero", "complex_zero",
+                                   "huge_power", "tiny_power"])
 @pytest.mark.parametrize("user", FRAME_USERS)
-def test_frame_scale_must_be_finite_and_nonzero(user, alpha):
+def test_frame_scale_must_be_finite_and_nonzero(user, alpha, k):
     # A NaN scale would give an all-NaN vector and zero a zero vector;
-    # neither scales a frame.
-    with pytest.raises(ValueError, match="frame_scale must be finite and nonzero"):
-        FRAME_USERS[user](alpha)
+    # neither scales a frame.  Nor does a scale whose k-th power leaves the
+    # normal floats: at k = 40, 1e10 ** 40 overflows to an all-NaN vector (or
+    # an OverflowError) and 1e-10 ** 40 underflows to a zero vector.
+    with pytest.raises(ValueError, match="^frame_scale must be finite and nonzero.* "
+                                         + re.escape(f"got {complex(alpha)} at k = {k}")):
+        FRAME_USERS[user](alpha, k)
+
+
+@pytest.mark.parametrize("alpha", [1e7, 1e-7, 1e7j])
+@pytest.mark.parametrize("user", FRAME_USERS)
+def test_frame_scale_power_inside_the_float_range(user, alpha):
+    # alpha^40 is 1e280 or 1e-280 in modulus: a normal float, so a frame.
+    alpha = complex(alpha)
+    want = np.conj(alpha) ** 40 if user == "coherent_vector" else alpha ** 40
+    base = FRAME_USERS[user](1.0, 40)
+    got = FRAME_USERS[user](alpha, 40)
+    assert np.all(got == want * base)
+    assert np.all(np.isfinite(got)) and np.any(got != 0)
 
 
 def test_reproducing_property():

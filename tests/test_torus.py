@@ -124,6 +124,15 @@ def test_quasi_periodicity_shift_is_a_lattice_point(m, n):
         quasi_periodicity_factor(TorusModel(3), 0.3 + 0.1j, m, n)
 
 
+def test_quasi_periodicity_factor_overflow_is_a_value_error():
+    # The multiplier's modulus is exp(pi k n (n + 2 Im z)): exp(10000 pi) at
+    # k = 100, n = 10, where exp(100 pi) at n = 1 is still a float.
+    with pytest.raises(ValueError, match=r"^quasi-periodicity multiplier overflows "
+                                         r"at k = 100, n = 10, Im z = 0$"):
+        quasi_periodicity_factor(TorusModel(100), 0.3, 0, 10)
+    assert math.isfinite(abs(quasi_periodicity_factor(TorusModel(100), 0.3, 0, 1)))
+
+
 def test_gaussian_weight_identity():
     rng = np.random.default_rng(23)
     for k in (3, 7):
