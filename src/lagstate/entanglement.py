@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eigen, svd
+from .linalg import as_matrix, frobenius_norm, hermitian_eigen, svd
 
 NORM_TOL = 1e-9
 # Default gap between the entropy and ln d within which a state counts as
@@ -50,10 +50,8 @@ def analyze(coeffs: np.ndarray) -> EntanglementReport:
     values are read.  The entropy -sum lam ln lam (nats) sums every
     eigenvalue above zero after clamping to [0, 1] (0 ln 0 = 0), by
     compensated summation.  The report holds no reference to ``coeffs``."""
-    c = as_matrix(coeffs, "state coefficients")
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {c.shape}")
-    norm = float(np.linalg.norm(c.ravel()))
+    c = as_matrix(coeffs, "analyze input")
+    norm = frobenius_norm(c)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |v| = {norm:.12g}")
     lam = np.clip(hermitian_eigen(c @ c.conj().T), 0.0, 1.0)

@@ -21,6 +21,7 @@ and it carries log t and log(1 - t) for log-space integrands.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ import numpy as np
 # Off-diagonal Gram ratio below which a column pair counts as orthogonal.
 JACOBI_TOL = 1e-13
 MAX_SWEEPS = 30
+_FLOAT = np.finfo(np.float64)
 # Hermitian defect, relative to the largest entry, that hermitian_eigen accepts.
 HERMITIAN_TOL = 1e-10
 # Smallest Gauss-Legendre rule the models build.  Building the 64-node rule
@@ -81,15 +83,17 @@ class SvdResult:
 
 
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate input as a finite 2-D array: complex input stays complex,
-    anything else becomes float64.  No copy is made when it already is one
-    of the two, so callers that keep or modify it copy it themselves."""
+    """Validate input as a 2-D, finite and square array, checked in that
+    order: complex input stays complex, anything else becomes float64, with
+    no copy when it already is either, so callers that modify it copy it."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a, np.float64), copy=False)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
@@ -131,12 +135,20 @@ def identity_defect(a: np.ndarray) -> float:
     return max(max_abs(a.diagonal() - 1.0), max_abs(off))
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """Frobenius norm by numpy's pairwise sum rather than a BLAS dot, whose
+    summation order, and so its last bits, follow the BLAS thread count.
+    Real entries are squared directly: x^2 = |x|^2 exactly."""
+    a = np.abs(a) if np.iscomplexobj(a) else a
+    return math.sqrt(float(np.sum(np.square(a, dtype=np.float64))))
+
+
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius (Hilbert-Schmidt) distance between equally shaped arrays."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm((a - b).ravel()))
+    return frobenius_norm(a - b)
 
 
 def rule_size(n_min: int) -> int:
@@ -262,13 +274,20 @@ def svd(a: np.ndarray) -> SvdResult:
     columns.  Only the r nonzero ones are kept, with their columns of U and
     V: shapes (n, r), (r,) and (n, r), U and V formed when first read.  A
     matrix whose columns pass the first test never accumulates V, which is
-    then the identity.  Raises ValueError on non-square or non-finite input,
-    and RuntimeError when ``MAX_SWEEPS`` rotating sweeps do not converge.
+    then the identity.  Badly scaled input is rescaled by a power of two.
+    Raises ValueError on non-square or non-finite input, and RuntimeError
+    when ``MAX_SWEEPS`` rotating sweeps do not converge.
     """
     a = as_matrix(a, "svd input")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"svd input must be square, got shape {a.shape}")
+    n = len(a)
+    # Rotations keep the squared Frobenius norm, in [m^2, n^2 m^2] for the
+    # largest entry m.  Unless n tiny <= m^2 <= max / (2 n^2), where twice a
+    # Gram entry is finite and the largest column's (>= m^2 / n) is normal,
+    # the input is scaled into [1/2, 1) by 2^-shift, in two normal halves.
+    m, shift = max_abs(a), 0
+    if m > 0.0 and not n * _FLOAT.tiny <= m * m <= _FLOAT.max / (2 * n * n):
+        shift = math.frexp(m)[1]
+        a = a * 2.0 ** -(shift // 2) * 2.0 ** (shift // 2 - shift)
     # Row j is column j of U; the first rotating sweep copies the input into
     # w, appends column j of V and builds the pair schedule, so a matrix that
     # passes the first test is read in place and builds none.
@@ -298,7 +317,7 @@ def svd(a: np.ndarray) -> SvdResult:
     scaled = np.multiply(u, np.ldexp(1.0, -e), order="C")
     del u
     norms = np.linalg.norm(scaled, axis=0)
-    sigma = np.ldexp(norms, e)
+    sigma = np.ldexp(norms, e + shift)
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     return SvdResult(singular_values=sigma[order], sweeps=sweeps,
                      worst_ratio=worst, scaled=scaled, norms=norms,
@@ -311,23 +330,14 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
     Thin wrapper over LAPACK's eigenvalue-only Hermitian solver; serves as
     the spectral cross-check for :func:`svd`.  Rejects input whose
     Hermitian defect max |h - h^*| exceeds ``HERMITIAN_TOL`` relative to its
-    largest entry; both are read from one d x d work array, h^* - h and
-    then, for complex input, |h|.
+    largest entry; the defect is read from one d x d work array, h^* - h.
     """
     h = as_matrix(h, "hermitian_eigen input")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"hermitian_eigen input must be square, got {h.shape}")
     # h^T in h's row-major layout, so the in-place steps run unbuffered.
     work = h.T.copy()
-    if np.iscomplexobj(h):
-        np.conjugate(work, out=work)
-        work -= h
-        # Each modulus is written over the work array, as its real part.
-        defect = float(np.abs(work, out=work).real.max(initial=0.0))
-        scale = float(np.abs(h, out=work).real.max(initial=0.0))
-    else:
-        work -= h
-        defect, scale = max_abs(work), max_abs(h)
+    np.conjugate(work, out=work)
+    work -= h
+    defect, scale = max_abs(work), max_abs(h)
     del work
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .linalg import identity_defect, max_abs
+from .linalg import frobenius_norm, identity_defect, max_abs
 from .sphere import SphereModel, binomials, weighted_basis_values
 # Not called here: the benchmark's tracer wraps these names in this module.
 from .sphere import gram_matrix, phase_average, sphere_quadrature  # noqa: F401
@@ -80,15 +80,6 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
     return complex(scale * (section * weighted_basis_values(model, z)).sum())
 
 
-def _frobenius_norm(coeffs: np.ndarray) -> float:
-    """Frobenius norm by numpy's pairwise sum rather than a BLAS dot, whose
-    summation order, and so its last bits, follow the BLAS thread count.
-    Real entries are squared directly: x^2 = |x|^2 exactly."""
-    if np.iscomplexobj(coeffs):
-        coeffs = np.abs(coeffs)
-    return math.sqrt(float(np.sum(np.square(coeffs))))
-
-
 def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     """State from the antidiagonal submanifold: the conjugated fiber pairing
     integrates to the model's normalized basis Gram, real and so its own
@@ -98,7 +89,7 @@ def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:
     d = len(coeffs)
     return LagrangianState(
         coeffs=coeffs,
-        raw_norm=_frobenius_norm(coeffs),
+        raw_norm=frobenius_norm(coeffs),
         provenance={**resolution, "submanifold": "antidiagonal",
                     "closed_form_defect": identity_defect(coeffs),
                     "closed_form_entropy": math.log(d),
@@ -123,7 +114,7 @@ def circle_state_quadrature(model: SphereModel) -> LagrangianState:
     diagonal = 2.0 * math.pi * np.array([(k + 1) * c / power
                                          for c in law.binomials])
     coeffs = np.diag(diagonal)
-    raw_norm = _frobenius_norm(coeffs)
+    raw_norm = frobenius_norm(coeffs)
     return LagrangianState(
         coeffs=coeffs,
         raw_norm=raw_norm,

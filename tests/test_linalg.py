@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import circle_schmidt_values_exact, column_graded_matrix
+from conftest import child_env, circle_schmidt_values_exact, column_graded_matrix
 from lagstate import linalg
+from lagstate.entanglement import analyze
 from lagstate.linalg import (HERMITIAN_TOL, JACOBI_TOL, SvdResult, as_matrix,
-                             frobenius_distance, hermitian_eigen,
-                             identity_defect, max_abs, round_robin, svd)
+                             frobenius_distance, frobenius_norm,
+                             hermitian_eigen, identity_defect, max_abs,
+                             round_robin, svd)
 from lagstate.sphere import SphereModel
 from lagstate.states import antidiagonal_state, circle_state_quadrature
 
@@ -97,8 +101,6 @@ def test_svd_deterministic():
 def test_svd_rejects_bad_input():
     with pytest.raises(ValueError, match="non-finite"):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="square"):
-        svd(np.ones((2, 3)))
     with pytest.raises(ValueError, match="2-D"):
         svd(np.ones(4))
 
@@ -149,6 +151,27 @@ def test_frobenius_distance_basics():
     assert abs(frobenius_distance(e1, e2) - math.sqrt(2.0)) <= 1e-15
     with pytest.raises(ValueError, match="shape mismatch"):
         frobenius_distance(np.ones(2), np.ones(3))
+
+
+def test_frobenius_distance_is_independent_of_blas_threads():
+    # A BLAS dot sums in an order that follows its thread count: through
+    # one, the real pair gave 2123.1108306606907 on one thread and
+    # 2123.11083066069 on two.
+    code = ("import numpy as np\n"
+            "from lagstate.linalg import frobenius_distance\n"
+            "a, b, c, d = np.random.default_rng(43).standard_normal("
+            "(4, 1500, 1500))\n"
+            "print(repr(frobenius_distance(a, b)))\n"
+            "print(repr(frobenius_distance(a + 1j * b, c + 1j * d)))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_frobenius_distance_to_top_schmidt_term():
@@ -280,6 +303,46 @@ def test_svd_subnormal_singular_values():
     assert np.array_equal(res.singular_values, values)
     assert np.array_equal(res.left, np.eye(3))
     assert np.array_equal(res.right, np.eye(3))
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e160, 2.0**-1070])
+def test_svd_of_badly_scaled_rank_one_input(s):
+    # The squares in the Gram test underflow or overflow at these scales,
+    # which once passed the column norms [sqrt(2) s, sqrt(2) s] off as
+    # converged singular values after no sweep.  The bound is two ulps of
+    # 2 s; at the subnormal 2 s = 2^-1069 it asks for the exact value.
+    res = svd(np.full((2, 2), s))
+    assert res.sweeps == 1
+    assert res.worst_ratio <= JACOBI_TOL
+    assert res.singular_values.shape == (1,)
+    assert abs(res.singular_values[0] - 2.0 * s) <= 2.0**-52 * 2.0 * s
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_svd_singular_values_scale_with_the_input(dtype):
+    # Largest modulus in [1/2, 1), where the input is read as it is; scaled
+    # by 2^+-600 it is scaled back to the same matrix, so the singular values
+    # scale exactly.  Scaled by 1e+-170 it is rounded once (u relative per
+    # entry, sqrt(5) u sigma_max in norm) and rescaled into another binade,
+    # where the rotations round differently: 1e-14 sigma_max leaves room
+    # for both (600 seeded 5 x 5 cases reached 1.9e-15), against errors of
+    # up to 175 % when the Gram test was run unscaled.
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((5, 5))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((5, 5))
+    a *= 2.0 ** -math.frexp(max_abs(a))[1]
+    ref = svd(a)
+    for s in (2.0**600, 2.0**-600):
+        assert np.array_equal(svd(a * s).singular_values,
+                              ref.singular_values * s)
+    for s in (1e170, 1e-170):
+        res = svd(a * s)
+        assert res.worst_ratio <= JACOBI_TOL
+        sigma = res.singular_values / s
+        assert max_abs(sigma - ref.singular_values) <= 1e-14 * sigma[0]
+        assert (frobenius_distance(res.reconstruct() / s, a)
+                <= 1e-12 * frobenius_norm(a))
 
 
 def test_svd_large_circle_state_is_full_rank():
@@ -590,3 +653,29 @@ def test_hermitian_eigen_tolerance_is_relative_to_the_largest_entry(dtype,
         else:
             with pytest.raises(ValueError, match="not Hermitian"):
                 hermitian_eigen(a)
+
+
+@pytest.mark.parametrize("entry", [analyze, svd, hermitian_eigen],
+                         ids=lambda f: f.__name__)
+def test_entry_points_reject_non_square_input(entry):
+    with pytest.raises(ValueError,
+                       match=rf"^{entry.__name__} input must be square"):
+        entry(np.ones((2, 3)))
+
+
+def test_hermitian_eigen_of_complex_input_holds_one_and_a_half_blocks():
+    # One d x d work array holds h^* - h; the largest moduli of it and of h
+    # are each read from a modulus array of half its size, one at a time.
+    # The eigenvalues are O(d), and LAPACK's workspace is not traced.
+    import tracemalloc
+    d = 301
+    rng = np.random.default_rng(37)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h, block = g + g.conj().T, 16 * d * d
+    tracemalloc.start()
+    try:
+        hermitian_eigen(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block + 64 * d
