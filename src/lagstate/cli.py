@@ -14,8 +14,11 @@ gated as it completes, so an error or an interrupt keeps the rows before it.
 tolerance.  ``gram``'s ``normalized_residual`` is an antidiagonal row's
 ``gram_residual``: both put the model's ``antidiagonal_gram`` through
 :func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
-reads (``COMMAND_FLAGS``); any other flag is a usage error.  A call builds
-and runs only the parser of the subcommand it names (:func:`_parser`).
+reads (``COMMAND_FLAGS``); any other flag is a usage error.  A call reads
+its flags straight from the ``FLAGS`` table (:func:`_read_flags`); only a
+call it cannot read exactly as argparse would, such as a help request or a
+usage error, imports argparse and builds the parser of the subcommand it
+names (:func:`_parser`), which prints the help or the error.
 
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
@@ -25,7 +28,6 @@ closed stdout (silently); 2 for invalid usage or an unwritable ``--out``;
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
@@ -35,12 +37,16 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Iterator
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from . import entanglement, sphere, states, torus
 from .linalg import identity_defect
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
@@ -292,7 +298,47 @@ COMMAND_FLAGS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _read_flags(command: str, tokens: list[str]) -> SimpleNamespace | None:
+    """``command``'s flags in ``tokens`` as its argparse parser would read
+    them, or None to leave the tokens to that parser.  Reads ``--flag value``,
+    ``--flag=value`` and a bare ``--reproducible`` of the command's own flags
+    only, with each flag's type, choices, dest and required keys; the last
+    occurrence wins.  Anything else is None: -h, --help, --, a positional,
+    an abbreviation or another command's flag, a missing value or one that
+    starts with "-", a value its type or choices reject, ``--reproducible=x``
+    and a missing required flag.  Raises nothing."""
+    own = COMMAND_FLAGS[command][1].split()
+    given: dict[str, Any] = {}  # flag -> value
+    rest = iter(tokens)
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag not in own:
+            return None
+        spec = FLAGS[flag]
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(FLAGS[flag].get("required") and flag not in given for flag in own):
+        return None
+    return SimpleNamespace(**{
+        FLAGS[flag].get("dest", flag[2:].replace("-", "_")): value
+        for flag, value in given.items()})
+
+
+def _config_from_args(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     """RunConfig from the flags given; unset ones keep RunConfig's defaults.
     The k range starts at the model's smallest k and ends at
     max(k_min, 10)."""
@@ -313,6 +359,8 @@ def _parser(command: str | None = None) -> argparse.ArgumentParser:
     reused: parse_args returns a fresh namespace on every call.  The top
     level holds no flag of its own; its entries are the subcommands' parsers,
     so an argv that reaches a command through it parses as that command's."""
+    import argparse  # only a call that needs its help or errors pays for it
+
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"lagstate {command}",
                                          allow_abbrev=False,
@@ -341,12 +389,15 @@ def _stderr(line: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in COMMAND_FLAGS:
-        # Only the named command's parser is built and run.  Leftovers are
-        # reported under the top-level usage line, as the full tree does.
         command = argv[0]
-        args, extras = _parser(command).parse_known_args(argv[1:])
-        if extras:
-            _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _read_flags(command, argv[1:])
+        if args is None:
+            # Only the named command's parser is built and run.  Leftovers
+            # are reported under the top-level usage line, as the full tree
+            # does.
+            args, extras = _parser(command).parse_known_args(argv[1:])
+            if extras:
+                _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     else:  # -h, no command or an unknown one
         args = _parser().parse_args(argv)
         command = args.command

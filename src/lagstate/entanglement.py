@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, hermitian_eigen, svd
+from .linalg import (as_matrix, frobenius_norm, hermitian_eigen, root_sum_squares,
+                     svd)
 
 NORM_TOL = 1e-9
 # Default gap between the entropy and ln d within which a state counts as
@@ -22,8 +23,15 @@ NORM_TOL = 1e-9
 MAX_ENTROPY_TOL = 1e-9
 
 
+def _fsum_squares(a: np.ndarray) -> float:
+    try:
+        return math.fsum([x ** 2 for x in a.tolist()])
+    except OverflowError:  # float power and fsum raise past the float range
+        return math.inf
+
+
 def _tail_norm(alphas: np.ndarray) -> float:
-    return math.sqrt(math.fsum([a ** 2 for a in alphas[1:].tolist()]))
+    return root_sum_squares(alphas[1:], _fsum_squares)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -135,12 +135,35 @@ def identity_defect(a: np.ndarray) -> float:
     return max(max_abs(a.diagonal() - 1.0), max_abs(off))
 
 
+def root_sum_squares(a: np.ndarray,
+                     sum_squares: Callable[[np.ndarray], float]) -> float:
+    """sqrt(sum_squares(a)) for a real array a, where ``sum_squares`` sums
+    the squares of its entries, inf past the float range.  The plain sum is
+    kept when it is normal and finite.  When it is zero with a nonzero
+    entry, subnormal or infinite, the squares under- or overflowed: the sum
+    is taken again on a scaled by the power of two of its largest modulus,
+    exactly, and the root is scaled back in two halves, so that neither
+    factor leaves the float range."""
+    total = sum_squares(a)
+    if not _FLOAT.tiny <= total < math.inf and (m := max_abs(a)) > 0.0:
+        e = math.frexp(m)[1]
+        root = math.sqrt(sum_squares(np.ldexp(a, -e)))
+        return root * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+    return math.sqrt(total)
+
+
+def _pairwise_sum_squares(a: np.ndarray) -> float:
+    with np.errstate(over="ignore"):  # an overflow is inf, rescaled above
+        return float(np.sum(np.square(a, dtype=np.float64)))
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm by numpy's pairwise sum rather than a BLAS dot, whose
     summation order, and so its last bits, follow the BLAS thread count.
-    Real entries are squared directly: x^2 = |x|^2 exactly."""
+    Real entries are squared directly: x^2 = |x|^2 exactly.  Safe from
+    under- and overflow (:func:`root_sum_squares`)."""
     a = np.abs(a) if np.iscomplexobj(a) else a
-    return math.sqrt(float(np.sum(np.square(a, dtype=np.float64))))
+    return root_sum_squares(a, _pairwise_sum_squares)
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -46,6 +46,9 @@ MAX_TERMS = 64
 # asinh(4n / (pi k)) / 2 (ignoring the 1/(rho^2 - 1) factor) for every
 # k < 10^7 at THETA_TOL.
 _LOG_RHO = np.geomspace(1e-3, 8.0, 256)
+# The terms of the y-rule bound that depend on log rho alone.
+_SINH_LOG_RHO_SQ = np.sinh(_LOG_RHO) ** 2
+_LOG_EXPM1_2LOG_RHO = np.log(np.expm1(2.0 * _LOG_RHO))
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,7 @@ class TorusModel:
 
     def reduced_q(self, j: int) -> float:
         self._check_index(j)
-        # fmod is exact and keeps q mod 1, but stops a large mu from
-        # swamping j / k in the division.
-        q = (math.fmod(self.mu, self.k) + j) / self.k
-        return q - round(q)
+        return float(_reduced_q(self, j))
 
     def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
         """(raw Gram, normalized Gram, resolution) of the theta basis; the
@@ -114,10 +114,19 @@ def theta_truncation(model: TorusModel, *,
         f"series terms for k = {model.k}, y_max = {y_max:g}")
 
 
+def _reduced_q(model: TorusModel, j: int | np.ndarray) -> float | np.ndarray:
+    """q_j = (mu + j)/k less its nearest integer, for an index or an index
+    array j."""
+    # fmod is exact and keeps q mod 1, but stops a large mu from swamping
+    # j / k in the division.
+    q = (math.fmod(model.mu, model.k) + j) / model.k
+    return q - np.round(q)
+
+
 def _shifts(model: TorusModel, n_max: int) -> np.ndarray:
     """The k x (2 n_max + 1) table of n + q_j; row j-1 belongs to theta_j."""
     return (np.arange(-n_max, n_max + 1)[None, :]
-            + np.array([model.reduced_q(j) for j in range(1, model.k + 1)])[:, None])
+            + _reduced_q(model, np.arange(1, model.k + 1))[:, None])
 
 
 def _theta_values(model: TorusModel, z: complex) -> np.ndarray:
@@ -164,10 +173,9 @@ def _y_bound(k: int, n_max: int, n: int) -> float:
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over the fixed
     grid of log rho.  The bound falls as n grows.
     """
-    s = _LOG_RHO
     return float(np.exp((math.log(32.0 / 15.0 * (2 * n_max + 1))
-                         + 0.5 * math.pi * k * np.sinh(s) ** 2
-                         - np.log(np.expm1(2.0 * s)) - 2.0 * n * s).min()))
+                         + 0.5 * math.pi * k * _SINH_LOG_RHO_SQ
+                         - _LOG_EXPM1_2LOG_RHO - 2.0 * n * _LOG_RHO).min()))
 
 
 def gram_quadrature(model: TorusModel) -> tuple[np.ndarray, dict[str, Any]]:

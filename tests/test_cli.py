@@ -363,6 +363,16 @@ ARGV_CORPUS = [
     ["verify", "--k-min", "2", "--tol-identity", "1e-3", "--submanifold", "circle"],
     ["gram", "--k", "4", "--model", "torus", "--mu", "0.37", "--format", "json"],
     ["state", "--k", "0"], ["report", "--model", "torus", "--submanifold", "circle"],
+    # Values argparse reads in its own way: empty, "-", negative numbers,
+    # an explicit empty or "="-holding value, a space in an int.
+    ["report", "--out", ""], ["report", "--out", "-"], ["report", "--out="],
+    ["report", "--mu", "-1e-3"], ["report", "--mu=-1e-3"], ["report", "--reproducible=1"],
+    ["report", "--k-max="], ["report", "--k-max=2=3"], ["report", "--k-max", " 2"],
+    ["report", "--k-max", "1", "-h"], ["report", "--k-max", "1", "--out", "-h"],
+    ["report", "--reproducible", "--k-max", "1", "--reproducible"],
+    ["state", "--model", "torus", "--mu", "0.37"], ["report"],
+    ["gram", "--k=4", "--format=csv"],
+    ["verify", "--k-min", "3", "--submanifold", "circle", "--out", "a=b"],
 ]
 
 
@@ -384,6 +394,14 @@ def test_main_parses_argv_as_the_full_tree(monkeypatch, capsys, argv):
         return code, captured.out, captured.err, args
 
     want = outcome(lambda: _oracle_parser().parse_args(list(argv)))
+    # The table reader accepts only argv that argparse accepts, with the
+    # same flags; the rest it leaves to argparse.
+    read = (cli._read_flags(argv[0], argv[1:])
+            if argv and argv[0] in cli.COMMAND_FLAGS else None)
+    if read is not None:
+        assert want[3] is not None
+        assert vars(read) == {key: value for key, value in vars(want[3]).items()
+                              if key != "command"}
     monkeypatch.setattr(cli, "_config_from_args", stop)
     got = outcome(lambda: main(list(argv)))
     monkeypatch.undo()
@@ -397,8 +415,10 @@ def test_main_parses_argv_as_the_full_tree(monkeypatch, capsys, argv):
         assert _config_or_error(got[3]) == _config_or_error(want[3])
 
 
-def test_a_report_call_builds_only_the_report_parser(monkeypatch):
-    # Its -h and its 10 flags: no top-level parser, no other command's.
+def test_a_report_call_builds_only_the_report_parser(monkeypatch, capsys):
+    # A well-formed call builds no parser.  A usage error builds its
+    # command's parser alone: its -h and its 10 flags, no top-level parser
+    # and no other command's.
     built = []
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -410,13 +430,35 @@ def test_a_report_call_builds_only_the_report_parser(monkeypatch):
     cli._parser.cache_clear()
     try:
         assert main(["report", "--k-max", "1", "--reproducible"]) == 0
+        assert cli._parser.cache_info().currsize == 0
+        assert built == []
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--k-max", "x"])
+        assert exc.value.code == 2
         assert cli._parser.cache_info().currsize == 1
     finally:
         cli._parser.cache_clear()
+    assert "invalid int value: 'x'" in capsys.readouterr().err
     report_flags = cli.COMMAND_FLAGS["report"][1].split()
     assert len(report_flags) == 10
     assert built == [("lagstate report", ("-h", "--help")),
                      *[("lagstate report", (flag,)) for flag in report_flags]]
+
+
+def test_a_well_formed_call_imports_no_argparse():
+    # Its flags are read from the FLAGS table, so neither argparse nor the
+    # locale module its messages would load is imported.
+    script = (
+        "import sys\n"
+        "from lagstate.cli import main\n"
+        "assert main(['report', '--k-max', '1', '--reproducible']) == 0\n"
+        "assert 'argparse' not in sys.modules\n"
+        "assert 'locale' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=child_env(),
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(CSV_HEADER)
 
 
 @pytest.mark.parametrize("command, flag", sorted(

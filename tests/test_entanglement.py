@@ -115,6 +115,22 @@ def test_closest_separable_maximally_entangled():
     assert max_abs(dec.singular_values[1:]) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e160])
+def test_closest_separable_of_badly_scaled_input(s):
+    # The squared tail s^2 underflows or overflows; the distance is s, within
+    # an ulp of the rounded square taken on the rescaled tail.
+    assert abs(closest_separable(np.diag([s, s]))[1] - s) <= 2.0**-52 * s
+
+
+def test_separable_distance_scales_exactly():
+    # svd's singular values scale exactly by 2^+-600, and the tail norm of
+    # them is taken again on the tail scaled back: the distance scales too.
+    c = random_state(np.random.default_rng(37), 5)
+    ref = closest_separable(c)[1]
+    for s in (2.0**600, 2.0**-600):
+        assert closest_separable(c * s)[1] == ref * s
+
+
 def test_closest_separable_of_product_state_is_itself():
     rng = np.random.default_rng(4)
     sep = np.outer(random_unit_vector(rng, 4), random_unit_vector(rng, 4))

@@ -153,6 +153,31 @@ def test_frobenius_distance_basics():
         frobenius_distance(np.ones(2), np.ones(3))
 
 
+@pytest.mark.parametrize("s", [1e-170, 1e160, 2.0**-1070, 1e300])
+def test_frobenius_norm_of_badly_scaled_input(s):
+    # The squares of these entries underflow to zero or a subnormal, or
+    # overflow (a RuntimeWarning, which the test settings make an error);
+    # the norm of the all-s 2 x 2 matrix is still 2 s, within an ulp.
+    for a in (np.full((2, 2), s), np.full((2, 2), 1j * s)):
+        assert abs(frobenius_norm(a) - 2.0 * s) <= 2.0**-52 * 2.0 * s
+        assert abs(frobenius_distance(a, -a) - 4.0 * s) <= 2.0**-52 * 4.0 * s
+    assert frobenius_norm(np.full((3, 3), 1.7e308)) == math.inf
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_frobenius_norm_scales_exactly(dtype):
+    # At 2^+-600 the plain sum of squares over- or underflows, and the sum is
+    # taken again on the input scaled back by a power of two: exact.
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((6, 6))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((6, 6))
+    ref = frobenius_norm(a)
+    for s in (2.0**600, 2.0**-600):
+        assert frobenius_norm(a * s) == ref * s
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+
+
 def test_frobenius_distance_is_independent_of_blas_threads():
     # A BLAS dot sums in an order that follows its thread count: through
     # one, the real pair gave 2123.1108306606907 on one thread and
