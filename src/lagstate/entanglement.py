@@ -24,9 +24,11 @@ MAX_ENTROPY_TOL = 1e-9
 
 
 def _fsum_squares(a: np.ndarray) -> float:
+    # x * x is one IEEE product, rounded the same on every platform; x ** 2
+    # calls the platform's pow, which may differ in the last bit.
     try:
-        return math.fsum([x ** 2 for x in a.tolist()])
-    except OverflowError:  # float power and fsum raise past the float range
+        return math.fsum([x * x for x in a.tolist()])
+    except OverflowError:  # fsum raises when its partial sums overflow
         return math.inf
 
 

@@ -10,6 +10,10 @@ exist only for the nonzero singular values.  It calls no LAPACK routine, so
 the Schmidt route through ``svd`` stays independent of the spectral route
 through ``hermitian_eigen``, which returns eigenvalues only, from LAPACK's
 Hermitian eigenvalue solver; the two are cross-checked against each other.
+Exactly diagonal input, whose off-diagonal entries are all exact zeros, as
+in every state the CLI builds, is read off its diagonal: ``hermitian_eigen``
+returns the sorted diagonal, exact, with no LAPACK call, and ``svd`` skips
+the Gram matrix of its first convergence test.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
 here too, with the policy that sizes it (:func:`rule_size`).  It is built in
 θ-form, by Newton steps on P_n(cos θ) with the weights from the same
@@ -123,16 +127,27 @@ def identity_defect(a: np.ndarray) -> float:
     F-contiguous input (other layouts are copied once; complex input forms
     its off-diagonal modulus)."""
     a = np.asarray(a)
-    n = len(a)
-    if a.shape != (n, n):
+    if a.shape != (len(a), len(a)):
         raise ValueError(f"identity_defect input must be square, got {a.shape}")
+    return max(max_abs(a.diagonal() - 1.0), max_abs(_off_diagonal(a)))
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square matrix, as an (n - 1, n) view
+    for C- or F-contiguous input (other layouts are copied once)."""
+    n = len(a)
     # The transpose has the same diagonal and off-diagonal entries.  In the
     # row-major flat array the diagonal sits every n + 1 entries, so the
     # entries between two of them are the rows of an (n - 1, n + 1) view
     # (for n = 0, reshape(-1, 1) of nothing: empty too).
     flat = (a.T if a.flags.f_contiguous else a).ravel()
-    off = flat[1:].reshape(n - 1, n + 1)[:, :n]
-    return max(max_abs(a.diagonal() - 1.0), max_abs(off))
+    return flat[1:].reshape(n - 1, n + 1)[:, :n]
+
+
+def _is_diagonal(a: np.ndarray) -> bool:
+    """Whether every off-diagonal entry of a square matrix is exactly zero:
+    a test for exact zeros, with no tolerance."""
+    return not _off_diagonal(a).any()
 
 
 def root_sum_squares(a: np.ndarray,
@@ -297,7 +312,9 @@ def svd(a: np.ndarray) -> SvdResult:
     columns.  Only the r nonzero ones are kept, with their columns of U and
     V: shapes (n, r), (r,) and (n, r), U and V formed when first read.  A
     matrix whose columns pass the first test never accumulates V, which is
-    then the identity.  Badly scaled input is rescaled by a power of two.
+    then the identity.  Columns whose off-diagonal entries are exact zeros
+    pass the first test without forming its Gram matrix.  Badly scaled input
+    is rescaled by a power of two.
     Raises ValueError on non-square or non-finite input, and RuntimeError
     when ``MAX_SWEEPS`` rotating sweeps do not converge.
     """
@@ -316,8 +333,10 @@ def svd(a: np.ndarray) -> SvdResult:
     # passes the first test is read in place and builds none.
     w = a.T
     del a
-    sweeps = 0
-    while (worst := _worst_ratio(w[:, :n])) > JACOBI_TOL:
+    # Columns whose off-diagonal entries are exact zeros are exactly
+    # orthogonal: the first test then reads 0.0 without the Gram matrix.
+    worst, sweeps = 0.0 if _is_diagonal(w) else _worst_ratio(w), 0
+    while worst > JACOBI_TOL:
         if sweeps == MAX_SWEEPS:
             raise RuntimeError(
                 f"jacobi svd did not converge in {MAX_SWEEPS} sweeps; "
@@ -328,6 +347,7 @@ def svd(a: np.ndarray) -> SvdResult:
         for p, q in schedule:
             _rotate_round(w, p, q)
         sweeps += 1
+        worst = _worst_ratio(w[:, :n])
     v_rows = w[:, n:].copy() if sweeps else None
     u = w[:, :n].T  # U in column layout again: the input if nothing rotated
     del w
@@ -354,6 +374,9 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
     the spectral cross-check for :func:`svd`.  Rejects input whose
     Hermitian defect max |h - h^*| exceeds ``HERMITIAN_TOL`` relative to its
     largest entry; the defect is read from one d x d work array, h^* - h.
+    Input whose off-diagonal entries are exact zeros (no tolerance) gets its
+    real diagonal, sorted, with no LAPACK call.  Those are LAPACK's bits too,
+    except on input so badly scaled that LAPACK rescales it and rounds.
     """
     h = as_matrix(h, "hermitian_eigen input")
     # h^T in h's row-major layout, so the in-place steps run unbuffered.
@@ -366,4 +389,11 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input is not Hermitian: max |h - h^*| = {defect:.3e} "
             f"(max entry {scale:.3e})")
+    # The eigenvalues of a diagonal h are its diagonal's real parts, the only
+    # part of the diagonal that LAPACK's Hermitian solver reads either.  A
+    # -0.0 among them goes to LAPACK, whose order of signed zeros no sort
+    # reproduces (numpy's may even turn 0.0 into -0.0).
+    diagonal = h.diagonal().real
+    if _is_diagonal(h) and not np.signbit(diagonal[diagonal == 0.0]).any():
+        return np.sort(diagonal)[::-1]
     return np.linalg.eigvalsh(h)[::-1]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import (near_flat_state, partial_trace_2, random_state,
                       random_unitary, random_unit_vector,
                       separable_distance_minimized)
-from lagstate.entanglement import (analyze, closest_separable,
+from lagstate.entanglement import (_fsum_squares, analyze, closest_separable,
                                    corollary_distance_identity, entropy,
                                    is_maximally_entangled)
 from lagstate.linalg import frobenius_distance, max_abs, svd
@@ -129,6 +130,19 @@ def test_separable_distance_scales_exactly():
     ref = closest_separable(c)[1]
     for s in (2.0**600, 2.0**-600):
         assert closest_separable(c * s)[1] == ref * s
+
+
+def test_tail_norm_squares_are_correctly_rounded():
+    # x * x is one IEEE product, correctly rounded on every platform, while
+    # x ** 2 calls the platform's pow, which may miss it in the last bit.
+    # On doubles where the two differ here, each square the tail norm sums
+    # must be the exact square, rounded once.
+    xs = [x for x in np.random.default_rng(41).random(200_000).tolist()
+          if x ** 2 != x * x][:50]
+    if not xs:
+        pytest.skip("x ** 2 == x * x on every sampled double on this platform")
+    for x in xs:
+        assert _fsum_squares(np.array([x])) == float(Fraction(x) ** 2)
 
 
 def test_closest_separable_of_product_state_is_itself():
@@ -301,9 +315,9 @@ def test_analyze_holds_two_state_sized_arrays_at_most():
     # The Schmidt analysis of a row needs at most two d x d arrays at once:
     # c c^T and the one work array of its Hermitian check in the eigensolve;
     # then, in the SVD, which reads c in place when its columns pass the
-    # first Gram test as every CLI state's do, that test's Gram, and later
-    # the scaled columns with the squares of their entries for the column
-    # norms.  The caller's c is not counted.  Everything else is O(d): the
+    # first test, the scaled columns with the squares of their entries for
+    # the column norms.  Every CLI state is exactly diagonal, so neither the
+    # eigensolve nor that first test forms a further d x d array.  The caller's c is not counted.  Everything else is O(d): the
     # spectrum, column norms and exponents, and the entropy terms as Python
     # floats, so 64 bytes per row bound the rest.
     import tracemalloc

@@ -14,6 +14,7 @@ from lagstate.linalg import (HERMITIAN_TOL, JACOBI_TOL, SvdResult, as_matrix,
                              round_robin, svd)
 from lagstate.sphere import SphereModel
 from lagstate.states import antidiagonal_state, circle_state_quadrature
+from lagstate.torus import TorusModel
 
 
 def test_svd_identity_input():
@@ -704,3 +705,90 @@ def test_hermitian_eigen_of_complex_input_holds_one_and_a_half_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block + 64 * d
+
+
+def _cli_state(kind, k, mu=0.37):
+    """Normalized coefficients of a state the CLI builds: exactly diagonal."""
+    if kind == "torus":
+        return antidiagonal_state(TorusModel(k, mu)).normalized()
+    build = antidiagonal_state if kind == "sphere" else circle_state_quadrature
+    return build(SphereModel(k)).normalized()
+
+
+@pytest.mark.parametrize("kind", ["sphere", "circle", "torus"])
+def test_analyze_of_a_cli_state_reads_its_diagonal(monkeypatch, kind):
+    # Off-diagonal entries that are exact zeros make the eigenvalues the
+    # diagonal and the columns orthogonal, so analyze calls neither LAPACK's
+    # eigensolver nor the Gram test.  One off-diagonal 1e-300, real or
+    # imaginary, is not zero and takes both again.
+    c = _cli_state(kind, 12)
+    eigvalsh, worst_ratio = np.linalg.eigvalsh, linalg._worst_ratio
+
+    def forbidden(*args):
+        raise AssertionError("dense path taken on exactly diagonal input")
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(linalg, "_worst_ratio", forbidden)
+    analyze(c)
+
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    monkeypatch.setattr(linalg, "_worst_ratio",
+                        counted("_worst_ratio", worst_ratio))
+    for entry in (1e-300, 1e-300j):
+        b = c.astype(type(entry))
+        b[0, 1] = entry
+        calls.clear()
+        analyze(b)
+        assert calls == ["eigvalsh", "_worst_ratio"]
+
+
+def _signed_zeros():
+    # numpy's sort may turn 0.0 into -0.0 beside a -0.0, and LAPACK's order
+    # of the two is its own: such a diagonal takes the LAPACK path.
+    return np.diag(np.resize([0.0, -0.0, 0.5, -0.0, 0.0, -0.25, 0.0], 40))
+
+
+def _cli_inputs(kind, k, mu=0.37):
+    """The inputs of a CLI row's two factorizations, c c^* and c."""
+    c = _cli_state(kind, k, mu)
+    return c @ c.conj().T, c
+
+
+def _as_both(d):
+    return d, d
+
+
+DIAGONAL_CASES = {
+    **{f"{kind} k={k}": (lambda kind=kind, k=k: _cli_inputs(kind, k))
+       for kind, ks in (("sphere", (1, 2, 7, 40, 300)),
+                        ("circle", (1, 2, 40, 300, 1500)),
+                        ("torus", (3, 24, 100))) for k in ks},
+    **{f"torus mu={mu} k=50": (lambda mu=mu: _cli_inputs("torus", 50, mu))
+       for mu in (0.0, -1.2)},
+    "ties": lambda: _as_both(np.diag([0.5, 0.25, 0.5, 0.25, 0.5])),
+    "zeros": lambda: _as_both(np.diag([0.0, 1.0, 0.0, 0.3, 0.0])),
+    "negative": lambda: _as_both(np.diag([-0.5, 0.25, -2.0, 0.25])),
+    "signed zeros": lambda: _as_both(_signed_zeros()),
+    "complex": lambda: _as_both(np.diag([0.5 + 1e-13j, 0.25 - 1e-14j, 0.125])),
+    "0 x 0": lambda: _as_both(np.zeros((0, 0))),
+    "1 x 1": lambda: _as_both(np.array([[0.7]])),
+}
+
+
+@pytest.mark.parametrize("make", DIAGONAL_CASES.values(), ids=DIAGONAL_CASES)
+def test_diagonal_input_matches_the_dense_path_bit_for_bit(monkeypatch, make):
+    # The circle state at k = 1500 holds weights that underflow to 0.0.
+    h, c = make()
+    fast = hermitian_eigen(h), svd(c)
+    monkeypatch.setattr(linalg, "_is_diagonal", lambda a: False)
+    dense = hermitian_eigen(h), svd(c)
+    assert fast[0].tobytes() == dense[0].tobytes()
+    assert fast[1].singular_values.tobytes() == dense[1].singular_values.tobytes()
+    assert (fast[1].sweeps, fast[1].worst_ratio) == (dense[1].sweeps,
+                                                     dense[1].worst_ratio)

@@ -1,10 +1,13 @@
 """Per-layer microbenchmark of the Jacobi SVD on the two kinds of state the
-CLI sweeps, a near-identity sphere state and the diagonal circle state,
-and on a column-graded matrix that makes it rotate.  ``svd`` computes the
-singular values only, as the separable distance reads them; the sphere
-state is timed once more with the singular vectors read as well.  The
-whole Schmidt analysis of a row, ``analyze`` with its separable distance,
-is timed on both states, and the circle builder on its own.  On the torus,
+CLI sweeps, the antidiagonal sphere state and the circle state, both exactly
+diagonal, and on a column-graded matrix that makes it rotate.  ``svd``
+computes the singular values only, as the separable distance reads them;
+the sphere state is timed once more with the singular vectors read as well.
+The whole Schmidt analysis of a row, ``analyze`` with its separable
+distance, is timed on both states, which it reads off their diagonals, and
+on the sphere state rotated into a dense matrix, which takes the general
+path (LAPACK's eigensolver and the Gram tests) that no CLI row reaches; the
+circle builder is timed on its own.  On the torus,
 the model's Gram (one quadrature) is timed apart from a point evaluation of
 its orthonormal basis, which computes no Gram.
 
@@ -54,10 +57,24 @@ def test_svd_vectors_microbench(benchmark):
     assert res.sweeps == 0
 
 
-@pytest.mark.parametrize("kind, k", [("sphere", 120), ("circle", 80)])
+def _haar_orthogonal(rng, d):
+    """Haar-random orthogonal matrix: the QR factor of a Gaussian matrix,
+    its column signs fixed by the diagonal of R."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(r.diagonal())
+
+
+@pytest.mark.parametrize("kind, k", [("sphere", 120), ("circle", 80),
+                                     ("dense", 120)])
 def test_analyze_microbench(benchmark, kind, k):
-    build = antidiagonal_state if kind == "sphere" else circle_state_quadrature
+    build = circle_state_quadrature if kind == "circle" else antidiagonal_state
     coeffs = build(SphereModel(k)).normalized()
+    if kind == "dense":
+        # The sphere state rotated on both factors: no longer diagonal, so
+        # the eigensolve goes to LAPACK and the SVD forms its Gram tests.
+        rng = np.random.default_rng(k)
+        coeffs = (_haar_orthogonal(rng, k + 1) @ coeffs
+                  @ _haar_orthogonal(rng, k + 1).T)
 
     def analyze_row():
         report = analyze(coeffs)
