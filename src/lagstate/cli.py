@@ -89,6 +89,8 @@ class RunConfig:
             tol = getattr(self, name)
             if tol is not None and not 0.0 <= tol < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+            if tol == 0.0:  # -0.0 passes the check but would print as -0
+                object.__setattr__(self, name, 0.0)
 
     @property
     def max_entropy_residual(self) -> float:

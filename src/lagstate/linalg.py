@@ -11,9 +11,12 @@ the Schmidt route through ``svd`` stays independent of the spectral route
 through ``hermitian_eigen``, which returns eigenvalues only, from LAPACK's
 Hermitian eigenvalue solver; the two are cross-checked against each other.
 Exactly diagonal input, whose off-diagonal entries are all exact zeros, as
-in every state the CLI builds, is read off its diagonal: ``hermitian_eigen``
-returns the sorted diagonal, exact, with no LAPACK call, and ``svd`` skips
-the Gram matrix of its first convergence test.
+in every state the CLI builds, is tested for first and then read off its
+diagonal in O(d), with the bits of the dense path: ``hermitian_eigen`` takes
+its Hermitian check from the diagonal and returns it sorted, exact, with no
+LAPACK call; ``svd`` skips the Gram matrix of its first convergence test and
+reads its scale, column maxima and column norms off the diagonal; and
+``identity_defect`` reads only the diagonal's gap to 1.
 The Gauss-Legendre rule on [0, 1] that both models integrate with lives
 here too, with the policy that sizes it (:func:`rule_size`).  It is built in
 θ-form, by Newton steps on P_n(cos θ) with the weights from the same
@@ -124,12 +127,16 @@ def identity_defect(a: np.ndarray) -> float:
     Gram matrix, and of the antidiagonal state built from it, from its closed
     form.  Taken as the larger of the diagonal's gap to 1 and the largest
     off-diagonal modulus, so no d x d array is formed for real C- or
-    F-contiguous input (other layouts are copied once; complex input forms
-    its off-diagonal modulus)."""
+    F-contiguous input (other layouts are copied; complex input forms its
+    off-diagonal modulus).  An off-diagonal of exact zeros, as in every
+    state the CLI builds, is only tested: the gap alone is the defect."""
     a = np.asarray(a)
     if a.shape != (len(a), len(a)):
         raise ValueError(f"identity_defect input must be square, got {a.shape}")
-    return max(max_abs(a.diagonal() - 1.0), max_abs(_off_diagonal(a)))
+    gap = max_abs(a.diagonal() - 1.0)
+    if _is_diagonal(a):
+        return gap
+    return max(gap, max_abs(_off_diagonal(a)))
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -312,19 +319,25 @@ def svd(a: np.ndarray) -> SvdResult:
     columns.  Only the r nonzero ones are kept, with their columns of U and
     V: shapes (n, r), (r,) and (n, r), U and V formed when first read.  A
     matrix whose columns pass the first test never accumulates V, which is
-    then the identity.  Columns whose off-diagonal entries are exact zeros
-    pass the first test without forming its Gram matrix.  Badly scaled input
-    is rescaled by a power of two.
+    then the identity.  Input whose off-diagonal entries are exact zeros
+    passes the first test without forming its Gram matrix, and its scale,
+    column maxima and column norms are read off its diagonal, with the same
+    bits.  Badly scaled input is rescaled by a power of two.
     Raises ValueError on non-square or non-finite input, and RuntimeError
     when ``MAX_SWEEPS`` rotating sweeps do not converge.
     """
     a = as_matrix(a, "svd input")
     n = len(a)
+    # Columns whose off-diagonal entries are exact zeros are exactly
+    # orthogonal, and the power-of-two rescale below keeps those zeros, so
+    # this one test decides the path: the first convergence test then reads
+    # 0.0 without the Gram matrix, and the largest entry is the diagonal's.
+    diagonal = _is_diagonal(a)
     # Rotations keep the squared Frobenius norm, in [m^2, n^2 m^2] for the
     # largest entry m.  Unless n tiny <= m^2 <= max / (2 n^2), where twice a
     # Gram entry is finite and the largest column's (>= m^2 / n) is normal,
     # the input is scaled into [1/2, 1) by 2^-shift, in two normal halves.
-    m, shift = max_abs(a), 0
+    m, shift = max_abs(a.diagonal() if diagonal else a), 0
     if m > 0.0 and not n * _FLOAT.tiny <= m * m <= _FLOAT.max / (2 * n * n):
         shift = math.frexp(m)[1]
         a = a * 2.0 ** -(shift // 2) * 2.0 ** (shift // 2 - shift)
@@ -333,9 +346,7 @@ def svd(a: np.ndarray) -> SvdResult:
     # passes the first test is read in place and builds none.
     w = a.T
     del a
-    # Columns whose off-diagonal entries are exact zeros are exactly
-    # orthogonal: the first test then reads 0.0 without the Gram matrix.
-    worst, sweeps = 0.0 if _is_diagonal(w) else _worst_ratio(w), 0
+    worst, sweeps = 0.0 if diagonal else _worst_ratio(w), 0
     while worst > JACOBI_TOL:
         if sweeps == MAX_SWEEPS:
             raise RuntimeError(
@@ -356,10 +367,18 @@ def svd(a: np.ndarray) -> SvdResult:
     # U is the scaled column over its scaled norm, never over a subnormal.
     # The product is a new row-major array, so the column norms sum in the
     # same order whatever the input's layout, and no factor aliases it.
-    e = np.maximum(np.frexp(np.abs(u).max(axis=0, initial=0.0))[1], -1021)
+    # On a diagonal, a column's largest modulus is its diagonal entry's, and
+    # its norm the root of that entry's squared modulus: the one nonzero term
+    # of the sum that np.linalg.norm takes, (x^* x).real, so the same bits.
+    top = np.abs(u.diagonal()) if diagonal else np.abs(u).max(axis=0, initial=0.0)
+    e = np.maximum(np.frexp(top)[1], -1021)
     scaled = np.multiply(u, np.ldexp(1.0, -e), order="C")
     del u
-    norms = np.linalg.norm(scaled, axis=0)
+    if diagonal:
+        y = scaled.diagonal()
+        norms = np.sqrt((y.conj() * y).real)
+    else:
+        norms = np.linalg.norm(scaled, axis=0)
     sigma = np.ldexp(norms, e + shift)
     order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
     return SvdResult(singular_values=sigma[order], sweeps=sweeps,
@@ -374,26 +393,35 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
     the spectral cross-check for :func:`svd`.  Rejects input whose
     Hermitian defect max |h - h^*| exceeds ``HERMITIAN_TOL`` relative to its
     largest entry; the defect is read from one d x d work array, h^* - h.
-    Input whose off-diagonal entries are exact zeros (no tolerance) gets its
-    real diagonal, sorted, with no LAPACK call.  Those are LAPACK's bits too,
+    Input whose off-diagonal entries are exact zeros (no tolerance) forms no
+    work array: its defect is twice its largest imaginary part and its
+    largest entry the diagonal's, the same numbers.  It gets its real
+    diagonal, sorted, with no LAPACK call.  Those are LAPACK's bits too,
     except on input so badly scaled that LAPACK rescales it and rounds.
     """
     h = as_matrix(h, "hermitian_eigen input")
-    # h^T in h's row-major layout, so the in-place steps run unbuffered.
-    work = h.T.copy()
-    np.conjugate(work, out=work)
-    work -= h
-    defect, scale = max_abs(work), max_abs(h)
-    del work
+    diagonal = _is_diagonal(h)
+    if diagonal:
+        # h^* - h is zero off the diagonal and -2i Im h_jj on it.
+        entries = h.diagonal()
+        defect, scale = 2.0 * max_abs(entries.imag), max_abs(entries)
+    else:
+        # h^T in h's row-major layout, so the in-place steps run unbuffered.
+        work = h.T.copy()
+        np.conjugate(work, out=work)
+        work -= h
+        defect, scale = max_abs(work), max_abs(h)
+        del work
     if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"input is not Hermitian: max |h - h^*| = {defect:.3e} "
             f"(max entry {scale:.3e})")
-    # The eigenvalues of a diagonal h are its diagonal's real parts, the only
-    # part of the diagonal that LAPACK's Hermitian solver reads either.  A
-    # -0.0 among them goes to LAPACK, whose order of signed zeros no sort
-    # reproduces (numpy's may even turn 0.0 into -0.0).
-    diagonal = h.diagonal().real
-    if _is_diagonal(h) and not np.signbit(diagonal[diagonal == 0.0]).any():
-        return np.sort(diagonal)[::-1]
+    if diagonal:
+        # The eigenvalues of a diagonal h are its diagonal's real parts, the
+        # only part of the diagonal that LAPACK's Hermitian solver reads
+        # either.  A -0.0 among them goes to LAPACK, whose order of signed
+        # zeros no sort reproduces (numpy's may even turn 0.0 into -0.0).
+        values = entries.real
+        if not np.signbit(values[values == 0.0]).any():
+            return np.sort(values)[::-1]
     return np.linalg.eigvalsh(h)[::-1]

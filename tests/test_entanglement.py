@@ -311,20 +311,10 @@ def test_analyze_keeps_its_own_copy():
     assert abs(report.separable_distance - math.sqrt(3.0) / 2.0) <= 1e-15
 
 
-def test_analyze_holds_two_state_sized_arrays_at_most():
-    # The Schmidt analysis of a row needs at most two d x d arrays at once:
-    # c c^T and the one work array of its Hermitian check in the eigensolve;
-    # then, in the SVD, which reads c in place when its columns pass the
-    # first test, the scaled columns with the squares of their entries for
-    # the column norms.  Every CLI state is exactly diagonal, so neither the
-    # eigensolve nor that first test forms a further d x d array.  The caller's c is not counted.  Everything else is O(d): the
-    # spectrum, column norms and exponents, and the entropy terms as Python
-    # floats, so 64 bytes per row bound the rest.
+def _analyze_peak(c):
+    """tracemalloc peak of analyze(c) and its separable distance, the
+    caller's c not counted."""
     import tracemalloc
-    from lagstate.sphere import SphereModel
-    from lagstate.states import antidiagonal_state
-    c = antidiagonal_state(SphereModel(300)).normalized()
-    d, block = len(c), 8 * c.size
     tracemalloc.start()
     try:
         report = analyze(c)
@@ -332,8 +322,46 @@ def test_analyze_holds_two_state_sized_arrays_at_most():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * block + 64 * d
     assert all(np.ndim(v) < 2 for v in vars(report).values())
+    return peak
+
+
+def test_analyze_holds_two_state_sized_arrays_at_most():
+    # The Schmidt analysis of a dense row needs at most two d x d arrays at
+    # once: c c^T and the one work array of its Hermitian check in the
+    # eigensolve; then, in the SVD, which reads c in place when its columns
+    # pass the first test, the Gram matrix of that test, and later the
+    # scaled columns with the squares of their entries for the column norms.
+    # A rotation on the first factor alone makes the state dense and keeps
+    # its columns orthogonal.  Everything else is O(d): the spectrum, column
+    # norms and exponents, and the entropy terms as Python floats, so 64
+    # bytes per row bound the rest.
+    from lagstate.sphere import SphereModel
+    from lagstate.states import antidiagonal_state
+    c = antidiagonal_state(SphereModel(300)).normalized()
+    q, _ = np.linalg.qr(np.random.default_rng(300).standard_normal(c.shape))
+    c = q @ c
+    d, block = len(c), 8 * c.size
+    assert svd(c).sweeps == 0
+    assert _analyze_peak(c) <= 2 * block + 64 * d
+
+
+@pytest.mark.parametrize("kind", ["sphere", "circle", "torus"])
+def test_analyze_of_a_diagonal_state_holds_one_state_sized_array(kind):
+    # An exactly diagonal state, as the CLI builds, is read off its diagonal
+    # after c c^T: the Hermitian check forms no work array and the SVD only
+    # its scaled columns, after c c^T is freed.
+    from lagstate.sphere import SphereModel
+    from lagstate.states import antidiagonal_state, circle_state_quadrature
+    from lagstate.torus import TorusModel
+    d = 301
+    if kind == "torus":
+        c = antidiagonal_state(TorusModel(d, 0.37)).normalized()
+    else:
+        build = antidiagonal_state if kind == "sphere" else circle_state_quadrature
+        c = build(SphereModel(d - 1)).normalized()
+    assert c.shape == (d, d)
+    assert _analyze_peak(c) <= 1.2 * 8 * d * d + 64 * d
 
 
 def test_entropy_counts_every_positive_eigenvalue():

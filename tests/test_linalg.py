@@ -592,16 +592,23 @@ def test_identity_defect_is_the_largest_entry_of_a_minus_identity(layout,
     # give exactly the largest |a - I| in every layout.  A dominant entry
     # put at each position in turn reads differently on the diagonal (|x - 1|)
     # and off it (|x|), so a misplaced diagonal shows.
+    # Diagonal input, with +0.0 and -0.0 off the diagonal, is read from its
+    # diagonal alone and must agree too.
     rng = np.random.default_rng(17)
     big = -3.0j if dtype is complex else -3.0
     for n in (0, 1, 2, 5):
         base = np.eye(n, dtype=dtype) + 1e-3 * rng.standard_normal((n, n))
         if dtype is complex:
             base += 1e-3j * rng.standard_normal((n, n))
-        cases = [base]
+        diagonal = np.diag(base.diagonal())
+        diagonal[~np.eye(n, dtype=bool)] = np.resize([-0.0, 0.0], n * n - n)
+        cases = [base, diagonal]
         for i, j in np.ndindex(n, n):
             cases.append(base.copy())
             cases[-1][i, j] = big
+        for i in range(n):
+            cases.append(diagonal.copy())
+            cases[-1][i, i] = big
         for b in cases:
             a = _in_layout(b, layout)
             assert np.array_equal(a, b)
@@ -785,10 +792,38 @@ DIAGONAL_CASES = {
 def test_diagonal_input_matches_the_dense_path_bit_for_bit(monkeypatch, make):
     # The circle state at k = 1500 holds weights that underflow to 0.0.
     h, c = make()
-    fast = hermitian_eigen(h), svd(c)
+    fast = hermitian_eigen(h), svd(c), identity_defect(h)
     monkeypatch.setattr(linalg, "_is_diagonal", lambda a: False)
-    dense = hermitian_eigen(h), svd(c)
+    dense = hermitian_eigen(h), svd(c), identity_defect(h)
     assert fast[0].tobytes() == dense[0].tobytes()
-    assert fast[1].singular_values.tobytes() == dense[1].singular_values.tobytes()
+    for name in ("singular_values", "norms", "left", "right"):
+        assert (getattr(fast[1], name).tobytes()
+                == getattr(dense[1], name).tobytes()), name
     assert (fast[1].sweeps, fast[1].worst_ratio) == (dense[1].sweeps,
                                                      dense[1].worst_ratio)
+    assert fast[2] == dense[2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 20, 1e-200, 1e200])
+def test_hermitian_check_of_a_complex_diagonal_matches_the_dense_path(
+        monkeypatch, scale):
+    # On a diagonal the defect max |h - h^*| is twice the largest imaginary
+    # part: just below HERMITIAN_TOL times the largest entry it passes, just
+    # above it raises, with the same numbers in the message on both paths.
+    def check(h):
+        try:
+            return hermitian_eigen(h).tobytes()
+        except ValueError as error:
+            return str(error)
+
+    entries = scale * np.array([0.5, -0.25 + 0.0j, 1.0, 0.0, 0.125])
+    verdicts = []
+    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+        h = np.diag(entries)
+        h[2, 2] += 0.5j * HERMITIAN_TOL * scale * factor
+        fast = check(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_is_diagonal", lambda a: False)
+            assert check(h) == fast
+        verdicts.append(isinstance(fast, str))
+    assert verdicts == [False, True]

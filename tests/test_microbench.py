@@ -6,10 +6,12 @@ the sphere state is timed once more with the singular vectors read as well.
 The whole Schmidt analysis of a row, ``analyze`` with its separable
 distance, is timed on both states, which it reads off their diagonals, and
 on the sphere state rotated into a dense matrix, which takes the general
-path (LAPACK's eigensolver and the Gram tests) that no CLI row reaches; the
-circle builder is timed on its own.  On the torus,
-the model's Gram (one quadrature) is timed apart from a point evaluation of
-its orthonormal basis, which computes no Gram.
+path (LAPACK's eigensolver and the Gram tests) that no CLI row reaches.
+Two of its parts are timed alone on the sphere state: the eigensolve of
+c c^T, Hermitian check included, and the state's ``identity_defect``, the
+defect its builder records.  The circle builder is timed on its own.  On
+the torus, the model's Gram (one quadrature) is timed apart from a point
+evaluation of its orthonormal basis, which computes no Gram.
 
 Timings are recorded by pytest-benchmark (skipped when it is not
 installed) and printed in its table; nothing asserts on them.  Compare
@@ -23,7 +25,7 @@ pytest.importorskip("pytest_benchmark")
 
 from conftest import column_graded_matrix  # noqa: E402
 from lagstate.entanglement import analyze  # noqa: E402
-from lagstate.linalg import svd  # noqa: E402
+from lagstate.linalg import hermitian_eigen, identity_defect, svd  # noqa: E402
 from lagstate.sphere import SphereModel  # noqa: E402
 from lagstate.states import antidiagonal_state, circle_state_quadrature  # noqa: E402
 from lagstate.torus import TorusModel, orthonormal_basis  # noqa: E402
@@ -83,6 +85,21 @@ def test_analyze_microbench(benchmark, kind, k):
 
     report = benchmark.pedantic(analyze_row, rounds=3, iterations=1)
     assert report.d == k + 1
+
+
+def test_hermitian_eigen_microbench(benchmark):
+    coeffs = antidiagonal_state(SphereModel(120)).normalized()
+    h = coeffs @ coeffs.T
+    values = benchmark.pedantic(hermitian_eigen, args=(h,), rounds=3,
+                                iterations=1)
+    assert values.shape == (121,)
+
+
+def test_identity_defect_microbench(benchmark):
+    coeffs = antidiagonal_state(SphereModel(120)).coeffs
+    defect = benchmark.pedantic(identity_defect, args=(coeffs,), rounds=3,
+                                iterations=1)
+    assert 0.0 < defect < 1e-12
 
 
 def test_circle_state_quadrature_microbench(benchmark):
