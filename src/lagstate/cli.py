@@ -17,8 +17,8 @@ tolerance.  ``gram``'s ``normalized_residual`` is an antidiagonal row's
 reads (``COMMAND_FLAGS``); any other flag is a usage error.  A call reads
 its flags straight from the ``FLAGS`` table (:func:`_read_flags`); only a
 call it cannot read exactly as argparse would, such as a help request or a
-usage error, imports argparse and builds the parser of the subcommand it
-names (:func:`_parser`), which prints the help or the error.
+usage error, imports argparse and builds the full argparse tree
+(:func:`_parser`), which prints the help or the error.
 
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
@@ -29,7 +29,6 @@ closed stdout (silently); 2 for invalid usage or an unwritable ``--out``;
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 import os
@@ -301,14 +300,15 @@ COMMAND_FLAGS = {
 
 
 def _read_flags(command: str, tokens: list[str]) -> SimpleNamespace | None:
-    """``command``'s flags in ``tokens`` as its argparse parser would read
-    them, or None to leave the tokens to that parser.  Reads ``--flag value``,
-    ``--flag=value`` and a bare ``--reproducible`` of the command's own flags
-    only, with each flag's type, choices, dest and required keys; the last
-    occurrence wins.  Anything else is None: -h, --help, --, a positional,
-    an abbreviation or another command's flag, a missing value or one that
-    starts with "-", a value its type or choices reject, ``--reproducible=x``
-    and a missing required flag.  Raises nothing."""
+    """``command`` and its flags in ``tokens`` as the full argparse tree
+    would read them, or None to leave the call to that tree.  Reads
+    ``--flag value``, ``--flag=value`` and a bare ``--reproducible`` of the
+    command's own flags only, with each flag's type, choices, dest and
+    required keys; the last occurrence wins.  Anything else is None: -h,
+    --help, --, a positional, an abbreviation or another command's flag, a
+    missing value or one that starts with "-", a value its type or choices
+    reject, ``--reproducible=x`` and a missing required flag.  Raises
+    nothing."""
     own = COMMAND_FLAGS[command][1].split()
     given: dict[str, Any] = {}  # flag -> value
     rest = iter(tokens)
@@ -335,7 +335,7 @@ def _read_flags(command: str, tokens: list[str]) -> SimpleNamespace | None:
         given[flag] = value
     if any(FLAGS[flag].get("required") and flag not in given for flag in own):
         return None
-    return SimpleNamespace(**{
+    return SimpleNamespace(command=command, **{
         FLAGS[flag].get("dest", flag[2:].replace("-", "_")): value
         for flag, value in given.items()})
 
@@ -354,30 +354,21 @@ def _config_from_args(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     return RunConfig(**given)
 
 
-@functools.cache
-def _parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, holding only its ``COMMAND_FLAGS``, or
-    with no command the top-level parser.  Each is built on first use and
-    reused: parse_args returns a fresh namespace on every call.  The top
-    level holds no flag of its own; its entries are the subcommands' parsers,
-    so an argv that reaches a command through it parses as that command's."""
+def _parser() -> argparse.ArgumentParser:
+    """The full argparse tree: a top-level parser with one subparser per
+    ``COMMAND_FLAGS`` entry, each holding only that command's flags."""
     import argparse  # only a call that needs its help or errors pays for it
 
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"lagstate {command}",
-                                         allow_abbrev=False,
-                                         argument_default=argparse.SUPPRESS)
-        for flag in COMMAND_FLAGS[command][1].split():
-            parser.add_argument(flag, **FLAGS[flag])
-        return parser
     parser = argparse.ArgumentParser(
         prog="lagstate", allow_abbrev=False,
         description="Entanglement sweeps for states built from Lagrangian "
                     "submanifolds of the sphere and torus models.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda command, **_: _parser(command))
-    for name, (help_text, _) in COMMAND_FLAGS.items():
-        sub.add_parser(name, help=help_text, command=name)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags) in COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -390,19 +381,11 @@ def _stderr(line: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMAND_FLAGS:
-        command = argv[0]
-        args = _read_flags(command, argv[1:])
-        if args is None:
-            # Only the named command's parser is built and run.  Leftovers
-            # are reported under the top-level usage line, as the full tree
-            # does.
-            args, extras = _parser(command).parse_known_args(argv[1:])
-            if extras:
-                _parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    else:  # -h, no command or an unknown one
-        args = _parser().parse_args(argv)
-        command = args.command
+    # The full tree reads what the table reader leaves: -h, no command or an
+    # unknown one, and any argv it cannot read exactly as argparse would.
+    args = (_read_flags(argv[0], argv[1:]) if argv and argv[0] in COMMAND_FLAGS
+            else None) or _parser().parse_args(argv)
+    command = args.command
     fmt, out = getattr(args, "fmt", "csv"), getattr(args, "out", None)
     try:
         config = _config_from_args(args)

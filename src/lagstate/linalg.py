@@ -127,16 +127,15 @@ def identity_defect(a: np.ndarray) -> float:
     Gram matrix, and of the antidiagonal state built from it, from its closed
     form.  Taken as the larger of the diagonal's gap to 1 and the largest
     off-diagonal modulus, so no d x d array is formed for real C- or
-    F-contiguous input (other layouts are copied; complex input forms its
-    off-diagonal modulus).  An off-diagonal of exact zeros, as in every
+    F-contiguous input (other layouts are copied once; complex input forms
+    its off-diagonal modulus).  An off-diagonal of exact zeros, as in every
     state the CLI builds, is only tested: the gap alone is the defect."""
     a = np.asarray(a)
     if a.shape != (len(a), len(a)):
         raise ValueError(f"identity_defect input must be square, got {a.shape}")
     gap = max_abs(a.diagonal() - 1.0)
-    if _is_diagonal(a):
-        return gap
-    return max(gap, max_abs(_off_diagonal(a)))
+    off = _off_diagonal(a)
+    return max(gap, max_abs(off)) if off.any() else gap
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from lagstate.cli import (CSV_HEADER, DEFAULT_TOL_IDENTITY, RunConfig, _parser,
                           main, run, tolerance_breaches, verify_identities)
 
 CIRCLE_K2_ENTROPY = 0.8675632284814612
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_config_defaults_and_overrides():
@@ -210,6 +213,20 @@ def test_verify_identities_line_order(kwargs, tol_identity):
     assert any(not passed for _, passed, _, _ in got) == (tol_identity == 0.0)
 
 
+@pytest.mark.parametrize("submanifold, name", [
+    ("antidiagonal", "distance_vs_entropy"),
+    ("circle", "circle_distance_vs_closed_form")])
+def test_verify_fails_a_distance_moved_by_1e_8(submanifold, name):
+    # A real row passes its distance check at the default tolerance, and
+    # fails it once its distance moves by 1e-8, ten times that tolerance.
+    config = RunConfig(k_min=6, k_max=6, submanifold=submanifold)
+    row = next(run(config))
+    moved = dataclasses.replace(row, separable_distance=row.separable_distance + 1e-8)
+    verdicts = [[(c.name, c.passed) for c in verify_identities(config, r)
+                 if c.name == name] for r in (row, moved)]
+    assert verdicts == [[(name, True)], [(name, False)]]
+
+
 def test_main_report_ok(capsys):
     code = main(["report", "--k-min", "1", "--k-max", "3", "--reproducible"])
     captured = capsys.readouterr()
@@ -296,19 +313,18 @@ ALL_FLAGS = set().union(*COMMAND_FLAGS.values())
 
 
 def test_subcommand_flag_sets():
-    for command in cli.COMMAND_FLAGS:
-        parser = _parser(command)
+    # The top level names each command, and each command's parser holds
+    # its flags alone.
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_FLAGS)
+    for command, parser in sub.choices.items():
         options = {opt for action in parser._actions
                    for opt in action.option_strings} - {"-h", "--help"}
         assert options == COMMAND_FLAGS[command], command
         # The submanifold choices are the table's names, in its order.
         assert all(action.choices == tuple(cli.SUBMANIFOLDS)
                    for action in parser._actions if action.dest == "submanifold")
-    # The top level names each command, and its entry is the command's parser.
-    sub = next(a for a in _parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(COMMAND_FLAGS)
-    assert all(parser is _parser(command) for command, parser in sub.choices.items())
 
 
 def _oracle_parser() -> argparse.ArgumentParser:
@@ -400,25 +416,20 @@ def test_main_parses_argv_as_the_full_tree(monkeypatch, capsys, argv):
             if argv and argv[0] in cli.COMMAND_FLAGS else None)
     if read is not None:
         assert want[3] is not None
-        assert vars(read) == {key: value for key, value in vars(want[3]).items()
-                              if key != "command"}
+        assert vars(read) == vars(want[3])
     monkeypatch.setattr(cli, "_config_from_args", stop)
     got = outcome(lambda: main(list(argv)))
     monkeypatch.undo()
     assert got[:3] == want[:3]
     assert (got[3] is None) == (want[3] is None)
     if want[3] is not None:
-        # A command's own parser does not record the command.
-        flags = [{key: value for key, value in vars(args).items() if key != "command"}
-                 for args in (got[3], want[3])]
-        assert flags[0] == flags[1]
+        assert vars(got[3]) == vars(want[3])
         assert _config_or_error(got[3]) == _config_or_error(want[3])
 
 
-def test_a_report_call_builds_only_the_report_parser(monkeypatch, capsys):
-    # A well-formed call builds no parser.  A usage error builds its
-    # command's parser alone: its -h and its 10 flags, no top-level parser
-    # and no other command's.
+def test_a_usage_error_builds_the_full_tree_once(monkeypatch, capsys):
+    # A well-formed call builds no parser.  A usage error builds the full
+    # tree once: the top level's -h, then each command's -h and flags.
     built = []
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -427,22 +438,16 @@ def test_a_report_call_builds_only_the_report_parser(monkeypatch, capsys):
         return add_argument(self, *names, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    cli._parser.cache_clear()
-    try:
-        assert main(["report", "--k-max", "1", "--reproducible"]) == 0
-        assert cli._parser.cache_info().currsize == 0
-        assert built == []
-        with pytest.raises(SystemExit) as exc:
-            main(["report", "--k-max", "x"])
-        assert exc.value.code == 2
-        assert cli._parser.cache_info().currsize == 1
-    finally:
-        cli._parser.cache_clear()
+    assert main(["report", "--k-max", "1", "--reproducible"]) == 0
+    assert built == []
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--k-max", "x"])
+    assert exc.value.code == 2
     assert "invalid int value: 'x'" in capsys.readouterr().err
-    report_flags = cli.COMMAND_FLAGS["report"][1].split()
-    assert len(report_flags) == 10
-    assert built == [("lagstate report", ("-h", "--help")),
-                     *[("lagstate report", (flag,)) for flag in report_flags]]
+    assert built == [("lagstate", ("-h", "--help")), *[
+        entry for command, (_, flags) in cli.COMMAND_FLAGS.items()
+        for entry in [(f"lagstate {command}", ("-h", "--help")),
+                      *[(f"lagstate {command}", (flag,)) for flag in flags.split()]]]]
 
 
 def test_a_well_formed_call_imports_no_argparse():
@@ -459,6 +464,22 @@ def test_a_well_formed_call_imports_no_argparse():
                           check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_every_benchmark_call_is_read_from_the_flag_table(monkeypatch):
+    # Each argv of the benchmark's workloads (perfbench/run.py) is a clean
+    # call: the table reader reads it, and no parser is built.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports oracle
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    argvs = [workload.argv(k) for workload in bench.WORKLOADS.values()
+             for k in workload.ks]
+    assert argvs
+    for argv in argvs:
+        read = cli._read_flags(argv[0], argv[1:])
+        assert read is not None and read.command == argv[0], argv
 
 
 @pytest.mark.parametrize("command, flag", sorted(
@@ -952,8 +973,8 @@ def test_main_json_rows_stream_as_one_list(capsys, argv):
     # The rows are written one at a time, and read as json.dumps of the list
     # of their CSV columns.
     assert main(["report", "--format", "json", "--reproducible", *argv]) == 0
-    config = cli._config_from_args(_parser("report").parse_args(
-        ["--reproducible", *argv]))
+    config = cli._config_from_args(_parser().parse_args(
+        ["report", "--reproducible", *argv]))
     rows = [{name: getattr(row, name) for name in CSV_HEADER.split(",")}
             for row in run(config)]
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
@@ -1258,8 +1279,6 @@ def test_dump_formats_carry_the_same_matrix(capsys, argv, name, d):
 
 
 def test_main_calls_share_parser_not_state(capsys):
-    from lagstate.cli import _parser
-    assert _parser("report") is _parser("report")
     assert main(["report", "--model", "torus", "--mu", "0.37", "--k-min", "3",
                  "--k-max", "4", "--reproducible"]) == 0
     torus_out = capsys.readouterr().out

@@ -144,6 +144,13 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigen_rejects_a_defect_of_1e_8():
+    # On a unit diagonal a defect of 1e-8 is 100 times HERMITIAN_TOL, and a
+    # check loosened to 1e-6 would let it through.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigen(np.array([[1.0, 0.0], [1e-8, 1.0]]))
+
+
 def test_frobenius_distance_basics():
     v = np.array([1.0 + 1j, 2.0])
     assert frobenius_distance(v, v) == 0.0
@@ -574,6 +581,8 @@ def _in_layout(b, layout):
         return b.T.copy().T
     if layout == "reversed rows":
         return b[::-1].copy()[::-1]
+    if layout == "reversed columns":
+        return b[:, ::-1].copy()[:, ::-1]
     if layout == "reversed":
         return b[::-1, ::-1].copy()[::-1, ::-1]
     n = len(b)
@@ -584,16 +593,22 @@ def _in_layout(b, layout):
 
 
 @pytest.mark.parametrize("layout", ["row-major", "transpose", "reversed rows",
-                                    "reversed", "slice", "strided slice"])
+                                    "reversed columns", "reversed", "slice",
+                                    "strided slice"])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_identity_defect_is_the_largest_entry_of_a_minus_identity(layout,
-                                                                   dtype):
+def test_identity_defect_is_the_largest_entry_of_a_minus_identity(monkeypatch,
+                                                                   layout, dtype):
     # The diagonal's gap to 1 and the off-diagonal maximum, taken apart,
     # give exactly the largest |a - I| in every layout.  A dominant entry
     # put at each position in turn reads differently on the diagonal (|x - 1|)
     # and off it (|x|), so a misplaced diagonal shows.
     # Diagonal input, with +0.0 and -0.0 off the diagonal, is read from its
-    # diagonal alone and must agree too.
+    # diagonal alone and must agree too.  The off-diagonal is taken once, so
+    # a layout that is neither C- nor F-contiguous is copied once.
+    taken = []
+    off_diagonal = linalg._off_diagonal
+    monkeypatch.setattr(linalg, "_off_diagonal",
+                        lambda a: taken.append(a.shape) or off_diagonal(a))
     rng = np.random.default_rng(17)
     big = -3.0j if dtype is complex else -3.0
     for n in (0, 1, 2, 5):
@@ -612,7 +627,9 @@ def test_identity_defect_is_the_largest_entry_of_a_minus_identity(layout,
         for b in cases:
             a = _in_layout(b, layout)
             assert np.array_equal(a, b)
+            taken.clear()
             assert identity_defect(a) == max_abs(b - np.eye(n))
+            assert taken == [(n, n)]
 
 
 def _max_abs_cases():
@@ -801,7 +818,8 @@ def test_diagonal_input_matches_the_dense_path_bit_for_bit(monkeypatch, make):
                 == getattr(dense[1], name).tobytes()), name
     assert (fast[1].sweeps, fast[1].worst_ratio) == (dense[1].sweeps,
                                                      dense[1].worst_ratio)
-    assert fast[2] == dense[2]
+    # identity_defect tests no diagonal: its reference is the entrywise max.
+    assert fast[2] == dense[2] == max_abs(h - np.eye(len(h)))
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 20, 1e-200, 1e200])
