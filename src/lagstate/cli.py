@@ -14,11 +14,11 @@ gated as it completes, so an error or an interrupt keeps the rows before it.
 tolerance.  ``gram``'s ``normalized_residual`` is an antidiagonal row's
 ``gram_residual``: both put the model's ``antidiagonal_gram`` through
 :func:`linalg.identity_defect`.  Each subcommand accepts only the flags it
-reads (``COMMAND_FLAGS``); any other flag is a usage error.  A call reads
-its flags straight from the ``FLAGS`` table (:func:`_read_flags`); only a
-call it cannot read exactly as argparse would, such as a help request or a
-usage error, imports argparse and builds the full argparse tree
-(:func:`_parser`), which prints the help or the error.
+reads (``COMMAND_FLAGS``); any other flag is a usage error.  A ``report``
+or ``verify`` call of ``--flag value`` pairs, the shape of every sweep row,
+is read straight from the ``FLAGS`` table (:func:`_read_flags`); every other
+call, help requests and usage errors among them, imports argparse and goes
+to the full argparse tree (:func:`_parser`).
 
 Exit status: 0 on success; 1 when a residual or check exceeds its tolerance,
 a numerical check fails or stdout cannot be written (``error:``), or on a
@@ -36,16 +36,12 @@ import sys
 import textwrap
 import time
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
 from . import entanglement, sphere, states, torus
 from .linalg import identity_defect
-
-if TYPE_CHECKING:
-    import argparse
 
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
@@ -168,11 +164,12 @@ def run(config: RunConfig) -> Iterator[ReportRow]:
 
 
 def tolerance_breaches(config: RunConfig, row: ReportRow) -> list[str]:
-    """The row's residuals over their tolerances, one message per breach."""
+    """The row's residuals over their tolerances, one message per breach;
+    a NaN residual is a breach."""
     gates = (("entropy_residual", row.entropy_residual, config.max_entropy_residual),
              ("gram_residual", row.gram_residual, config.max_gram_residual))
     return [f"k={row.k}: {name} {value:.3e} exceeds {tol:g}"
-            for name, value, tol in gates if value > tol]
+            for name, value, tol in gates if not value <= tol]
 
 
 def _binomial_square_sum_check(k: int) -> IdentityCheck:
@@ -299,53 +296,35 @@ COMMAND_FLAGS = {
 }
 
 
-def _read_flags(command: str, tokens: list[str]) -> SimpleNamespace | None:
-    """``command`` and its flags in ``tokens`` as the full argparse tree
-    would read them, or None to leave the call to that tree.  Reads
-    ``--flag value``, ``--flag=value`` and a bare ``--reproducible`` of the
-    command's own flags only, with each flag's type, choices, dest and
-    required keys; the last occurrence wins.  Anything else is None: -h,
-    --help, --, a positional, an abbreviation or another command's flag, a
-    missing value or one that starts with "-", a value its type or choices
-    reject, ``--reproducible=x`` and a missing required flag.  Raises
-    nothing."""
-    own = COMMAND_FLAGS[command][1].split()
-    given: dict[str, Any] = {}  # flag -> value
-    rest = iter(tokens)
-    for token in rest:
-        flag, eq, value = token.partition("=")
-        if flag not in own:
+def _read_flags(argv: list[str]) -> dict[str, Any] | None:
+    """A ``report`` or ``verify`` argv of ``--flag value`` pairs as a dict,
+    ``command`` and each flag's dest, exactly as the full argparse tree would
+    read it; None leaves any other argv to that tree.  Each flag must be one
+    of the command's valued flags, and each value must pass the flag's type
+    and choices and must not start with "-"; the last occurrence wins.
+    Raises nothing."""
+    if not argv or argv[0] not in ("report", "verify") or len(argv) % 2 == 0:
+        return None
+    own = COMMAND_FLAGS[argv[0]][1].split()
+    args: dict[str, Any] = {"command": argv[0]}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in own or "action" in FLAGS[flag] or value.startswith("-"):
             return None
         spec = FLAGS[flag]
-        if spec.get("action") == "store_true":
-            if eq:
-                return None
-            given[flag] = True
-            continue
-        if not eq:
-            value = next(rest, None)
-        if value is None or value.startswith("-"):
-            return None
         try:
             value = spec.get("type", str)(value)
         except ValueError:
             return None
         if "choices" in spec and value not in spec["choices"]:
             return None
-        given[flag] = value
-    if any(FLAGS[flag].get("required") and flag not in given for flag in own):
-        return None
-    return SimpleNamespace(command=command, **{
-        FLAGS[flag].get("dest", flag[2:].replace("-", "_")): value
-        for flag, value in given.items()})
+        args[spec.get("dest", flag[2:].replace("-", "_"))] = value
+    return args
 
 
-def _config_from_args(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
-    """RunConfig from the flags given; unset ones keep RunConfig's defaults.
-    The k range starts at the model's smallest k and ends at
-    max(k_min, 10)."""
-    given = {key: value for key, value in vars(args).items()
-             if key not in ("command", "fmt", "out")}
+def _config_from_args(given: dict[str, Any]) -> RunConfig:
+    """RunConfig from the flags given, keyed by dest, with main's command,
+    fmt and out taken out; unset ones keep RunConfig's defaults.  The k
+    range starts at the model's smallest k and ends at max(k_min, 10)."""
     if "k" in given:
         given["k_min"] = given["k_max"] = given.pop("k")
     else:
@@ -354,10 +333,10 @@ def _config_from_args(args: argparse.Namespace | SimpleNamespace) -> RunConfig:
     return RunConfig(**given)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The full argparse tree: a top-level parser with one subparser per
     ``COMMAND_FLAGS`` entry, each holding only that command's flags."""
-    import argparse  # only a call that needs its help or errors pays for it
+    import argparse  # a call _read_flags reads, as every sweep row is, skips it
 
     parser = argparse.ArgumentParser(
         prog="lagstate", allow_abbrev=False,
@@ -381,12 +360,10 @@ def _stderr(line: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The full tree reads what the table reader leaves: -h, no command or an
-    # unknown one, and any argv it cannot read exactly as argparse would.
-    args = (_read_flags(argv[0], argv[1:]) if argv and argv[0] in COMMAND_FLAGS
-            else None) or _parser().parse_args(argv)
-    command = args.command
-    fmt, out = getattr(args, "fmt", "csv"), getattr(args, "out", None)
+    # The full tree reads every argv the table reader leaves.
+    args = _read_flags(argv) or vars(_parser().parse_args(argv))
+    command = args.pop("command")
+    fmt, out = args.pop("fmt", "csv"), args.pop("out", None)
     try:
         config = _config_from_args(args)
         # Opened before any state is built; rows already written stay on error.

@@ -129,13 +129,15 @@ def identity_defect(a: np.ndarray) -> float:
     off-diagonal modulus, so no d x d array is formed for real C- or
     F-contiguous input (other layouts are copied once; complex input forms
     its off-diagonal modulus).  An off-diagonal of exact zeros, as in every
-    state the CLI builds, is only tested: the gap alone is the defect."""
+    state the CLI builds, is only tested: the gap alone is the defect.  Any
+    NaN entry makes the defect NaN."""
     a = np.asarray(a)
     if a.shape != (len(a), len(a)):
         raise ValueError(f"identity_defect input must be square, got {a.shape}")
     gap = max_abs(a.diagonal() - 1.0)
     off = _off_diagonal(a)
-    return max(gap, max_abs(off)) if off.any() else gap
+    # np.maximum keeps a NaN either side; Python's max keeps gap over NaN.
+    return float(np.maximum(gap, max_abs(off))) if off.any() else gap
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:

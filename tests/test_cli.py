@@ -38,6 +38,8 @@ def test_config_defaults_and_overrides():
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown model"):
         RunConfig(model="plane", k_min=1, k_max=2)
+    with pytest.raises(ValueError, match="^unknown submanifold 'line'$"):
+        RunConfig(k_min=1, k_max=1, submanifold="line")
     with pytest.raises(ValueError, match="^the circle submanifold is only "
                                          "defined on the sphere model$"):
         RunConfig(model="torus", k_min=3, k_max=4, submanifold="circle")
@@ -118,6 +120,14 @@ def test_tolerance_breaches_reported():
                 for message in tolerance_breaches(config, row)]
     assert messages
     assert any("entropy_residual" in m for m in messages)
+
+
+def test_a_nan_residual_is_a_breach():
+    # NaN compares false with any tolerance, so only "not <= tol" gates it.
+    config = RunConfig(k_min=3, k_max=3, reproducible=True)
+    row = dataclasses.replace(next(run(config)), gram_residual=math.nan)
+    assert tolerance_breaches(config, row) == [
+        "k=3: gram_residual nan exceeds 1e-12"]
 
 
 def test_csv_round_trip_is_exact():
@@ -327,31 +337,8 @@ def test_subcommand_flag_sets():
                    for action in parser._actions if action.dest == "submanifold")
 
 
-def _oracle_parser() -> argparse.ArgumentParser:
-    """The full tree: a top-level parser with one subparser per command,
-    each holding that command's flags, as the CLI built on every call."""
-    parser = argparse.ArgumentParser(
-        prog="lagstate", allow_abbrev=False,
-        description="Entanglement sweeps for states built from Lagrangian "
-                    "submanifolds of the sphere and torus models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in cli.COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
-                           argument_default=argparse.SUPPRESS)
-        for flag in flags.split():
-            p.add_argument(flag, **cli.FLAGS[flag])
-    return parser
-
-
 class _Parsed(Exception):
     pass
-
-
-def _config_or_error(args):
-    try:
-        return cli._config_from_args(args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
 
 
 ARGV_CORPUS = [
@@ -409,27 +396,41 @@ def test_main_parses_argv_as_the_full_tree(monkeypatch, capsys, argv):
         captured = capsys.readouterr()
         return code, captured.out, captured.err, args
 
-    want = outcome(lambda: _oracle_parser().parse_args(list(argv)))
+    want = outcome(lambda: vars(_parser().parse_args(list(argv))))
     # The table reader accepts only argv that argparse accepts, with the
     # same flags; the rest it leaves to argparse.
-    read = (cli._read_flags(argv[0], argv[1:])
-            if argv and argv[0] in cli.COMMAND_FLAGS else None)
+    read = cli._read_flags(list(argv))
     if read is not None:
-        assert want[3] is not None
-        assert vars(read) == vars(want[3])
+        assert read == want[3]
     monkeypatch.setattr(cli, "_config_from_args", stop)
     got = outcome(lambda: main(list(argv)))
     monkeypatch.undo()
     assert got[:3] == want[:3]
     assert (got[3] is None) == (want[3] is None)
     if want[3] is not None:
-        assert vars(got[3]) == vars(want[3])
-        assert _config_or_error(got[3]) == _config_or_error(want[3])
+        # main hands _config_from_args every flag but its own three.
+        assert got[3] == {key: value for key, value in want[3].items()
+                          if key not in ("command", "fmt", "out")}
+
+
+def test_the_reader_leaves_every_other_argv_to_the_tree():
+    # It reads report or verify followed by pairs of --flag value, each flag
+    # one of the command's valued flags and no value starting with "-".
+    # Every other corpus argv is None.
+    outside = [argv for argv in ARGV_CORPUS
+               if argv[:1] not in (["report"], ["verify"]) or len(argv) % 2 == 0
+               or any(flag not in COMMAND_FLAGS[argv[0]] - {"--reproducible"}
+                      or value.startswith("-")
+                      for flag, value in zip(argv[1::2], argv[2::2]))]
+    assert 0 < len(outside) < len(ARGV_CORPUS)
+    for argv in outside:
+        assert cli._read_flags(argv) is None, argv
 
 
 def test_a_usage_error_builds_the_full_tree_once(monkeypatch, capsys):
-    # A well-formed call builds no parser.  A usage error builds the full
-    # tree once: the top level's -h, then each command's -h and flags.
+    # A report call of --flag value pairs builds no parser.  A usage error
+    # builds the full tree once: the top level's -h, then each command's -h
+    # and flags.
     built = []
     add_argument = argparse.ArgumentParser.add_argument
 
@@ -438,7 +439,7 @@ def test_a_usage_error_builds_the_full_tree_once(monkeypatch, capsys):
         return add_argument(self, *names, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
-    assert main(["report", "--k-max", "1", "--reproducible"]) == 0
+    assert main(["report", "--k-min", "1", "--k-max", "1"]) == 0
     assert built == []
     with pytest.raises(SystemExit) as exc:
         main(["report", "--k-max", "x"])
@@ -456,7 +457,7 @@ def test_a_well_formed_call_imports_no_argparse():
     script = (
         "import sys\n"
         "from lagstate.cli import main\n"
-        "assert main(['report', '--k-max', '1', '--reproducible']) == 0\n"
+        "assert main(['report', '--k-min', '1', '--k-max', '1']) == 0\n"
         "assert 'argparse' not in sys.modules\n"
         "assert 'locale' not in sys.modules\n")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
@@ -468,7 +469,8 @@ def test_a_well_formed_call_imports_no_argparse():
 
 def test_every_benchmark_call_is_read_from_the_flag_table(monkeypatch):
     # Each argv of the benchmark's workloads (perfbench/run.py) is a clean
-    # call: the table reader reads it, and no parser is built.
+    # call: the table reader reads it as the full tree does, so no row
+    # builds a parser.
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports oracle
     spec = importlib.util.spec_from_file_location("perfbench_run",
                                                   PERFBENCH / "run.py")
@@ -477,9 +479,9 @@ def test_every_benchmark_call_is_read_from_the_flag_table(monkeypatch):
     argvs = [workload.argv(k) for workload in bench.WORKLOADS.values()
              for k in workload.ks]
     assert argvs
+    tree = _parser()
     for argv in argvs:
-        read = cli._read_flags(argv[0], argv[1:])
-        assert read is not None and read.command == argv[0], argv
+        assert cli._read_flags(argv) == vars(tree.parse_args(argv)), argv
 
 
 @pytest.mark.parametrize("command, flag", sorted(
@@ -973,8 +975,9 @@ def test_main_json_rows_stream_as_one_list(capsys, argv):
     # The rows are written one at a time, and read as json.dumps of the list
     # of their CSV columns.
     assert main(["report", "--format", "json", "--reproducible", *argv]) == 0
-    config = cli._config_from_args(_parser().parse_args(
-        ["report", "--reproducible", *argv]))
+    args = vars(_parser().parse_args(["report", "--reproducible", *argv]))
+    del args["command"]
+    config = cli._config_from_args(args)
     rows = [{name: getattr(row, name) for name in CSV_HEADER.split(",")}
             for row in run(config)]
     assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"

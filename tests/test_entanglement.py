@@ -123,6 +123,16 @@ def test_closest_separable_of_badly_scaled_input(s):
     assert abs(closest_separable(np.diag([s, s]))[1] - s) <= 2.0**-52 * s
 
 
+def test_closest_separable_when_fsum_overflows():
+    # Each square of the tail is finite but their sum is not, so fsum raises
+    # and the tail norm is taken again on the rescaled tail: exactly
+    # sqrt(2) s, as sqrt(2) * s rounds it.
+    s = 1.3e154
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum([s * s, s * s])
+    assert closest_separable(np.diag([s] * 3))[1] == math.sqrt(2.0) * s
+
+
 def test_separable_distance_scales_exactly():
     # svd's singular values scale exactly by 2^+-600, and the tail norm of
     # them is taken again on the tail scaled back: the distance scales too.

@@ -682,6 +682,17 @@ def test_identity_defect_rejects_non_square_input():
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("a", [[[1.0, math.nan], [0.0, 1.0]],
+                               [[1.0, 0.5], [math.nan, 1.0]],
+                               [[math.nan, 0.5], [0.0, 1.0]]],
+                         ids=["nan_off_diagonal", "nan_below_a_gap",
+                              "nan_diagonal"])
+def test_identity_defect_of_a_nan_entry_is_nan(a, dtype):
+    # A NaN is no defect of zero: the gap to 1 must not hide it.
+    assert math.isnan(identity_defect(np.array(a, dtype=dtype)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("scale", [1.0, 2.0 ** -30, 2.0 ** 20])
 def test_hermitian_eigen_tolerance_is_relative_to_the_largest_entry(dtype,
                                                                     scale):

@@ -122,6 +122,11 @@ def test_quadrature_minimum_counts():
     assert rule_size(RULE_FLOOR + 1) == 2 * RULE_FLOOR
 
 
+def test_gauss_legendre_rejects_an_empty_rule():
+    with pytest.raises(ValueError, match="^rule needs n >= 1 nodes, got 0$"):
+        gauss_legendre_01(0)
+
+
 def test_gram_matches_minimal_exact_rule():
     # The shared rule agrees with the minimal exact one.
     want = gram_diagonal_oracle(5, exact_radial_count(5))

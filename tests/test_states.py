@@ -74,6 +74,12 @@ FRAME_USERS = {
 }
 
 
+def test_section_frame_value_rejects_a_section_of_the_wrong_length():
+    with pytest.raises(ValueError, match=re.escape(
+            "section needs 4 coefficients, got shape (3,)")):
+        section_frame_value(SphereModel(3), np.ones(3), 0.5)
+
+
 @pytest.mark.parametrize("alpha, k", [
     (math.nan, 3), (math.inf, 3), (complex(1.0, math.nan), 3), (0.0, 3), (0j, 3),
     (1e10, 40), (1e-10, 40)], ids=["nan", "inf", "nan_i", "zero", "complex_zero",
