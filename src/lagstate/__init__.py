@@ -18,7 +18,6 @@ from .entanglement import (
 )
 from .sphere import (
     SphereModel,
-    basis_values,
     gram_matrix,
     monomial_gram,
     sphere_quadrature,
@@ -49,8 +48,8 @@ __all__ = [
     "SvdResult", "svd", "hermitian_eigen", "frobenius_distance",
     "EntanglementReport", "entropy", "closest_separable",
     "is_maximally_entangled", "corollary_distance_identity", "analyze",
-    "SphereModel", "sphere_quadrature", "basis_values",
-    "weighted_basis_values", "gram_matrix", "monomial_gram",
+    "SphereModel", "sphere_quadrature", "weighted_basis_values",
+    "gram_matrix", "monomial_gram",
     "TorusModel", "theta_truncation", "theta_eval", "gram_quadrature",
     "orthonormal_basis", "quasi_periodicity_factor", "closed_form_norm",
     "LagrangianState", "coherent_vector",

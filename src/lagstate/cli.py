@@ -46,7 +46,8 @@ from .linalg import identity_defect
 DEFAULT_TOL_ENTROPY = {"sphere": entanglement.MAX_ENTROPY_TOL, "torus": 1e-6}
 DEFAULT_TOL_GRAM = {"sphere": 1e-12, "torus": 1e-7}
 DEFAULT_TOL_IDENTITY = 1e-9
-# Each model class holds its smallest k (K_MIN) and checks its own k and mu.
+# Each model class holds its smallest k (K_MIN) and checks k, the torus mu too;
+# RunConfig builds it at k_min and k_max and rejects a mu on the sphere.
 MODELS = {"sphere": sphere.SphereModel, "torus": torus.TorusModel}
 # Submanifold -> (its builder's name in states, the models it is defined on).
 # Names, not functions: the benchmark's tracer rebinds the builders in states.
@@ -80,9 +81,12 @@ class RunConfig:
         _model(self, self.k_min)  # the model's own k and mu checks
         if self.k_max < self.k_min:
             raise ValueError(f"empty k range {self.k_min}..{self.k_max}")
+        _model(self, self.k_max)  # an int k_max, or TypeError before the sweep
         for name in ("tol_entropy", "tol_gram", "tol_identity"):
             tol = getattr(self, name)
-            if tol is not None and not 0.0 <= tol < math.inf:
+            # None picks the model's default, and tol_identity has none.
+            if not (0.0 <= tol < math.inf if tol is not None
+                    else name != "tol_identity"):
                 raise ValueError(f"{name} must be finite and non-negative, got {tol}")
             if tol == 0.0:  # -0.0 passes the check but would print as -0
                 object.__setattr__(self, name, 0.0)

@@ -95,20 +95,19 @@ def sphere_quadrature(k: int) -> GaussLegendreRule:
     return gauss_legendre_01(rule_size(exact_radial_count(k)))
 
 
-def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
-    """phi_j(z), j = 0..k, divided by (1 + |z|^2)^(k/2) when weighted;
-    assembled in log space so large k stays finite."""
+def weighted_basis_values(model: SphereModel, z: complex) -> np.ndarray:
+    """phi_j(z) / (1 + |z|^2)^(k/2), j = 0..k: the fiber-metric-weighted
+    basis values, the model's one point evaluator.
+
+    Their squared moduli sum to k + 1 at every z, so each is at most
+    sqrt(k+1); they are assembled in log space so any k stays finite.
+    """
     z = as_point(z)
     k, r = model.k, abs(z)
-    log_mag = 0.5 * model.log_amplitudes()
-    shift = 0  # power of r taken out of the weight
-    if weighted and r > 1.0:
-        # (1 + r^2)^(-k/2) = r^(-k) (1 + r^-2)^(-k/2): r^2 would overflow
-        # above 1.3e154, and r^(-k) cancels against r^j in one exponent.
-        log_mag = log_mag - 0.5 * k * math.log1p((1.0 / r) ** 2)
-        shift = k
-    elif weighted:
-        log_mag = log_mag - 0.5 * k * math.log1p(r * r)
+    # For r > 1 the weight is r^(-k) (1 + r^-2)^(-k/2), and shift = k takes
+    # r^(-k) into the exponent of r^j: r^2 would overflow above 1.3e154.
+    shift, s = (k, 1.0 / r) if r > 1.0 else (0, r)
+    log_mag = 0.5 * model.log_amplitudes() - 0.5 * k * math.log1p(s * s)
     if z == 0:
         out = np.zeros(k + 1, dtype=complex)
         out[0] = math.exp(log_mag[0])
@@ -116,19 +115,6 @@ def _basis_values(model: SphereModel, z: complex, weighted: bool) -> np.ndarray:
     j = np.arange(k + 1)
     mag = np.exp(log_mag + (j - shift) * math.log(r))
     return mag * np.exp(1j * j * np.angle(z))
-
-
-def basis_values(model: SphereModel, z: complex) -> np.ndarray:
-    """All orthonormal basis values phi_j(z), j = 0..k."""
-    return _basis_values(model, z, weighted=False)
-
-
-def weighted_basis_values(model: SphereModel, z: complex) -> np.ndarray:
-    """phi_j(z) / (1 + |z|^2)^(k/2): the fiber-metric-weighted basis values.
-
-    Bounded by sqrt(k+1) for every z, hence safe at any k.
-    """
-    return _basis_values(model, z, weighted=True)
 
 
 def phase_average(m: int, deltas: np.ndarray) -> np.ndarray:

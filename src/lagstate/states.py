@@ -43,10 +43,11 @@ _LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 def _frame_scale(frame_scale: complex, k: int) -> complex:
     """frame_scale as a complex number; ValueError unless it is finite and
-    nonzero and its k-th power, which scales the frame, is a normal float."""
+    nonzero and its k-th power, which scales the frame, is a normal float
+    that stays finite times sqrt(k+1), the bound of a weighted basis value."""
     alpha = complex(frame_scale)
-    if (alpha == 0 or not np.isfinite(alpha)
-            or not _LOG_NORMAL[0] <= k * math.log(abs(alpha)) <= _LOG_NORMAL[1]):
+    if (alpha == 0 or not np.isfinite(alpha) or not _LOG_NORMAL[0]
+            <= k * math.log(abs(alpha)) <= _LOG_NORMAL[1] - 0.5 * math.log1p(k)):
         raise ValueError(f"frame_scale must be finite and nonzero, with a k-th "
                          f"power in the normal float range; got {alpha} at k = {k}")
     return alpha

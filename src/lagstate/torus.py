@@ -71,14 +71,6 @@ class TorusModel:
     def dim(self) -> int:
         return self.k
 
-    def _check_index(self, j: int) -> None:
-        if not 1 <= j <= self.k:
-            raise ValueError(f"theta index {j} out of range 1..{self.k}")
-
-    def reduced_q(self, j: int) -> float:
-        self._check_index(j)
-        return float(_reduced_q(self, j))
-
     def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
         """(raw Gram, normalized Gram, resolution) of the theta basis; the
         normalized Gram is the raw one over the closed-form squared norm."""
@@ -147,7 +139,8 @@ def _theta_values(model: TorusModel, z: complex) -> np.ndarray:
 def theta_eval(model: TorusModel, j: int, z: complex) -> complex:
     """theta_j at a single point, truncated with a certified tail below
     THETA_TOL."""
-    model._check_index(j)
+    if not 1 <= j <= model.k:
+        raise ValueError(f"theta index {j} out of range 1..{model.k}")
     return complex(_theta_values(model, z)[j - 1])
 
 

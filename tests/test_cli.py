@@ -51,6 +51,16 @@ def test_config_validation():
         RunConfig(model="sphere", k_min=1, k_max=2, mu=0.37)
     with pytest.raises(ValueError, match="mu must be finite"):
         RunConfig(model="torus", k_min=3, k_max=4, mu=math.nan)
+    # tol_identity has no model default, so None is no tolerance.
+    with pytest.raises(ValueError, match="^tol_identity must be finite and "
+                                         "non-negative, got None$"):
+        RunConfig(k_min=1, k_max=1, tol_identity=None)
+    # The model is built at k_max too, so a float k_max fails here as a
+    # float k_min does, not in the sweep's range().
+    for k_min, k_max in ((1, 2.5), (1.0, 2)):
+        with pytest.raises(TypeError, match="'float' object cannot be "
+                                            "interpreted as an integer"):
+            RunConfig(k_min=k_min, k_max=k_max)
     # The k range has no default here: the CLI's starts at the model's K_MIN.
     with pytest.raises(TypeError, match="k_min"):
         RunConfig(model="torus")

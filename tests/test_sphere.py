@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from conftest import beta_monomial_norm, pairing_matrix
 from lagstate.linalg import RULE_FLOOR, gauss_legendre_01, max_abs, rule_size
-from lagstate.sphere import (SphereModel, basis_values, binomials,
-                             exact_radial_count, gram_matrix, gram_residual,
-                             monomial_gram, phase_average, sphere_quadrature,
+from lagstate.sphere import (SphereModel, binomials, exact_radial_count,
+                             gram_matrix, gram_residual, monomial_gram,
+                             phase_average, sphere_quadrature,
                              weighted_basis_values)
+from lagstate.states import coherent_vector
 
 
 def gram_diagonal_oracle(k, n):
@@ -35,30 +37,34 @@ def test_model_validation():
 
 
 def test_basis_values_at_origin():
+    # The weight (1 + |z|^2)^(-k/2) is 1 at the origin.
     for k in (1, 2, 5):
         model = SphereModel(k)
-        vals = basis_values(model, 0.0 + 0.0j)
+        vals = weighted_basis_values(model, 0.0 + 0.0j)
         assert abs(vals[0] - math.sqrt(k + 1)) <= 1e-14
         assert max_abs(vals[1:]) == 0.0
 
 
 def test_basis_values_examples():
     model = SphereModel(2)
-    vals = basis_values(model, 1.0 + 0.0j)
-    # sqrt(3 * C(2, j)) * z^j at z = 1: (sqrt(3), sqrt(6), sqrt(3)).
-    assert np.allclose(vals, [math.sqrt(3.0), math.sqrt(6.0), math.sqrt(3.0)],
-                       rtol=1e-14)
-    assert abs(basis_values(model, 2.0j)[1] - math.sqrt(6.0) * 2.0j) <= 1e-14
+    vals = weighted_basis_values(model, 1.0 + 0.0j)
+    # sqrt(3 * C(2, j)) * z^j at z = 1, times the weight (1 + 1)^-1:
+    # (sqrt(3), sqrt(6), sqrt(3)) / 2.
+    assert np.allclose(vals, [math.sqrt(3.0) / 2.0, math.sqrt(6.0) / 2.0,
+                              math.sqrt(3.0) / 2.0], rtol=1e-14)
+    # At z = 2i the weight is (1 + 4)^-1.
+    want = math.sqrt(6.0) * 2.0j / 5.0
+    assert abs(weighted_basis_values(model, 2.0j)[1] - want) <= 1e-14
 
 
 def test_basis_values_conjugation_symmetry():
-    # Coefficients are real, so phi_j(conj(z)) = conj(phi_j(z)).
+    # Coefficients and weight are real, so w_j(conj(z)) = conj(w_j(z)).
     model = SphereModel(7)
     rng = np.random.default_rng(11)
     for _ in range(5):
         z = complex(rng.normal(), rng.normal())
-        assert max_abs(basis_values(model, z.conjugate())
-                       - basis_values(model, z).conj()) <= 1e-10
+        assert max_abs(weighted_basis_values(model, z.conjugate())
+                       - weighted_basis_values(model, z).conj()) <= 1e-10
 
 
 def test_weighted_basis_values_bounded():
@@ -83,12 +89,44 @@ def test_weighted_basis_values_far_from_origin():
             # Only phi_k survives: |phi_k(z)| / (1+|z|^2)^(k/2) -> sqrt(k+1).
             assert abs(abs(w[k]) - math.sqrt(k + 1)) <= 1e-14 * math.sqrt(k + 1)
             assert abs(w[k] / abs(w[k]) - (z / abs(z)) ** k) <= 1e-13
-    # Where |z|^2 is finite both forms of the weight agree.
+    # Where |z|^2 is finite, the values are phi_j(z) / (1 + |z|^2)^(k/2) with
+    # phi_j = sqrt((k+1) C(k,j)) z^j from exact binomials.
     model = SphereModel(7)
     for z in (0.5 - 0.9j, 1.0, 2.0 + 1.0j, -1e3j):
-        want = basis_values(model, z) / (1.0 + abs(z) ** 2) ** 3.5
+        phi = np.array([math.sqrt(8 * math.comb(7, j)) * z**j for j in range(8)])
+        want = phi / (1.0 + abs(z) ** 2) ** 3.5
         got = weighted_basis_values(model, z)
         assert max_abs(got - want) <= 1e-14 * max_abs(want), z
+
+
+@pytest.mark.parametrize("k, z", [(880, 2.0), (2000, 2.0), (200, 1e3),
+                                  (40, 1e10), (20000, 1.7j)])
+def test_weighted_basis_values_stay_finite_at_large_k(k, z):
+    """The unweighted phi_j(z) overflows here (at z = 2 from k = 880 on);
+    the weighted values and the coherent vector stay finite, and
+    sum_j |w_j|^2 = k + 1.
+
+    Error bound: log|w_j| = a_j + b + c_j, with a_j = ln((k+1) C(k,j)) / 2
+    in [0, (k ln 2 + ln(k+1)) / 2], b = -(k/2) ln(1 + min(r, 1/r)^2) in
+    [-(k/2) ln 2, 0] and c_j = (j - shift) ln r <= 0.  An entry with
+    log|w_j| >= -40 has |c_j| <= a_j + 40, so its terms sum in modulus to
+    at most S = 1.5 k ln 2 + ln(k+1) + 40.  Each term is rounded about
+    3 times and the two additions once each, so log|w_j| is off by at most
+    5 (eps/2) S, and |w_j|^2 relatively by 5 eps S plus a few roundings of
+    the exponential, the phase and the square: 8 eps in all.  The smaller
+    entries hold less than (k+1) e^-80 of the sum.
+    """
+    model = SphereModel(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = weighted_basis_values(model, z)
+        u = coherent_vector(model, z)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(u))
+    assert np.array_equal(u, w.conj())
+    eps = np.finfo(float).eps
+    bound = (5.0 * (1.5 * k * math.log(2.0) + math.log(k + 1) + 40.0) + 8.0) * eps
+    total = math.fsum((np.abs(w) ** 2).tolist())
+    assert abs(total - (k + 1)) <= bound * (k + 1)
 
 
 def test_pairing_matrix_properties():

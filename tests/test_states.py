@@ -10,8 +10,7 @@ from conftest import (circle_diag_coefficient, circle_entropy_reference,
 from lagstate.entanglement import closest_separable, entropy
 from lagstate import states
 from lagstate.linalg import identity_defect, max_abs, svd
-from lagstate.sphere import (SphereModel, basis_values,
-                             weighted_basis_values)
+from lagstate.sphere import SphereModel, weighted_basis_values
 from lagstate.states import (antidiagonal_state, circle_entropy_closed_form,
                              circle_state_closed_form,
                              circle_state_quadrature, coherent_vector,
@@ -25,7 +24,6 @@ POINT_EVALUATORS = {
     "orthonormal_basis": lambda z: orthonormal_basis(TorusModel(3), z),
     "quasi_periodicity_factor":
         lambda z: quasi_periodicity_factor(TorusModel(3), z, 1, 1),
-    "basis_values": lambda z: basis_values(SphereModel(3), z),
     "weighted_basis_values": lambda z: weighted_basis_values(SphereModel(3), z),
     "section_frame_value":
         lambda z: section_frame_value(SphereModel(3), np.ones(4), z),
@@ -82,14 +80,17 @@ def test_section_frame_value_rejects_a_section_of_the_wrong_length():
 
 @pytest.mark.parametrize("alpha, k", [
     (math.nan, 3), (math.inf, 3), (complex(1.0, math.nan), 3), (0.0, 3), (0j, 3),
-    (1e10, 40), (1e-10, 40)], ids=["nan", "inf", "nan_i", "zero", "complex_zero",
-                                   "huge_power", "tiny_power"])
+    (1e10, 40), (1e-10, 40), (1.5e308, 1)],
+    ids=["nan", "inf", "nan_i", "zero", "complex_zero", "huge_power",
+         "tiny_power", "power_times_sqrt_k_plus_1"])
 @pytest.mark.parametrize("user", FRAME_USERS)
 def test_frame_scale_must_be_finite_and_nonzero(user, alpha, k):
     # A NaN scale would give an all-NaN vector and zero a zero vector;
     # neither scales a frame.  Nor does a scale whose k-th power leaves the
     # normal floats: at k = 40, 1e10 ** 40 overflows to an all-NaN vector (or
-    # an OverflowError) and 1e-10 ** 40 underflows to a zero vector.
+    # an OverflowError) and 1e-10 ** 40 underflows to a zero vector.  A
+    # weighted basis value reaches sqrt(k+1), so the power must stay below
+    # the largest float over that: at k = 1, 1.5e308 * 1.26 is inf.
     with pytest.raises(ValueError, match="^frame_scale must be finite and nonzero.* "
                                          + re.escape(f"got {complex(alpha)} at k = {k}")):
         FRAME_USERS[user](alpha, k)

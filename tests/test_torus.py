@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,10 +28,19 @@ def test_model_validation():
         TorusModel(4, mu=math.inf)
     model = TorusModel(4, mu=0.37)
     assert model.dim == 4
+
+
+@pytest.mark.parametrize("mu", [0.37, -1.2, 1e17])
+def test_reduced_q_is_the_nearest_representative(mu):
+    # The truncation certificate assumes |q| <= 1/2 for the q that the
+    # series sums with, and q must differ from (mu + j)/k by an integer.
+    model = TorusModel(4, mu=mu)
+    q = torus._reduced_q(model, np.arange(1, 5))
+    assert np.all(np.abs(q) <= 0.5)
     for j in range(1, 5):
-        assert abs(model.reduced_q(j)) <= 0.5
-    with pytest.raises(ValueError, match="out of range"):
-        model.reduced_q(0)
+        assert torus._reduced_q(model, j) == q[j - 1]
+        gap = Fraction(float(q[j - 1])) - (Fraction(mu) + j) / 4
+        assert abs(gap - round(gap)) <= 1e-15, (mu, j)
 
 
 def test_truncation_certificate():
@@ -200,7 +210,8 @@ def test_gram_diag_matches_erf_closed_form(mu):
         assert res["y_bound"] <= target
         diag = np.diag(gram).real
         for j in range(1, k + 1):
-            want = torus_gram_diag_reference(k, model.reduced_q(j), n_max)
+            q = torus._reduced_q(model, j)
+            want = torus_gram_diag_reference(k, q, n_max)
             assert abs(diag[j - 1] - want) <= target, (k, j)
         assert n_y & (n_y - 1) == 0 and n_y >= RULE_FLOOR
         if n_y > RULE_FLOOR:
@@ -235,7 +246,7 @@ def test_norm_oracle_matches_closed_form():
         model = TorusModel(k, mu=0.37)
         want = closed_form_norm(model) ** 2
         for j in (1, k):
-            got = torus_norm_reference(k, model.reduced_q(j))
+            got = torus_norm_reference(k, torus._reduced_q(model, j))
             assert abs(got - want) <= 1e-12 * want
 
 
