@@ -64,7 +64,7 @@ def analyze(coeffs: np.ndarray) -> EntanglementReport:
     norm = frobenius_norm(c)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |v| = {norm:.12g}")
-    lam = np.clip(hermitian_eigen(c @ c.conj().T), 0.0, 1.0)
+    lam = hermitian_eigen(c @ c.conj().T).clip(0.0, 1.0)
     nu = math.fsum([-x * math.log(x) for x in lam.tolist() if x > 0.0])
     return EntanglementReport(
         d=len(c), entropy=nu, max_entropy=math.log(len(c)),

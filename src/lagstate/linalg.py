@@ -23,6 +23,12 @@ here too, with the policy that sizes it (:func:`rule_size`).  It is built in
 derivative, so no companion-matrix eigensolve is made.  Half of it is solved
 and mirrored, which halves the work and keeps the rule exactly symmetric,
 and it carries log t and log(1 - t) for log-space integrands.
+The helpers that every CLI row runs call numpy's ufunc reductions
+(``np.maximum.reduce``, ``np.add.reduce``, ``np.logical_or.reduce``) and
+array methods written in C, not numpy's Python-level wrappers (``np.sum``,
+``np.all``, ``ndarray.max``) that reach the same reductions through several
+Python calls: on the small arrays of a row, those calls, not the
+arithmetic, set the cost.
 """
 
 from __future__ import annotations
@@ -94,10 +100,10 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     order: complex input stays complex, anything else becomes float64, with
     no copy when it already is either, so callers that modify it copy it."""
     a = np.asarray(a)
-    a = a.astype(np.result_type(a, np.float64), copy=False)
+    a = a.astype(np.promote_types(a.dtype, np.float64), copy=False)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError(f"{name} contains non-finite entries")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -116,10 +122,11 @@ def max_abs(a: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty input.  Real input is read
     from its two extremes, with no modulus array."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return float(np.abs(a).max(initial=0.0))
+    if a.dtype.kind == "c":
+        return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
     # abs maps an extreme of -0.0 to 0.0, as np.abs does.
-    return abs(max(float(a.max(initial=0.0)), -float(a.min(initial=0.0))))
+    return abs(max(float(np.maximum.reduce(a, axis=None, initial=0.0)),
+                   -float(np.minimum.reduce(a, axis=None, initial=0.0))))
 
 
 def identity_defect(a: np.ndarray) -> float:
@@ -137,7 +144,8 @@ def identity_defect(a: np.ndarray) -> float:
     gap = max_abs(a.diagonal() - 1.0)
     off = _off_diagonal(a)
     # np.maximum keeps a NaN either side; Python's max keeps gap over NaN.
-    return float(np.maximum(gap, max_abs(off))) if off.any() else gap
+    return (float(np.maximum(gap, max_abs(off)))
+            if np.logical_or.reduce(off, axis=None) else gap)
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
@@ -155,7 +163,7 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 def _is_diagonal(a: np.ndarray) -> bool:
     """Whether every off-diagonal entry of a square matrix is exactly zero:
     a test for exact zeros, with no tolerance."""
-    return not _off_diagonal(a).any()
+    return not np.logical_or.reduce(_off_diagonal(a), axis=None)
 
 
 def root_sum_squares(a: np.ndarray,
@@ -177,7 +185,7 @@ def root_sum_squares(a: np.ndarray,
 
 def _pairwise_sum_squares(a: np.ndarray) -> float:
     with np.errstate(over="ignore"):  # an overflow is inf, rescaled above
-        return float(np.sum(np.square(a, dtype=np.float64)))
+        return float(np.add.reduce(np.square(a, dtype=np.float64), axis=None))
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -185,7 +193,8 @@ def frobenius_norm(a: np.ndarray) -> float:
     summation order, and so its last bits, follow the BLAS thread count.
     Real entries are squared directly: x^2 = |x|^2 exactly.  Safe from
     under- and overflow (:func:`root_sum_squares`)."""
-    a = np.abs(a) if np.iscomplexobj(a) else a
+    a = np.asarray(a)
+    a = np.abs(a) if a.dtype.kind == "c" else a
     return root_sum_squares(a, _pairwise_sum_squares)
 
 
@@ -381,7 +390,7 @@ def svd(a: np.ndarray) -> SvdResult:
     else:
         norms = np.linalg.norm(scaled, axis=0)
     sigma = np.ldexp(norms, e + shift)
-    order = np.argsort(-sigma, kind="stable")[:np.count_nonzero(sigma)]
+    order = (-sigma).argsort(kind="stable")[:np.count_nonzero(sigma)]
     return SvdResult(singular_values=sigma[order], sweeps=sweeps,
                      worst_ratio=worst, scaled=scaled, norms=norms,
                      order=order, v_rows=v_rows)
@@ -405,7 +414,8 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
     if diagonal:
         # h^* - h is zero off the diagonal and -2i Im h_jj on it.
         entries = h.diagonal()
-        defect, scale = 2.0 * max_abs(entries.imag), max_abs(entries)
+        defect = 2.0 * max_abs(entries.imag) if entries.dtype.kind == "c" else 0.0
+        scale = max_abs(entries)
     else:
         # h^T in h's row-major layout, so the in-place steps run unbuffered.
         work = h.T.copy()
@@ -423,6 +433,8 @@ def hermitian_eigen(h: np.ndarray) -> np.ndarray:
         # either.  A -0.0 among them goes to LAPACK, whose order of signed
         # zeros no sort reproduces (numpy's may even turn 0.0 into -0.0).
         values = entries.real
-        if not np.signbit(values[values == 0.0]).any():
-            return np.sort(values)[::-1]
+        if not np.logical_or.reduce(np.signbit(values[values == 0.0]), axis=None):
+            values = values.copy()
+            values.sort()
+            return values[::-1]
     return np.linalg.eigvalsh(h)[::-1]

@@ -36,11 +36,12 @@ from .linalg import (GaussLegendreRule, as_point, gauss_legendre_01,
 
 def binomials(k: int) -> list[int]:
     """C(k, j) for j = 0..k as exact integers, by the multiplicative
-    recurrence C(k, j+1) = C(k, j) (k-j) / (j+1)."""
+    recurrence C(k, j+1) = C(k, j) (k-j) / (j+1) up to j = k // 2, and the
+    symmetry C(k, j) = C(k, k-j) past it."""
     row = [1]
-    for j in range(k):
+    for j in range(k // 2):
         row.append(row[-1] * (k - j) // (j + 1))
-    return row
+    return row + row[:(k + 1) // 2][::-1]
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,11 @@ class SphereModel:
         return 2 * self.k + 2
 
     def log_amplitudes(self) -> np.ndarray:
-        """log of the squared basis amplitudes (k+1) C(k, j)."""
+        """log of the squared basis amplitudes (k+1) C(k, j), each distinct
+        one taken once and mirrored by C(k, j) = C(k, k-j)."""
         k = self.k
-        return np.array([math.log((k + 1) * c) for c in binomials(k)])
+        half = [math.log((k + 1) * c) for c in binomials(k)[:k // 2 + 1]]
+        return np.array(half + half[:(k + 1) // 2][::-1])
 
     def antidiagonal_gram(self) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
         """(raw, normalized, resolution): the orthonormal basis Gram is both."""
@@ -135,9 +138,12 @@ def _gram(model: SphereModel, log_amp: np.ndarray) -> np.ndarray:
     """
     k = model.k
     rule = sphere_quadrature(k)
-    j = np.arange(k + 1)
-    f2 = np.exp(log_amp + j * rule.log_nodes[:, None]
-                + (k - j) * rule.log_complements[:, None])
+    j = np.arange(k + 1.0)
+    # The exponent log_amp + j log t + (k - j) log(1 - t), built in place.
+    f2 = rule.log_nodes[:, None] * j
+    f2 += log_amp
+    f2 += rule.log_complements[:, None] * (k - j)
+    np.exp(f2, out=f2)
     return np.diag(rule.weights @ f2)
 
 

@@ -72,13 +72,22 @@ def section_frame_value(model: SphereModel, section: np.ndarray, z: complex,
 
     The section is given by its coefficients against the orthonormal basis;
     the reproducing property states this equals <section, coherent_vector>.
+    The sum reaches sqrt(k+1) times the section's norm, which the bound of
+    :func:`_frame_scale` does not cover: a value past the float range is a
+    ValueError.
     """
     section = np.asarray(section, dtype=complex)
     if section.shape != (model.dim,):
         raise ValueError(
             f"section needs {model.dim} coefficients, got shape {section.shape}")
-    scale = _frame_scale(frame_scale, model.k) ** model.k
-    return complex(scale * (section * weighted_basis_values(model, z)).sum())
+    alpha = _frame_scale(frame_scale, model.k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(alpha ** model.k
+                        * (section * weighted_basis_values(model, z)).sum())
+    if not np.isfinite(value):
+        raise ValueError(f"section value is not finite at k = {model.k}: "
+                         f"frame_scale {alpha}, z = {complex(z)}")
+    return value
 
 
 def antidiagonal_state(model: SphereModel | TorusModel) -> LagrangianState:

@@ -40,6 +40,10 @@ from .linalg import as_point, gauss_legendre_01, rule_size
 
 THETA_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows past it
+# exp(-x) rounds to 0.0 for every x above 745.13, the log of half the
+# smallest subnormal, so a Gram term whose exponent is at most -_EXP_ZERO is
+# exactly 0.0, with a margin of 0.87 over the rounding of the exponent.
+_EXP_ZERO = 746.0
 MAX_TERMS = 64
 # log rho over which the y-rule error bound is minimized.  Every rho gives a
 # valid bound, so the grid sets only its tightness; it brackets the optimum
@@ -112,7 +116,7 @@ def _reduced_q(model: TorusModel, j: int | np.ndarray) -> float | np.ndarray:
     # fmod is exact and keeps q mod 1, but stops a large mu from swamping
     # j / k in the division.
     q = (math.fmod(model.mu, model.k) + j) / model.k
-    return q - np.round(q)
+    return q - np.rint(q)
 
 
 def _shifts(model: TorusModel, n_max: int) -> np.ndarray:
@@ -166,9 +170,10 @@ def _y_bound(k: int, n_max: int, n: int) -> float:
     (Trefethen, SIAM Rev. 50, 2008, Thm 4.5), minimized here over the fixed
     grid of log rho.  The bound falls as n grows.
     """
-    return float(np.exp((math.log(32.0 / 15.0 * (2 * n_max + 1))
-                         + 0.5 * math.pi * k * _SINH_LOG_RHO_SQ
-                         - _LOG_EXPM1_2LOG_RHO - 2.0 * n * _LOG_RHO).min()))
+    return float(np.exp(np.minimum.reduce(
+        math.log(32.0 / 15.0 * (2 * n_max + 1))
+        + 0.5 * math.pi * k * _SINH_LOG_RHO_SQ
+        - _LOG_EXPM1_2LOG_RHO - 2.0 * n * _LOG_RHO)))
 
 
 def gram_quadrature(model: TorusModel) -> tuple[np.ndarray, dict[str, Any]]:
@@ -193,11 +198,25 @@ def gram_quadrature(model: TorusModel) -> tuple[np.ndarray, dict[str, Any]]:
     n_y = rule_size(1)
     while (y_bound := _y_bound(k, n_max, n_y)) > target:
         n_y = rule_size(n_y + 1)
-    shifts = _shifts(model, n_max)
+    # y + q lies in [-1/2, 3/2], so the term of shift n is exp(<= -_EXP_ZERO)
+    # = 0.0 unless n is in (-r - 3/2, r + 1/2) with 2 pi k r^2 = _EXP_ZERO:
+    # only those shifts are summed, and the exact zeros left out change no
+    # bit of the ascending-n sum.
+    r = math.sqrt(_EXP_ZERO / (2.0 * math.pi * k))
+    lo = max(-n_max, math.floor(-r - 1.5) + 1)
+    hi = min(n_max, math.ceil(r + 0.5) - 1)
+    shifts = _shifts(model, n_max)[:, lo + n_max:hi + n_max + 1]
     ys, weights, _, _ = gauss_legendre_01(n_y)
-    # One square per term keeps it <= 1 (|a_n|^2 * weight overflows).
-    terms = np.exp(-2.0 * math.pi * k * (ys + shifts[:, :, None]) ** 2)
-    gram = np.diag(terms.sum(axis=1) @ weights)
+    # The exponent -2 pi k (y + n + q)^2, built in one k x shifts x n_y array;
+    # one square per term keeps it <= 1 (|a_n|^2 * weight overflows).  Its
+    # entries below -_EXP_ZERO go to -inf, whose exp is the same 0.0
+    # without the slow path of an underflowing exp.
+    terms = np.add(shifts[:, :, None], ys)
+    np.square(terms, out=terms)
+    terms *= -2.0 * math.pi * k
+    terms[terms < -_EXP_ZERO] = -math.inf
+    np.exp(terms, out=terms)
+    gram = np.diag(np.add.reduce(terms, axis=1) @ weights)
     return gram, {"n_max": n_max, "tail_bound": tail_bound,
                   "m_x": 2 * k * (2 * n_max + 1), "n_y": n_y, "y_bound": y_bound}
 

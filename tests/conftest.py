@@ -5,14 +5,14 @@ exact rational Beta integrals for the sphere monomial norms, a direct theta
 summation for truncation certificates, exact integer binomials for the
 circle state, a dense Gauss-Legendre rule for the torus norm, the erf closed
 form of the truncated torus Gram diagonal, the full 2-D product rule for the
-torus Gram matrix, Newton-polished Legendre roots in 30-digit arithmetic
-for the error of the computed Gauss-Legendre rule, and alternating
-maximization (no SVD) for the distance to the separable set.  It also holds
-the small helpers that only tests call: the torus inner-product weight, the
-separable pair of two coherent vectors, the sphere fiber pairing, the
-reduced density matrix, ``report``'s CSV for a list of rows with the
-parser of it back into rows, and the environment of a ``lagstate`` child
-process.
+torus Gram matrix, the torus Gram diagonal summed over every shift,
+Newton-polished Legendre roots in 30-digit arithmetic for the error of the
+computed Gauss-Legendre rule, and alternating maximization (no SVD) for the
+distance to the separable set.  It also holds the small helpers that only
+tests call: the torus inner-product weight, the separable pair of two
+coherent vectors, the sphere fiber pairing, the reduced density matrix,
+``report``'s CSV for a list of rows with the parser of it back into rows,
+and the environment of a ``lagstate`` child process.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from lagstate.cli import CSV_HEADER, ReportRow, render_row
+from lagstate.linalg import gauss_legendre_01
+from lagstate.torus import _reduced_q
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -223,6 +225,24 @@ def torus_gram_reference(k: int, mu: float, n_y: int, m_x: int,
                                    + 2j * math.pi * (n + q) * k * z)
     weight = (w / 2.0) * np.exp(-2.0 * math.pi * k * y ** 2) / m_x
     return np.einsum("jyx,lyx,y->jl", theta, theta.conj(), weight)
+
+
+def torus_gram_every_shift(model, n_max: int, n_y: int) -> np.ndarray:
+    """Raw torus Gram diagonal with a term for every shift |n| <= n_max, those
+    that underflow to 0.0 included: exp(-2 pi k (y + n + q)^2) at the nodes y
+    of the n_y-point rule, summed over ascending n, then weighted by the
+    rule.  The terms are formed 256 rows at a time, so that large k stays
+    small in memory."""
+    k = model.k
+    ys, weights, _, _ = gauss_legendre_01(n_y)
+    shifts = (np.arange(-n_max, n_max + 1)[None, :]
+              + _reduced_q(model, np.arange(1, k + 1))[:, None])
+    sums = np.empty((k, n_y))
+    for lo in range(0, k, 256):
+        terms = np.exp(-2.0 * math.pi * k
+                       * (ys + shifts[lo:lo + 256, :, None]) ** 2)
+        sums[lo:lo + 256] = terms.sum(axis=1)
+    return sums @ weights
 
 
 def separable_distance_minimized(coeffs: np.ndarray, *, seed: int,

@@ -1087,24 +1087,63 @@ def test_a_torus_row_runs_one_gram_quadrature(monkeypatch):
     assert [row.k for row in rows] == calls == [3, 4, 5]
 
 
-@pytest.mark.parametrize("submanifold", ["antidiagonal", "circle"])
-def test_a_sweep_row_holds_one_copy_of_its_state(submanifold):
+@pytest.mark.parametrize("config, d, bound", [
+    pytest.param(dict(k_min=299, k_max=300), 301, 2.3, id="antidiagonal"),
+    pytest.param(dict(k_min=299, k_max=300, submanifold="circle"), 301, 2.3,
+                 id="circle"),
+    pytest.param(dict(k_min=299, k_max=300, model="torus", mu=0.37), 300, 3.2,
+                 id="torus")])
+def test_a_sweep_row_holds_one_copy_of_its_state(config, d, bound):
     # A row builds its state, keeps only the normalized copy, and drops that
     # after the analysis, which reads the diagonal state with one d x d array
     # at a time (c c^T, then the SVD's scaled columns) and sets the peak with
     # it; the builder's own peak, the state and one temporary of its norm, is
-    # no higher.
+    # no higher on the sphere.  The torus builder holds the raw Gram beside
+    # the normalized one and its norm's temporary, 3 d x d arrays, above its
+    # Gram quadrature's peak: one k x shifts x n_y array of terms (4 shifts
+    # and 128 y-nodes at k = 300, 1.7 d x d arrays) beside the Gram.
     import tracemalloc
-    d = 301
     tracemalloc.start()
     try:
-        rows = list(run(RunConfig(k_min=d - 2, k_max=d - 1, reproducible=True,
-                                  submanifold=submanifold)))
+        rows = list(run(RunConfig(reproducible=True, **config)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [row.d_k for row in rows] == [d - 1, d]
-    assert peak <= 2.3 * 8 * d * d
+    assert peak <= bound * 8 * d * d
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--k-min", "60", "--k-max", "60"],
+    ["report", "--submanifold", "circle", "--k-min", "40", "--k-max", "40"],
+    ["report", "--model", "torus", "--mu", "0.37", "--k-min", "13",
+     "--k-max", "13"],
+    ["verify", "--k-min", "60", "--k-max", "60"]],
+    ids=["sphere-report", "circle-report", "torus-report", "sphere-verify"])
+def test_a_row_calls_no_numpy_python_wrapper(argv, capsys):
+    # On the small arrays of a row, numpy's Python-level wrappers cost more
+    # than the reductions they reach; the row calls those reductions, and
+    # the array methods written in C, directly.
+    wrappers = {"sum", "all", "any", "clip", "sort", "argsort", "round",
+                "_amax", "_amin", "_any", "_all", "_sum", "iscomplexobj",
+                "result_type"}
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in wrappers
+                and code.co_filename.startswith(numpy_dir)):
+            entered.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert entered == []
 
 
 def test_python_m_lagstate():

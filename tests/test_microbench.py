@@ -11,7 +11,9 @@ Two of its parts are timed alone on the sphere state: the eigensolve of
 c c^T, Hermitian check included, and the state's ``identity_defect``, the
 defect its builder records.  The circle builder is timed on its own.  On
 the torus, the model's Gram (one quadrature) is timed apart from a point
-evaluation of its orthonormal basis, which computes no Gram.
+evaluation of its orthonormal basis, which computes no Gram, and the
+quadrature itself at the benchmark's top level k = 24 and at k = 1000, where
+only 2 of its 7 shifts reach the square.
 
 Timings are recorded by pytest-benchmark (skipped when it is not
 installed) and printed in its table; nothing asserts on them.  Compare
@@ -28,7 +30,7 @@ from lagstate.entanglement import analyze  # noqa: E402
 from lagstate.linalg import hermitian_eigen, identity_defect, svd  # noqa: E402
 from lagstate.sphere import SphereModel  # noqa: E402
 from lagstate.states import antidiagonal_state, circle_state_quadrature  # noqa: E402
-from lagstate.torus import TorusModel, orthonormal_basis  # noqa: E402
+from lagstate.torus import TorusModel, gram_quadrature, orthonormal_basis  # noqa: E402
 
 
 @pytest.mark.parametrize("kind, k", [("sphere", 120), ("circle", 80),
@@ -114,6 +116,14 @@ def test_torus_gram_microbench(benchmark):
     _, normalized, _ = benchmark.pedantic(model.antidiagonal_gram,
                                              rounds=3, iterations=1)
     assert normalized.shape == (24, 24)
+
+
+@pytest.mark.parametrize("k", [24, 1000])
+def test_torus_gram_quadrature_microbench(benchmark, k):
+    model = TorusModel(k, mu=0.37)
+    gram, _ = benchmark.pedantic(gram_quadrature, args=(model,), rounds=3,
+                                 iterations=1)
+    assert gram.shape == (k, k)
 
 
 def test_torus_basis_values_microbench(benchmark):

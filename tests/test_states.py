@@ -108,6 +108,19 @@ def test_frame_scale_power_inside_the_float_range(user, alpha):
     assert np.all(np.isfinite(got)) and np.any(got != 0)
 
 
+def test_section_frame_value_must_be_finite():
+    # The k-th power is a normal float below max / sqrt(k+1), but the sum
+    # reaches sqrt(k+1) times the section's norm: at k = 1, a section of
+    # ones at z = 0.5 sums to 1.897, and 1.2e308 times that is inf.  A
+    # power 10 times smaller gives a finite value and stays accepted.
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "section value is not finite at k = 1: frame_scale (1.2e+308+0j)")):
+        section_frame_value(SphereModel(1), np.ones(2), 0.5, frame_scale=1.2e308)
+    value = section_frame_value(SphereModel(1), np.ones(2), 0.5,
+                                frame_scale=1.2e307)
+    assert value == 1.2e307 * section_frame_value(SphereModel(1), np.ones(2), 0.5)
+
+
 def test_reproducing_property():
     rng = np.random.default_rng(33)
     for k in range(1, 7):

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (gauss_legendre_01_defects, gaussian_weight,
                       theta_reference, torus_gram_diag_reference,
-                      torus_gram_reference, torus_norm_reference)
+                      torus_gram_every_shift, torus_gram_reference,
+                      torus_norm_reference)
 from lagstate import torus
 from lagstate.cli import DEFAULT_TOL_GRAM
 from lagstate.linalg import (RULE_FLOOR, gauss_legendre_01, identity_defect,
@@ -186,6 +187,26 @@ def test_gram_matches_product_rule_oracle(k, mu):
     want = torus_gram_reference(k, mu, res["n_y"], m_x)
     assert max_abs(gram - want) <= 1e-13 * max_abs(want)
     assert not (gram - np.diag(np.diag(gram))).any()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.37, -1.2, 0.5, -0.5, 1e17])
+def test_gram_sums_every_shift_that_reaches_the_square(mu):
+    # The Gram sums only the shifts whose terms can be nonzero somewhere on
+    # the square; every term it leaves out or maps to -inf is an exact 0.0,
+    # so the raw Gram is bit for bit the sum over every |n| <= n_max.
+    for k in [*range(3, 201), 250, 300, 500, 1000, 2000, 5000]:
+        model = TorusModel(k, mu=mu)
+        gram, res = gram_quadrature(model)
+        want = torus_gram_every_shift(model, res["n_max"], res["n_y"])
+        assert np.array_equal(gram, np.diag(want)), k
+
+
+def test_exp_underflow_threshold():
+    # exp rounds to 0.0 below ln(2^-1075) = -745.1332, the log of half the
+    # smallest subnormal: the Gram's cut at -746 keeps a margin, and just
+    # above the threshold the exp is still the smallest subnormal.
+    assert np.exp(-torus._EXP_ZERO) == math.exp(-torus._EXP_ZERO) == 0.0
+    assert np.exp(-745.13) == math.exp(-745.13) == math.ulp(0.0) > 0.0
 
 
 def test_gram_y_levels():
